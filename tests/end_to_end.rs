@@ -93,6 +93,22 @@ fn system2_pipeline_holds_the_papers_claims() {
     check_system(&system2());
 }
 
+/// Table 3 "Orig.": the random sequential campaign on the un-DFT'd chip,
+/// pinned to the counts EXPERIMENTS.md reports.
+#[test]
+fn orig_coverage_matches_the_table3_counts() {
+    for (soc, detected, total) in [(barcode_system(), 114, 4314), (system2(), 334, 3192)] {
+        let flat = flatten_soc(&soc).expect("flattening succeeds");
+        let orig = orig_coverage(&flat, 96, 0xdac1998);
+        assert_eq!(
+            (orig.detected, orig.total),
+            (detected, total),
+            "{}",
+            soc.name()
+        );
+    }
+}
+
 #[test]
 fn objective_one_and_two_bracket_the_extremes() {
     let soc = system2();

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use socet::atpg::TpgConfig;
-use socet::cells::DftCosts;
+use socet::cells::{DftCosts, StableHasher};
 use socet::flow::{prepare_soc_uncached, prepare_soc_with, PrepareOptions, PreparedSoc};
 use socet::rtl::Soc;
 use std::path::PathBuf;
@@ -29,6 +29,45 @@ fn all_bytes(p: &PreparedSoc, soc: &Soc) -> Vec<Option<Vec<u8>>> {
     (0..soc.cores().len())
         .map(|i| p.artifact_bytes(i))
         .collect()
+}
+
+/// Digest of every instance's artifact at the default `DftCosts` and
+/// `TpgConfig`: a refactor of the simulators, PODEM or the codecs must not
+/// move a single byte.
+fn default_artifact_digest(soc: &Soc) -> u128 {
+    let (p, _) = prepare_soc_with(
+        soc,
+        &DftCosts::default(),
+        &TpgConfig::default(),
+        &PrepareOptions::new(),
+    )
+    .unwrap();
+    let mut h = StableHasher::new();
+    for bytes in all_bytes(&p, soc) {
+        match bytes {
+            None => h.write_u8(0),
+            Some(b) => {
+                h.write_u8(1);
+                h.write_usize(b.len());
+                h.write_bytes(&b);
+            }
+        }
+    }
+    h.finish().0
+}
+
+#[test]
+fn default_artifacts_match_the_golden_digests() {
+    let system1 = default_artifact_digest(&socet::socs::barcode_system());
+    let system2 = default_artifact_digest(&socet::socs::system2());
+    assert_eq!(
+        system1, 0x2ee80b45e37ba3e22b8e8320e059969b,
+        "System 1 digest {system1:#034x}"
+    );
+    assert_eq!(
+        system2, 0x630b3a145050b5a6d93d7ac7bf856c23,
+        "System 2 digest {system2:#034x}"
+    );
 }
 
 #[test]
