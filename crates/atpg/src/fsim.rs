@@ -22,6 +22,7 @@
 
 use crate::fault::Fault;
 use crate::metrics::AtpgMetrics;
+use socet_gate::kernel::{eval, sweep};
 use socet_gate::{GateKind, GateNetlist, PackedSim, SignalId};
 use socet_obs::names;
 
@@ -119,8 +120,6 @@ pub struct FaultSim<'a> {
     nl: &'a GateNetlist,
     n_pi: usize,
     n_ff: usize,
-    /// The reusable packed simulator for good-machine baselines.
-    sim: PackedSim<'a>,
     /// Per-signal fanout cones, indexed by `SignalId::index`.
     cones: Vec<Cone>,
     /// Worker cap for fault partitioning (1 forces serial evaluation).
@@ -142,7 +141,6 @@ impl<'a> FaultSim<'a> {
         FaultSim {
             n_pi: nl.inputs().len(),
             n_ff: nl.flip_flop_count(),
-            sim: PackedSim::new(nl),
             cones: build_cones(nl),
             workers: std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -252,8 +250,13 @@ impl<'a> FaultSim<'a> {
         assert_eq!(skip.len(), faults.len(), "skip map length");
         assert_eq!(masks.len(), faults.len(), "mask buffer length");
         self.pack(block);
-        self.sim
-            .eval_into(&self.pi_buf, &self.ff_buf, None, &mut self.good);
+        sweep(
+            self.nl,
+            &self.pi_buf,
+            &self.ff_buf,
+            &mut self.good,
+            |_, v| v,
+        );
         self.metrics.blocks_simulated += 1;
         let used: u64 = if block.len() == 64 {
             u64::MAX
@@ -447,22 +450,7 @@ fn fault_mask(
     scratch.set(fault.signal, forced);
     for &g in &cone.gates {
         let gate = nl.gate(g);
-        let ops = gate.operands();
-        let val = match gate.kind {
-            GateKind::Not => !scratch.get(good, ops[0]),
-            GateKind::Buf => scratch.get(good, ops[0]),
-            GateKind::And2 => scratch.get(good, ops[0]) & scratch.get(good, ops[1]),
-            GateKind::Or2 => scratch.get(good, ops[0]) | scratch.get(good, ops[1]),
-            GateKind::Nand2 => !(scratch.get(good, ops[0]) & scratch.get(good, ops[1])),
-            GateKind::Nor2 => !(scratch.get(good, ops[0]) | scratch.get(good, ops[1])),
-            GateKind::Xor2 => scratch.get(good, ops[0]) ^ scratch.get(good, ops[1]),
-            GateKind::Xnor2 => !(scratch.get(good, ops[0]) ^ scratch.get(good, ops[1])),
-            GateKind::Mux2 => {
-                let sel = scratch.get(good, ops[0]);
-                (!sel & scratch.get(good, ops[1])) | (sel & scratch.get(good, ops[2]))
-            }
-            _ => unreachable!("cones hold only combinational gates"),
-        };
+        let val = eval(gate.kind, gate.operands(), |o| scratch.get(good, o));
         scratch.set(g, val);
     }
     metrics.cone_gate_evals += cone.gates.len() as u64;

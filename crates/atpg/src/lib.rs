@@ -5,15 +5,16 @@
 //! full-scan circuit and tested using combinational ATPG tools", and its
 //! Table 3 reports fault coverage (FC) and test efficiency (TEff) from "a
 //! commercial combinational ATPG tool" plus an in-house sequential tool for
-//! the un-DFT'd originals. This crate rebuilds that tooling:
+//! the un-DFT'd originals. This crate rebuilds that tooling, evaluating
+//! every gate through the [`socet_gate::kernel`]:
 //!
 //! * [`Fault`] / [`fault_list`] — single stuck-at faults over a
 //!   [`GateNetlist`](socet_gate::GateNetlist), with buffer/constant
 //!   collapsing;
 //! * [`Podem`] — the classic PODEM algorithm on the full-scan
-//!   (combinational) view, two-plane (good/faulty) three-valued
-//!   implication, D-frontier objectives, X-path pruning and a backtrack
-//!   bound;
+//!   (combinational) view, three-valued implication of the good and faulty
+//!   machines as two lanes of one kernel sweep, D-frontier objectives,
+//!   X-path pruning and a backtrack bound;
 //! * [`FaultSim`] — pattern-parallel combinational fault simulation with
 //!   fanout-cone pruning and fault-parallel threading, instrumented by
 //!   [`AtpgMetrics`];

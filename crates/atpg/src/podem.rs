@@ -1,16 +1,21 @@
 //! PODEM: path-oriented decision making, the classic complete combinational
 //! ATPG algorithm, on the full-scan view of a gate netlist.
 //!
-//! The implementation keeps two three-valued planes per signal — the good
-//! machine and the faulty machine — so the composite values 0/1/X/D/D̄ fall
-//! out of plane comparison. Implication is a full forward resimulation of
+//! The implementation runs the good machine and the faulty machine as lanes
+//! 0 and 1 of one dual-rail [`Tri64`] plane, so the composite values
+//! 0/1/X/D/D̄ fall out of lane comparison and one kernel sweep implies both
+//! machines at once. Implication is a full forward resimulation of
 //! the combinational cone (circuits at core granularity are small enough
 //! that incremental implication buys nothing), decisions are made only on
 //! primary inputs via objective backtrace, and an X-path check prunes
 //! decisions that can no longer propagate the fault to an output.
 
 use crate::fault::Fault;
-use socet_gate::{GateKind, GateNetlist, SignalId, Tri};
+use socet_gate::kernel::sweep;
+use socet_gate::{GateKind, GateNetlist, SignalId, Tri, Tri64};
+
+/// The lane of the faulty machine; lane 0 is the good machine.
+const FAULTY: u64 = 0b10;
 
 /// The outcome of one PODEM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,8 +58,10 @@ pub struct Podem<'a> {
     /// Position of each signal in `pis`, or `usize::MAX`.
     pi_pos: Vec<usize>,
     max_backtracks: usize,
-    good: Vec<Tri>,
-    faulty: Vec<Tri>,
+    /// The current assignment, splatted across lanes for the sweep.
+    sources: Vec<Tri64>,
+    /// Every signal's value: good machine in lane 0, faulty in lane 1.
+    values: Vec<Tri64>,
 }
 
 impl<'a> Podem<'a> {
@@ -72,8 +79,8 @@ impl<'a> Podem<'a> {
             pos,
             pi_pos,
             max_backtracks,
-            good: Vec::new(),
-            faulty: Vec::new(),
+            sources: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -131,66 +138,47 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Forward-simulates both planes under the PI assignment.
+    /// Forward-simulates both machines under the PI assignment.
     fn imply(&mut self, assignment: &[Tri], fault: Fault) {
-        let n = self.nl.gates().len();
-        self.good.clear();
-        self.good.resize(n, Tri::X);
-        self.faulty.clear();
-        self.faulty.resize(n, Tri::X);
-        for (i, s) in self.pis.iter().enumerate() {
-            self.good[s.index()] = assignment[i];
-            self.faulty[s.index()] = assignment[i];
-        }
-        for (i, g) in self.nl.gates().iter().enumerate() {
-            match g.kind {
-                GateKind::Const0 => {
-                    self.good[i] = Tri::Zero;
-                    self.faulty[i] = Tri::Zero;
-                }
-                GateKind::Const1 => {
-                    self.good[i] = Tri::One;
-                    self.faulty[i] = Tri::One;
-                }
-                _ => {}
+        self.sources.clear();
+        self.sources
+            .extend(assignment.iter().map(|t| Tri64::splat(*t)));
+        let (pi, ff) = self.sources.split_at(self.nl.inputs().len());
+        let (stuck1, stuck0) = if fault.stuck_at_one {
+            (FAULTY, 0)
+        } else {
+            (0, FAULTY)
+        };
+        sweep(self.nl, pi, ff, &mut self.values, |s, v| {
+            if s == fault.signal {
+                v.force(stuck1, stuck0)
+            } else {
+                v
             }
-        }
-        // Inject at fault site if it is a PI/FF/const.
-        let site = fault.signal.index();
-        let site_kind = self.nl.gate(fault.signal).kind;
-        if matches!(
-            site_kind,
-            GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-        ) {
-            self.faulty[site] = Tri::from_bool(fault.stuck_at_one);
-        }
-        let order: &[SignalId] = self.nl.topo_order();
-        for s in order {
-            let g = self.nl.gate(*s);
-            let gv = eval_gate(g.kind, g.operands(), &self.good);
-            let fv = eval_gate(g.kind, g.operands(), &self.faulty);
-            self.good[s.index()] = gv;
-            self.faulty[s.index()] = fv;
-            if s.index() == site {
-                self.faulty[site] = Tri::from_bool(fault.stuck_at_one);
-            }
-        }
+        });
     }
 
-    /// Whether a fault effect (definite, differing planes) reaches a PO.
+    /// The good machine's value of `s`.
+    fn good(&self, s: SignalId) -> Tri {
+        self.values[s.index()].lane(0)
+    }
+
+    /// Whether a fault effect (definite, differing lanes) reaches a PO.
     fn detected(&self) -> bool {
         self.pos.iter().any(|s| self.effect_at(*s))
     }
 
     fn effect_at(&self, s: SignalId) -> bool {
+        let v = self.values[s.index()];
         matches!(
-            (self.good[s.index()], self.faulty[s.index()]),
+            (v.lane(0), v.lane(1)),
             (Tri::Zero, Tri::One) | (Tri::One, Tri::Zero)
         )
     }
 
     fn is_x(&self, s: SignalId) -> bool {
-        self.good[s.index()] == Tri::X || self.faulty[s.index()] == Tri::X
+        let v = self.values[s.index()];
+        v.lane(0) == Tri::X || v.lane(1) == Tri::X
     }
 
     /// Next objective `(signal, value)`:
@@ -307,7 +295,7 @@ impl<'a> Podem<'a> {
         loop {
             let pi = self.pi_pos[sig.index()];
             if pi != usize::MAX {
-                if self.good[sig.index()] != Tri::X {
+                if self.good(sig) != Tri::X {
                     return None; // already assigned; objective unreachable
                 }
                 return Some((pi, val));
@@ -345,9 +333,8 @@ impl<'a> Podem<'a> {
                         }
                         GateKind::Xor2 | GateKind::Xnor2 => {
                             let other = ops.iter().find(|o| *o != pick).copied();
-                            let other_val = other
-                                .and_then(|o| self.good[o.index()].to_bool())
-                                .unwrap_or(false);
+                            let other_val =
+                                other.and_then(|o| self.good(o).to_bool()).unwrap_or(false);
                             val = inner ^ other_val;
                         }
                         _ => unreachable!(),
@@ -357,7 +344,7 @@ impl<'a> Podem<'a> {
                 GateKind::Mux2 => {
                     let ops = g.operands();
                     let (sel, a0, a1) = (ops[0], ops[1], ops[2]);
-                    match self.good[sel.index()].to_bool() {
+                    match self.good(sel).to_bool() {
                         Some(false) => sig = a0,
                         Some(true) => sig = a1,
                         None => {
@@ -372,66 +359,6 @@ impl<'a> Podem<'a> {
                 }
             }
         }
-    }
-}
-
-fn eval_gate(kind: GateKind, ops: &[SignalId], v: &[Tri]) -> Tri {
-    let g = |i: usize| v[ops[i].index()];
-    match kind {
-        GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1 => {
-            // Not evaluated here; values pre-seeded.
-            Tri::X
-        }
-        GateKind::Not => not3(g(0)),
-        GateKind::Buf => g(0),
-        GateKind::And2 => and3(g(0), g(1)),
-        GateKind::Or2 => or3(g(0), g(1)),
-        GateKind::Nand2 => not3(and3(g(0), g(1))),
-        GateKind::Nor2 => not3(or3(g(0), g(1))),
-        GateKind::Xor2 => xor3(g(0), g(1)),
-        GateKind::Xnor2 => not3(xor3(g(0), g(1))),
-        GateKind::Mux2 => match g(0) {
-            Tri::Zero => g(1),
-            Tri::One => g(2),
-            Tri::X => {
-                if g(1) == g(2) {
-                    g(1)
-                } else {
-                    Tri::X
-                }
-            }
-        },
-    }
-}
-
-fn not3(a: Tri) -> Tri {
-    match a {
-        Tri::Zero => Tri::One,
-        Tri::One => Tri::Zero,
-        Tri::X => Tri::X,
-    }
-}
-
-fn and3(a: Tri, b: Tri) -> Tri {
-    match (a, b) {
-        (Tri::Zero, _) | (_, Tri::Zero) => Tri::Zero,
-        (Tri::One, Tri::One) => Tri::One,
-        _ => Tri::X,
-    }
-}
-
-fn or3(a: Tri, b: Tri) -> Tri {
-    match (a, b) {
-        (Tri::One, _) | (_, Tri::One) => Tri::One,
-        (Tri::Zero, Tri::Zero) => Tri::Zero,
-        _ => Tri::X,
-    }
-}
-
-fn xor3(a: Tri, b: Tri) -> Tri {
-    match (a, b) {
-        (Tri::X, _) | (_, Tri::X) => Tri::X,
-        (x, y) => Tri::from_bool(x != y),
     }
 }
 

@@ -5,8 +5,8 @@
 //! fault-serially is quadratic and slow, so this simulator packs up to 64
 //! faulty machines into each `u64` word: lane *k* of every signal carries
 //! the value seen by fault *k* of the current block. Values are three-valued
-//! (flip-flops power up unknown), encoded as a pair of definite-1 /
-//! definite-0 bit masks per signal.
+//! (flip-flops power up unknown), carried as the kernel's dual-rail
+//! [`Tri64`] lanes.
 //!
 //! Fault blocks are mutually independent — each shares only the read-only
 //! netlist and good-machine reference — so [`SeqFaultSim::run_from`]
@@ -14,7 +14,8 @@
 //! bit-identical for any worker count.
 
 use crate::fault::Fault;
-use socet_gate::{GateKind, GateNetlist, SeqSim, Tri};
+use socet_gate::kernel::sweep;
+use socet_gate::{GateNetlist, SeqSim, Tri, Tri64};
 
 /// Fault-parallel sequential fault simulator.
 ///
@@ -40,75 +41,6 @@ pub struct SeqFaultSim<'a> {
     nl: &'a GateNetlist,
     /// Worker cap for block partitioning (1 forces serial evaluation).
     workers: usize,
-}
-
-/// Packed three-valued word: definite-1 and definite-0 lane masks.
-#[derive(Debug, Clone, Copy, Default)]
-struct P3 {
-    d1: u64,
-    d0: u64,
-}
-
-impl P3 {
-    const X: P3 = P3 { d1: 0, d0: 0 };
-
-    fn splat(t: Tri) -> P3 {
-        match t {
-            Tri::One => P3 {
-                d1: u64::MAX,
-                d0: 0,
-            },
-            Tri::Zero => P3 {
-                d1: 0,
-                d0: u64::MAX,
-            },
-            Tri::X => P3::X,
-        }
-    }
-
-    fn not(self) -> P3 {
-        P3 {
-            d1: self.d0,
-            d0: self.d1,
-        }
-    }
-
-    fn and(self, o: P3) -> P3 {
-        P3 {
-            d1: self.d1 & o.d1,
-            d0: self.d0 | o.d0,
-        }
-    }
-
-    fn or(self, o: P3) -> P3 {
-        P3 {
-            d1: self.d1 | o.d1,
-            d0: self.d0 & o.d0,
-        }
-    }
-
-    fn xor(self, o: P3) -> P3 {
-        P3 {
-            d1: (self.d1 & o.d0) | (self.d0 & o.d1),
-            d0: (self.d1 & o.d1) | (self.d0 & o.d0),
-        }
-    }
-
-    fn mux(s: P3, a0: P3, a1: P3) -> P3 {
-        let sx = !(s.d0 | s.d1);
-        P3 {
-            d1: (s.d0 & a0.d1) | (s.d1 & a1.d1) | (sx & a0.d1 & a1.d1),
-            d0: (s.d0 & a0.d0) | (s.d1 & a1.d0) | (sx & a0.d0 & a1.d0),
-        }
-    }
-
-    /// Applies stuck-at injection masks.
-    fn inject(self, m1: u64, m0: u64) -> P3 {
-        P3 {
-            d1: (self.d1 & !m0) | m1,
-            d0: (self.d0 & !m1) | m0,
-        }
-    }
 }
 
 impl<'a> SeqFaultSim<'a> {
@@ -199,61 +131,32 @@ impl<'a> SeqFaultSim<'a> {
             }
         }
         let ffs = self.nl.flip_flops();
-        let mut state: Vec<P3> = vec![P3::splat(init); ffs.len()];
+        let mut state = vec![Tri64::splat(init); ffs.len()];
         let mut detected_lanes = 0u64;
         let used: u64 = if block.len() == 64 {
             u64::MAX
         } else {
             (1u64 << block.len()) - 1
         };
-
-        for (cycle, vector) in vectors.iter().enumerate() {
-            assert_eq!(vector.len(), self.nl.inputs().len(), "vector width");
-            let mut v = vec![P3::X; n];
-            for ((_, s), t) in self.nl.inputs().iter().zip(vector) {
-                v[s.index()] = P3::splat(*t).inject(m1[s.index()], m0[s.index()]);
-            }
-            for (q, st) in ffs.iter().zip(&state) {
-                v[q.index()] = st.inject(m1[q.index()], m0[q.index()]);
-            }
-            for (i, g) in self.nl.gates().iter().enumerate() {
-                match g.kind {
-                    GateKind::Const0 => v[i] = P3::splat(Tri::Zero).inject(m1[i], m0[i]),
-                    GateKind::Const1 => v[i] = P3::splat(Tri::One).inject(m1[i], m0[i]),
-                    _ => {}
-                }
-            }
-            for s in self.nl.topo_order() {
-                let g = self.nl.gate(*s);
-                let ops = g.operands();
-                let val = match g.kind {
-                    GateKind::Not => v[ops[0].index()].not(),
-                    GateKind::Buf => v[ops[0].index()],
-                    GateKind::And2 => v[ops[0].index()].and(v[ops[1].index()]),
-                    GateKind::Or2 => v[ops[0].index()].or(v[ops[1].index()]),
-                    GateKind::Nand2 => v[ops[0].index()].and(v[ops[1].index()]).not(),
-                    GateKind::Nor2 => v[ops[0].index()].or(v[ops[1].index()]).not(),
-                    GateKind::Xor2 => v[ops[0].index()].xor(v[ops[1].index()]),
-                    GateKind::Xnor2 => v[ops[0].index()].xor(v[ops[1].index()]).not(),
-                    GateKind::Mux2 => {
-                        P3::mux(v[ops[0].index()], v[ops[1].index()], v[ops[2].index()])
-                    }
-                    _ => unreachable!("topo order holds only combinational gates"),
-                };
-                v[s.index()] = val.inject(m1[s.index()], m0[s.index()]);
-            }
+        let mut pi = Vec::new();
+        let mut v = Vec::new();
+        for (vector, good) in vectors.iter().zip(good_outputs) {
+            pi.clear();
+            pi.extend(vector.iter().map(|t| Tri64::splat(*t)));
+            sweep(self.nl, &pi, &state, &mut v, |s, x| {
+                x.force(m1[s.index()], m0[s.index()])
+            });
             // Detection at primary outputs.
-            for ((_, s), good) in self.nl.outputs().iter().zip(&good_outputs[cycle]) {
+            for ((_, s), good) in self.nl.outputs().iter().zip(good) {
                 match good {
-                    Tri::One => detected_lanes |= v[s.index()].d0 & used,
-                    Tri::Zero => detected_lanes |= v[s.index()].d1 & used,
+                    Tri::One => detected_lanes |= v[s.index()].zeros() & used,
+                    Tri::Zero => detected_lanes |= v[s.index()].ones() & used,
                     Tri::X => {}
                 }
             }
             // Clock.
-            for (i, q) in ffs.iter().enumerate() {
-                let d = self.nl.gate(*q).operands()[0];
-                state[i] = v[d.index()].inject(m1[q.index()], m0[q.index()]);
+            for (st, q) in state.iter_mut().zip(&ffs) {
+                *st = v[self.nl.gate(*q).operands()[0].index()];
             }
         }
         (0..block.len())

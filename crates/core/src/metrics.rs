@@ -15,8 +15,7 @@
 //! counters and spans into a [`Recorder`](socet_obs::Recorder), and
 //! [`Metrics::from_recorder`] / [`PrepareMetrics::from_recorder`] /
 //! [`AtpgMetrics::from_recorder`] derive the familiar shapes from the one
-//! event stream. The ad-hoc merge helpers survive as thin shims (some
-//! deprecated) so downstream code keeps compiling.
+//! event stream.
 
 use socet_atpg::AtpgMetrics;
 use socet_obs::{names, Counter, Recorder};
@@ -88,29 +87,6 @@ impl PrepareMetrics {
             io_time: rec.span_total(names::STORE_LOAD) + rec.span_total(names::STORE_WRITE),
             total_time: rec.span_total(names::PREPARE),
         }
-    }
-
-    /// Folds `other` into `self` — used to aggregate across pipeline runs
-    /// (counters and times add; `workers` keeps the widest fan-out seen).
-    #[deprecated(
-        since = "0.1.0",
-        note = "aggregate through socet_obs::Recorder::merge_child and derive \
-                the view with PrepareMetrics::from_recorder"
-    )]
-    pub fn merge(&mut self, other: &PrepareMetrics) {
-        self.instances += other.instances;
-        self.unique_cores += other.unique_cores;
-        self.memo_hits += other.memo_hits;
-        self.disk_hits += other.disk_hits;
-        self.disk_misses += other.disk_misses;
-        self.disk_writes += other.disk_writes;
-        self.workers = self.workers.max(other.workers);
-        self.hscan_time += other.hscan_time;
-        self.versions_time += other.versions_time;
-        self.elaborate_time += other.elaborate_time;
-        self.atpg_time += other.atpg_time;
-        self.io_time += other.io_time;
-        self.total_time += other.total_time;
     }
 }
 
@@ -207,63 +183,6 @@ impl Metrics {
             prepare: PrepareMetrics::from_recorder(rec),
         }
     }
-
-    /// Folds `other` into `self` — used to aggregate per-worker metrics
-    /// after a parallel sweep.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.evaluations += other.evaluations;
-        self.ccg_full_builds += other.ccg_full_builds;
-        self.ccg_incremental_patches += other.ccg_incremental_patches;
-        self.ccg_edges_rebuilt += other.ccg_edges_rebuilt;
-        self.route_attempts += other.route_attempts;
-        self.route_cache_hits += other.route_cache_hits;
-        self.dijkstra_relaxations += other.dijkstra_relaxations;
-        self.system_mux_fallbacks += other.system_mux_fallbacks;
-        self.build_time += other.build_time;
-        self.route_time += other.route_time;
-        self.assemble_time += other.assemble_time;
-        self.atpg.merge(&other.atpg);
-        self.merge_prepare_fields(&other.prepare);
-    }
-
-    /// Folds one ATPG run's counters (e.g. a
-    /// [`TestSet`](socet_atpg::TestSet)'s `stats`) into this flow's totals.
-    #[deprecated(
-        since = "0.1.0",
-        note = "record through a socet_obs::Recorder (AtpgMetrics::record_into \
-                or AtpgMetrics::publish) and derive with Metrics::from_recorder"
-    )]
-    pub fn merge_atpg(&mut self, stats: &AtpgMetrics) {
-        self.atpg.merge(stats);
-    }
-
-    /// Folds one preparation pipeline run's counters into this flow's
-    /// totals.
-    #[deprecated(
-        since = "0.1.0",
-        note = "aggregate through socet_obs::Recorder::merge_child and derive \
-                the view with Metrics::from_recorder"
-    )]
-    pub fn merge_prepare(&mut self, stats: &PrepareMetrics) {
-        self.merge_prepare_fields(stats);
-    }
-
-    fn merge_prepare_fields(&mut self, stats: &PrepareMetrics) {
-        let p = &mut self.prepare;
-        p.instances += stats.instances;
-        p.unique_cores += stats.unique_cores;
-        p.memo_hits += stats.memo_hits;
-        p.disk_hits += stats.disk_hits;
-        p.disk_misses += stats.disk_misses;
-        p.disk_writes += stats.disk_writes;
-        p.workers = p.workers.max(stats.workers);
-        p.hscan_time += stats.hscan_time;
-        p.versions_time += stats.versions_time;
-        p.elaborate_time += stats.elaborate_time;
-        p.atpg_time += stats.atpg_time;
-        p.io_time += stats.io_time;
-        p.total_time += stats.total_time;
-    }
 }
 
 fn fmt_time(d: Duration) -> String {
@@ -321,35 +240,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_sums_every_counter() {
-        let mut a = Metrics {
-            evaluations: 1,
-            ccg_full_builds: 2,
-            ccg_incremental_patches: 3,
-            ccg_edges_rebuilt: 4,
-            route_attempts: 5,
-            route_cache_hits: 11,
-            dijkstra_relaxations: 6,
-            system_mux_fallbacks: 7,
-            build_time: Duration::from_micros(8),
-            route_time: Duration::from_micros(9),
-            assemble_time: Duration::from_micros(10),
-            atpg: AtpgMetrics {
-                blocks_simulated: 12,
-                ..AtpgMetrics::default()
-            },
-            prepare: PrepareMetrics::default(),
-        };
-        let b = a.clone();
-        a.merge(&b);
-        assert_eq!(a.evaluations, 2);
-        assert_eq!(a.ccg_edges_rebuilt, 8);
-        assert_eq!(a.system_mux_fallbacks, 14);
-        assert_eq!(a.route_time, Duration::from_micros(18));
-        assert_eq!(a.atpg.blocks_simulated, 24);
-    }
-
-    #[test]
     fn views_derive_from_one_recorder() {
         let mut rec = Recorder::new();
         rec.record(Counter::Evaluations, 3);
@@ -381,21 +271,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn merge_atpg_folds_engine_counters() {
-        let mut m = Metrics::new();
-        m.merge_atpg(&AtpgMetrics {
-            cone_gate_evals: 5,
-            fill_mask_events: 1,
-            ..AtpgMetrics::default()
-        });
-        m.merge_atpg(&AtpgMetrics {
-            cone_gate_evals: 7,
-            ..AtpgMetrics::default()
-        });
-        assert_eq!(m.atpg.cone_gate_evals, 12);
-        assert_eq!(m.atpg.fill_mask_events, 1);
-        // The ATPG block only renders once counters are nonzero.
+    fn atpg_block_renders_only_when_nonzero() {
+        let m = Metrics {
+            atpg: AtpgMetrics {
+                cone_gate_evals: 12,
+                ..AtpgMetrics::default()
+            },
+            ..Metrics::new()
+        };
         assert!(!Metrics::new().to_string().contains("atpg engine stats"));
         assert!(m.to_string().contains("atpg engine stats"));
     }
@@ -416,43 +299,24 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn prepare_metrics_merge_and_render() {
-        let mut a = PrepareMetrics {
-            instances: 4,
+    fn prepare_metrics_render() {
+        let a = PrepareMetrics {
+            instances: 8,
             unique_cores: 2,
-            memo_hits: 2,
-            disk_hits: 1,
-            disk_misses: 1,
-            disk_writes: 1,
-            workers: 2,
-            hscan_time: Duration::from_micros(1),
-            versions_time: Duration::from_micros(2),
-            elaborate_time: Duration::from_micros(3),
-            atpg_time: Duration::from_micros(4),
-            io_time: Duration::from_micros(5),
-            total_time: Duration::from_micros(6),
+            memo_hits: 4,
+            disk_hits: 2,
+            workers: 8,
+            ..PrepareMetrics::default()
         };
-        let b = PrepareMetrics { workers: 8, ..a };
-        a.merge(&b);
-        assert_eq!(a.instances, 8);
-        assert_eq!(a.memo_hits, 4);
-        assert_eq!(a.disk_hits, 2);
-        assert_eq!(a.workers, 8, "merge keeps the widest fan-out");
-        assert_eq!(a.total_time, Duration::from_micros(12));
         // The CI cache-smoke step greps for "<n> disk hits" with n > 0.
         assert!(a.to_string().contains("2 disk hits"), "{a}");
     }
 
     #[test]
-    #[allow(deprecated)]
     fn prepare_block_renders_only_when_nonzero() {
         let mut m = Metrics::new();
         assert!(!m.to_string().contains("prepare pipeline stats"));
-        m.merge_prepare(&PrepareMetrics {
-            instances: 3,
-            ..PrepareMetrics::default()
-        });
+        m.prepare.instances = 3;
         assert!(m.to_string().contains("prepare pipeline stats"));
         assert!(m.to_string().contains("0 disk hits"));
     }

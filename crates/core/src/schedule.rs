@@ -409,16 +409,6 @@ impl<'a> Scheduler<'a> {
         std::mem::replace(&mut self.rec, fresh)
     }
 
-    /// Returns the accumulated metrics and resets them to zero.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Scheduler::take_recorder and derive the view with \
-                Metrics::from_recorder"
-    )]
-    pub fn take_metrics(&mut self) -> Metrics {
-        Metrics::from_recorder(&self.take_recorder())
-    }
-
     /// Routes and schedules one version choice: build → route → assemble.
     pub fn evaluate(&mut self, choice: &[usize]) -> Result<DesignPoint, ScheduleError> {
         let span = self.rec.begin(names::EVALUATE);

@@ -1,0 +1,482 @@
+//! The gate-evaluation kernel: the one place gate functions are computed.
+//!
+//! Every simulator in the workspace is a thin caller of this module. A
+//! [`Logic`] value is what one signal carries, and three impls cover every
+//! caller:
+//!
+//! * `bool` — one two-valued machine ([`CombSim`](crate::CombSim));
+//! * `u64` — 64 two-valued lanes, one pattern per lane
+//!   ([`PackedSim`](crate::PackedSim) and the fault simulator's cones);
+//! * [`Tri64`] — 64 three-valued (0/1/X) lanes in dual-rail form
+//!   ([`SeqSim`](crate::SeqSim), the sequential fault simulator's 64
+//!   faulty machines, and PODEM's good and faulty machines).
+//!
+//! [`eval`] computes one gate from operands fetched through a caller's
+//! reader, so a sparse overlay can supply them; [`sweep`] evaluates a whole
+//! netlist in levelized order with a per-signal stuck-at injection hook.
+
+use crate::netlist::{GateKind, GateNetlist, SignalId};
+use crate::sim::Tri;
+use std::ops::{BitAnd, BitOr, BitXor, Not};
+
+/// A signal value the kernel can evaluate gates over: one or more lanes,
+/// combined lane-wise by the bit operators.
+pub trait Logic:
+    Copy
+    + Default
+    + Not<Output = Self>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+{
+    /// Every lane 0.
+    const ZERO: Self;
+    /// Every lane 1.
+    const ONE: Self;
+
+    /// A 2:1 mux: `a0` in lanes where `s` is 0, `a1` where it is 1.
+    fn mux(s: Self, a0: Self, a1: Self) -> Self {
+        (!s & a0) | (s & a1)
+    }
+}
+
+impl Logic for bool {
+    const ZERO: bool = false;
+    const ONE: bool = true;
+}
+
+impl Logic for u64 {
+    const ZERO: u64 = 0;
+    const ONE: u64 = u64::MAX;
+}
+
+/// 64 three-valued lanes in dual-rail form: lane *k* is 1 when bit *k* of
+/// [`Tri64::ones`] is set, 0 when bit *k* of [`Tri64::zeros`] is, and X
+/// when neither is. The two masks never overlap.
+///
+/// The bit operators are lane-wise Kleene logic: a controlling value wins
+/// over X (`0 & X = 0`, `1 | X = 1`), anything else involving X is X.
+///
+/// # Examples
+///
+/// ```
+/// use socet_gate::{Tri, Tri64};
+/// let x = Tri64::splat(Tri::X);
+/// assert_eq!((Tri64::splat(Tri::Zero) & x).lane(0), Tri::Zero);
+/// assert_eq!((Tri64::splat(Tri::One) & x).lane(5), Tri::X);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Tri64 {
+    ones: u64,
+    zeros: u64,
+}
+
+impl Tri64 {
+    /// Every lane X.
+    pub const X: Tri64 = Tri64 { ones: 0, zeros: 0 };
+
+    /// `t` in every lane.
+    #[inline]
+    pub fn splat(t: Tri) -> Tri64 {
+        match t {
+            Tri::One => Tri64::ONE,
+            Tri::Zero => Tri64::ZERO,
+            Tri::X => Tri64::X,
+        }
+    }
+
+    /// Lanes that are definitely 1.
+    #[inline]
+    pub fn ones(self) -> u64 {
+        self.ones
+    }
+
+    /// Lanes that are definitely 0.
+    #[inline]
+    pub fn zeros(self) -> u64 {
+        self.zeros
+    }
+
+    /// The value of lane `k` (`k < 64`).
+    #[inline]
+    pub fn lane(self, k: u32) -> Tri {
+        if self.ones >> k & 1 != 0 {
+            Tri::One
+        } else if self.zeros >> k & 1 != 0 {
+            Tri::Zero
+        } else {
+            Tri::X
+        }
+    }
+
+    /// Forces the lanes in `stuck1` to 1 and those in `stuck0` to 0: the
+    /// stuck-at injection of one faulty machine per lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the two masks overlap.
+    #[inline]
+    pub fn force(self, stuck1: u64, stuck0: u64) -> Tri64 {
+        debug_assert_eq!(stuck1 & stuck0, 0, "a lane cannot be stuck at both values");
+        Tri64 {
+            ones: (self.ones & !stuck0) | stuck1,
+            zeros: (self.zeros & !stuck1) | stuck0,
+        }
+    }
+}
+
+impl Not for Tri64 {
+    type Output = Tri64;
+    #[inline]
+    fn not(self) -> Tri64 {
+        Tri64 {
+            ones: self.zeros,
+            zeros: self.ones,
+        }
+    }
+}
+
+impl BitAnd for Tri64 {
+    type Output = Tri64;
+    #[inline]
+    fn bitand(self, o: Tri64) -> Tri64 {
+        Tri64 {
+            ones: self.ones & o.ones,
+            zeros: self.zeros | o.zeros,
+        }
+    }
+}
+
+impl BitOr for Tri64 {
+    type Output = Tri64;
+    #[inline]
+    fn bitor(self, o: Tri64) -> Tri64 {
+        Tri64 {
+            ones: self.ones | o.ones,
+            zeros: self.zeros & o.zeros,
+        }
+    }
+}
+
+impl BitXor for Tri64 {
+    type Output = Tri64;
+    #[inline]
+    fn bitxor(self, o: Tri64) -> Tri64 {
+        Tri64 {
+            ones: (self.ones & o.zeros) | (self.zeros & o.ones),
+            zeros: (self.ones & o.ones) | (self.zeros & o.zeros),
+        }
+    }
+}
+
+impl Logic for Tri64 {
+    const ZERO: Tri64 = Tri64 {
+        ones: 0,
+        zeros: u64::MAX,
+    };
+    const ONE: Tri64 = Tri64 {
+        ones: u64::MAX,
+        zeros: 0,
+    };
+
+    /// An X select still yields a definite value where both legs agree.
+    #[inline]
+    fn mux(s: Tri64, a0: Tri64, a1: Tri64) -> Tri64 {
+        let sx = !(s.ones | s.zeros);
+        Tri64 {
+            ones: (s.zeros & a0.ones) | (s.ones & a1.ones) | (sx & a0.ones & a1.ones),
+            zeros: (s.zeros & a0.zeros) | (s.ones & a1.zeros) | (sx & a0.zeros & a1.zeros),
+        }
+    }
+}
+
+/// Computes one gate of kind `kind` whose operand signals are `ops`,
+/// fetching each operand's value through `read`.
+///
+/// # Panics
+///
+/// Panics on [`GateKind::Input`] and [`GateKind::Dff`]: sources carry
+/// values the caller supplies.
+#[inline]
+pub fn eval<V: Logic>(kind: GateKind, ops: &[SignalId], read: impl Fn(SignalId) -> V) -> V {
+    let x = |i: usize| read(ops[i]);
+    match kind {
+        GateKind::Const0 => V::ZERO,
+        GateKind::Const1 => V::ONE,
+        GateKind::Not => !x(0),
+        GateKind::Buf => x(0),
+        GateKind::And2 => x(0) & x(1),
+        GateKind::Or2 => x(0) | x(1),
+        GateKind::Nand2 => !(x(0) & x(1)),
+        GateKind::Nor2 => !(x(0) | x(1)),
+        GateKind::Xor2 => x(0) ^ x(1),
+        GateKind::Xnor2 => !(x(0) ^ x(1)),
+        GateKind::Mux2 => V::mux(x(0), x(1), x(2)),
+        GateKind::Input | GateKind::Dff => panic!("inputs and flip-flops are sources"),
+    }
+}
+
+/// Evaluates every signal of `nl` into `v`, indexed by
+/// [`SignalId::index`].
+///
+/// `pi[i]` is the value of the *i*-th primary input and `ff[j]` of the
+/// *j*-th flip-flop Q (in [`GateNetlist::flip_flops`] order). Constants
+/// follow, then every combinational gate in [`GateNetlist::topo_order`].
+/// Each value the sweep sets, sources included, passes through
+/// `inject(signal, value)` before any reader sees it: that is where
+/// stuck-at faults go.
+///
+/// # Panics
+///
+/// Panics on input or state length mismatch.
+#[inline]
+pub fn sweep<V: Logic>(
+    nl: &GateNetlist,
+    pi: &[V],
+    ff: &[V],
+    v: &mut Vec<V>,
+    mut inject: impl FnMut(SignalId, V) -> V,
+) {
+    assert_eq!(pi.len(), nl.inputs().len(), "input length");
+    // The all-zero-bits default (0, or X for `Tri64`) clears as a memset.
+    v.clear();
+    v.resize(nl.gates().len(), V::default());
+    // A plain slice keeps its pointer and length in registers across the
+    // stores below; through `&mut Vec` they would be reloaded per gate.
+    let v = v.as_mut_slice();
+    for ((_, s), val) in nl.inputs().iter().zip(pi) {
+        v[s.index()] = *val;
+    }
+    let mut state = ff.iter();
+    for (i, g) in nl.gates().iter().enumerate() {
+        let val = match g.kind {
+            GateKind::Input => v[i],
+            GateKind::Dff => *state.next().expect("state length"),
+            GateKind::Const0 | GateKind::Const1 => eval(g.kind, g.operands(), |o| v[o.index()]),
+            _ => continue,
+        };
+        v[i] = inject(SignalId::from_index(i), val);
+    }
+    assert!(state.next().is_none(), "state length");
+    for &s in nl.topo_order() {
+        let g = nl.gate(s);
+        let val = eval(g.kind, g.operands(), |o| v[o.index()]);
+        v[s.index()] = inject(s, val);
+    }
+}
+
+/// The [`sweep`] injection hook for at most one stuck-at fault, forced on
+/// every lane.
+pub(crate) fn stuck_at<V: Logic>(fault: Option<(SignalId, bool)>) -> impl Fn(SignalId, V) -> V {
+    move |s, v| match fault {
+        Some((site, stuck)) if site == s => {
+            if stuck {
+                V::ONE
+            } else {
+                V::ZERO
+            }
+        }
+        _ => v,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::netlist::GateNetlistBuilder;
+
+    /// Every gate kind the kernel computes, with its arity and its truth
+    /// table: bit `i` is the output for operands whose bit `k` is bit `k`
+    /// of `i` (operand 0 is the least significant).
+    const SPEC: [(GateKind, usize, u8); 11] = [
+        (GateKind::Const0, 0, 0b0),
+        (GateKind::Const1, 0, 0b1),
+        (GateKind::Not, 1, 0b01),
+        (GateKind::Buf, 1, 0b10),
+        (GateKind::And2, 2, 0b1000),
+        (GateKind::Or2, 2, 0b1110),
+        (GateKind::Nand2, 2, 0b0111),
+        (GateKind::Nor2, 2, 0b0001),
+        (GateKind::Xor2, 2, 0b0110),
+        (GateKind::Xnor2, 2, 0b1001),
+        // Operands (s, a0, a1): a0 where s=0, a1 where s=1.
+        (GateKind::Mux2, 3, 0b1110_0100),
+    ];
+
+    const TRI: [Tri; 3] = [Tri::Zero, Tri::One, Tri::X];
+
+    /// The spec's three-valued output: definite exactly when every way of
+    /// resolving the X operands gives the same table entry.
+    fn spec_tri(table: u8, ops: &[Tri]) -> Tri {
+        let mut seen = [false; 2];
+        for fill in 0..1u32 << ops.len() {
+            let idx = ops.iter().enumerate().fold(0, |acc, (k, t)| {
+                let bit = t.to_bool().unwrap_or(fill >> k & 1 != 0);
+                acc | (usize::from(bit) << k)
+            });
+            seen[usize::from(table >> idx & 1 != 0)] = true;
+        }
+        match seen {
+            [true, false] => Tri::Zero,
+            [false, true] => Tri::One,
+            _ => Tri::X,
+        }
+    }
+
+    /// Every operand combination over `alphabet`, operand 0 varying fastest.
+    fn combos<T: Copy>(alphabet: &[T], arity: usize) -> Vec<Vec<T>> {
+        (0..alphabet.len().pow(arity as u32))
+            .map(|mut c| {
+                (0..arity)
+                    .map(|_| {
+                        let t = alphabet[c % alphabet.len()];
+                        c /= alphabet.len();
+                        t
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn ops(arity: usize) -> Vec<SignalId> {
+        (0..arity).map(SignalId::from_index).collect()
+    }
+
+    #[test]
+    fn bool_matches_the_truth_tables() {
+        for (kind, arity, table) in SPEC {
+            for (idx, c) in combos(&[false, true], arity).iter().enumerate() {
+                let got = eval(kind, &ops(arity), |o| c[o.index()]);
+                assert_eq!(got, table >> idx & 1 != 0, "{kind} {c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn u64_lanes_match_the_truth_tables() {
+        for (kind, arity, table) in SPEC {
+            // Lane i holds operand combination i.
+            let words: Vec<u64> = (0..arity)
+                .map(|k| (0..1u64 << arity).fold(0, |w, i| w | (i >> k & 1) << i))
+                .collect();
+            let got = eval(kind, &ops(arity), |o| words[o.index()]);
+            let lanes = (1u64 << (1 << arity)) - 1;
+            assert_eq!(got & lanes, u64::from(table), "{kind}");
+        }
+    }
+
+    #[test]
+    fn tri64_lanes_match_the_x_resolution_spec() {
+        for (kind, arity, table) in SPEC {
+            let cases = combos(&TRI, arity);
+            // Lane i holds three-valued operand combination i.
+            let words: Vec<Tri64> = (0..arity)
+                .map(|k| {
+                    cases
+                        .iter()
+                        .enumerate()
+                        .fold(Tri64::X, |w, (i, c)| match c[k] {
+                            Tri::One => w.force(1 << i, 0),
+                            Tri::Zero => w.force(0, 1 << i),
+                            Tri::X => w,
+                        })
+                })
+                .collect();
+            let got = eval(kind, &ops(arity), |o| words[o.index()]);
+            for (i, c) in cases.iter().enumerate() {
+                assert_eq!(got.lane(i as u32), spec_tri(table, c), "{kind} {c:?}");
+            }
+            assert_eq!(got.ones() & got.zeros(), 0, "{kind}: rails overlap");
+        }
+    }
+
+    #[test]
+    fn mux_with_unknown_select_passes_equal_legs() {
+        let s = Tri64::X;
+        for (leg, want) in [
+            (Tri::Zero, Tri::Zero),
+            (Tri::One, Tri::One),
+            (Tri::X, Tri::X),
+        ] {
+            let a = Tri64::splat(leg);
+            assert_eq!(Tri64::mux(s, a, a).lane(0), want);
+        }
+        let (zero, one) = (Tri64::splat(Tri::Zero), Tri64::splat(Tri::One));
+        assert_eq!(Tri64::mux(s, zero, one).lane(0), Tri::X);
+    }
+
+    #[test]
+    fn sources_pass_through_the_sweep() {
+        let mut b = GateNetlistBuilder::new("src");
+        let a = b.input("a");
+        let q = b.dff(a);
+        let one = b.const1();
+        let zero = b.const0();
+        let y = b.mux(q, zero, one);
+        b.output("y", y);
+        let nl = b.build().unwrap();
+        let mut v = Vec::new();
+        sweep(
+            &nl,
+            &[Tri64::splat(Tri::One)],
+            &[Tri64::X],
+            &mut v,
+            |_, x| x,
+        );
+        assert_eq!(v[a.index()].lane(0), Tri::One);
+        assert_eq!(v[q.index()].lane(0), Tri::X);
+        assert_eq!(v[one.index()].lane(0), Tri::One);
+        assert_eq!(v[zero.index()].lane(0), Tri::Zero);
+        assert_eq!(v[y.index()].lane(0), Tri::X);
+    }
+
+    #[test]
+    #[should_panic(expected = "state length")]
+    fn sweep_rejects_a_short_state() {
+        let mut b = GateNetlistBuilder::new("ff");
+        let d = b.input("d");
+        let q = b.dff(d);
+        b.output("q", q);
+        let nl = b.build().unwrap();
+        sweep(&nl, &[false], &[], &mut Vec::new(), |_, x| x);
+    }
+
+    /// y = (a AND c) XOR k with k a Const1: a stuck-at on the input, the
+    /// constant or the AND must reach y, and only in the lanes it is
+    /// injected into.
+    #[test]
+    fn stuck_at_injection_on_input_const_and_gate_sites() {
+        let mut b = GateNetlistBuilder::new("inj");
+        let a = b.input("a");
+        let c = b.input("c");
+        let k = b.const1();
+        let g = b.gate2(GateKind::And2, a, c);
+        let y = b.gate2(GateKind::Xor2, g, k);
+        b.output("y", y);
+        let nl = b.build().unwrap();
+        let run = |pi: [bool; 2], fault: Option<(SignalId, bool)>| {
+            let mut v = Vec::new();
+            sweep(&nl, &pi, &[], &mut v, stuck_at(fault));
+            v[y.index()]
+        };
+        assert!(!run([true, true], None));
+        assert!(run([true, true], Some((a, false))), "input site");
+        assert!(run([false, true], None));
+        assert!(!run([false, true], Some((k, false))), "const site");
+        assert!(!run([false, true], Some((g, true))), "gate site");
+
+        // Lane-wise injection: lane 1 has `a` stuck-at-0, lane 2 `k`
+        // stuck-at-0, lane 3 the AND stuck-at-1; lane 0 is fault-free.
+        let one = Tri64::splat(Tri::One);
+        let mut v = Vec::new();
+        sweep(&nl, &[one, one], &[], &mut v, |s, x| match s {
+            s if s == a => x.force(0, 0b0010),
+            s if s == k => x.force(0, 0b0100),
+            s if s == g => x.force(0b1000, 0),
+            _ => x,
+        });
+        let lanes: Vec<Tri> = (0..4).map(|i| v[y.index()].lane(i)).collect();
+        assert_eq!(lanes, [Tri::Zero, Tri::One, Tri::One, Tri::Zero]);
+        assert_eq!(v[a.index()].lane(1), Tri::Zero, "source forced in place");
+    }
+}

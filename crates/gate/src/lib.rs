@@ -11,11 +11,17 @@
 //!   [`Core`](socet_rtl::Core) into gates (registers → DFFs, mux trees →
 //!   MUX2 chains, functional units → ripple structures, random blocks →
 //!   seeded gate networks);
-//! * [`CombSim`] — two-valued event-free simulation in topological order;
-//! * [`PackedSim`] — 64-way bit-parallel pattern simulation, the workhorse
-//!   of the fault simulator in `socet-atpg`;
-//! * [`SeqSim`] — three-valued (0/1/X) sequential simulation for the
-//!   un-DFT'd "Orig." experiments.
+//! * [`kernel`] — the one gate-evaluation kernel: [`eval`](kernel::eval)
+//!   holds the only `match` over gate functions, generic over a [`Logic`]
+//!   value (`bool`, `u64` = 64 two-valued lanes, or [`Tri64`] = 64
+//!   three-valued dual-rail lanes), and [`sweep`](kernel::sweep)
+//!   evaluates a netlist in levelized order with a per-signal stuck-at
+//!   injection hook;
+//! * thin typed wrappers over the kernel: [`CombSim`] (one two-valued
+//!   machine), [`PackedSim`] (64 patterns at once, with single stuck-at
+//!   injection) and [`SeqSim`] (one three-valued sequential machine for
+//!   the un-DFT'd "Orig." experiments). The fault simulators and PODEM in
+//!   `socet-atpg` call the kernel directly.
 //!
 //! # Examples
 //!
@@ -36,10 +42,12 @@
 pub mod codec;
 pub mod elaborate;
 pub mod export;
+pub mod kernel;
 pub mod netlist;
 pub mod sim;
 
 pub use elaborate::{elaborate, elaborate_with, ElabOptions, Elaborated};
+pub use kernel::{Logic, Tri64};
 pub use netlist::{Gate, GateError, GateKind, GateNetlist, GateNetlistBuilder, SignalId};
 pub use sim::{CombSim, PackedSim, SeqSim, Tri};
 

@@ -69,6 +69,7 @@ pub enum GateKind {
 
 impl GateKind {
     /// Number of operands the gate consumes.
+    #[inline]
     pub fn arity(self) -> usize {
         match self {
             GateKind::Const0 | GateKind::Const1 | GateKind::Input => 0,
@@ -131,6 +132,7 @@ pub struct Gate {
 
 impl Gate {
     /// The gate's operands (exactly [`GateKind::arity`] of them).
+    #[inline]
     pub fn operands(&self) -> &[SignalId] {
         &self.ops[..self.kind.arity()]
     }

@@ -1,6 +1,8 @@
-//! Logic simulation: two-valued, 64-way packed, and three-valued sequential.
+//! Logic simulation: two-valued, 64-way packed, and three-valued sequential,
+//! each a thin typed wrapper over the [kernel](crate::kernel).
 
-use crate::netlist::{GateKind, GateNetlist, SignalId};
+use crate::kernel::{stuck_at, sweep, Tri64};
+use crate::netlist::{GateNetlist, SignalId};
 use std::fmt;
 
 /// Two-valued combinational simulator.
@@ -54,19 +56,7 @@ impl<'a> CombSim<'a> {
     /// Panics on input or state length mismatch.
     pub fn run_with_state(&self, inputs: &[bool], state: &[bool]) -> (Vec<bool>, Vec<bool>) {
         let values = self.eval_signals(inputs, state);
-        let outs = self
-            .nl
-            .outputs()
-            .iter()
-            .map(|(_, s)| values[s.index()])
-            .collect();
-        let next = self
-            .nl
-            .flip_flops()
-            .iter()
-            .map(|q| values[self.nl.gate(*q).operands()[0].index()])
-            .collect();
-        (outs, next)
+        (outputs(self.nl, &values), next_state(self.nl, &values))
     }
 
     /// Evaluates every signal; the result is indexed by [`SignalId::index`].
@@ -75,42 +65,8 @@ impl<'a> CombSim<'a> {
     ///
     /// Panics on input or state length mismatch.
     pub fn eval_signals(&self, inputs: &[bool], state: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.nl.inputs().len(), "input length");
-        assert_eq!(state.len(), self.nl.flip_flop_count(), "state length");
-        let mut v = vec![false; self.nl.gates().len()];
-        for ((_, s), val) in self.nl.inputs().iter().zip(inputs) {
-            v[s.index()] = *val;
-        }
-        for (q, val) in self.nl.flip_flops().iter().zip(state) {
-            v[q.index()] = *val;
-        }
-        for (i, g) in self.nl.gates().iter().enumerate() {
-            if g.kind == GateKind::Const1 {
-                v[i] = true;
-            }
-        }
-        for s in self.nl.topo_order() {
-            let g = self.nl.gate(*s);
-            let ops = g.operands();
-            v[s.index()] = match g.kind {
-                GateKind::Not => !v[ops[0].index()],
-                GateKind::Buf => v[ops[0].index()],
-                GateKind::And2 => v[ops[0].index()] & v[ops[1].index()],
-                GateKind::Or2 => v[ops[0].index()] | v[ops[1].index()],
-                GateKind::Nand2 => !(v[ops[0].index()] & v[ops[1].index()]),
-                GateKind::Nor2 => !(v[ops[0].index()] | v[ops[1].index()]),
-                GateKind::Xor2 => v[ops[0].index()] ^ v[ops[1].index()],
-                GateKind::Xnor2 => !(v[ops[0].index()] ^ v[ops[1].index()]),
-                GateKind::Mux2 => {
-                    if v[ops[0].index()] {
-                        v[ops[2].index()]
-                    } else {
-                        v[ops[1].index()]
-                    }
-                }
-                _ => unreachable!("topo order holds only combinational gates"),
-            };
-        }
+        let mut v = Vec::new();
+        sweep(self.nl, inputs, state, &mut v, stuck_at(None));
         v
     }
 }
@@ -118,8 +74,8 @@ impl<'a> CombSim<'a> {
 /// 64-way bit-parallel pattern simulator: each signal carries a `u64` whose
 /// bit *k* is the value under pattern *k*.
 ///
-/// Supports single-stuck-at fault injection, which makes it the engine of
-/// the parallel-pattern fault simulator in `socet-atpg`.
+/// Supports single-stuck-at fault injection; the full-netlist oracle path
+/// of the fault simulator in `socet-atpg` runs on it.
 ///
 /// # Examples
 ///
@@ -175,79 +131,34 @@ impl<'a> PackedSim<'a> {
         fault: Option<(SignalId, bool)>,
         v: &mut Vec<u64>,
     ) {
-        assert_eq!(pi.len(), self.nl.inputs().len(), "input length");
-        assert_eq!(ff.len(), self.nl.flip_flop_count(), "state length");
-        v.clear();
-        v.resize(self.nl.gates().len(), 0);
-        for ((_, s), val) in self.nl.inputs().iter().zip(pi) {
-            v[s.index()] = *val;
-        }
-        for (q, val) in self.nl.flip_flops().iter().zip(ff) {
-            v[q.index()] = *val;
-        }
-        for (i, g) in self.nl.gates().iter().enumerate() {
-            if g.kind == GateKind::Const1 {
-                v[i] = u64::MAX;
-            }
-        }
-        let force = |v: &mut Vec<u64>, s: SignalId, stuck: bool| {
-            v[s.index()] = if stuck { u64::MAX } else { 0 };
-        };
-        if let Some((s, stuck)) = fault {
-            // Faults on inputs/FFs/constants take effect immediately; faults
-            // on combinational gates are applied when the gate is evaluated.
-            let kind = self.nl.gate(s).kind;
-            if matches!(
-                kind,
-                GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-            ) {
-                force(v, s, stuck);
-            }
-        }
-        for s in self.nl.topo_order() {
-            let g = self.nl.gate(*s);
-            let ops = g.operands();
-            let val = match g.kind {
-                GateKind::Not => !v[ops[0].index()],
-                GateKind::Buf => v[ops[0].index()],
-                GateKind::And2 => v[ops[0].index()] & v[ops[1].index()],
-                GateKind::Or2 => v[ops[0].index()] | v[ops[1].index()],
-                GateKind::Nand2 => !(v[ops[0].index()] & v[ops[1].index()]),
-                GateKind::Nor2 => !(v[ops[0].index()] | v[ops[1].index()]),
-                GateKind::Xor2 => v[ops[0].index()] ^ v[ops[1].index()],
-                GateKind::Xnor2 => !(v[ops[0].index()] ^ v[ops[1].index()]),
-                GateKind::Mux2 => {
-                    let sel = v[ops[0].index()];
-                    (!sel & v[ops[1].index()]) | (sel & v[ops[2].index()])
-                }
-                _ => unreachable!("topo order holds only combinational gates"),
-            };
-            v[s.index()] = val;
-            if let Some((fs, stuck)) = fault {
-                if fs == *s {
-                    force(v, *s, stuck);
-                }
-            }
-        }
+        sweep(self.nl, pi, ff, v, stuck_at(fault));
     }
 
     /// Packed primary-output values from a full signal vector.
     pub fn outputs(&self, values: &[u64]) -> Vec<u64> {
-        self.nl
-            .outputs()
-            .iter()
-            .map(|(_, s)| values[s.index()])
-            .collect()
+        outputs(self.nl, values)
     }
 
     /// Packed next-state (DFF D) values from a full signal vector.
     pub fn next_state(&self, values: &[u64]) -> Vec<u64> {
-        self.nl
-            .flip_flops()
-            .iter()
-            .map(|q| values[self.nl.gate(*q).operands()[0].index()])
-            .collect()
+        next_state(self.nl, values)
     }
+}
+
+/// Primary-output values from a full signal vector.
+fn outputs<V: Copy>(nl: &GateNetlist, values: &[V]) -> Vec<V> {
+    nl.outputs()
+        .iter()
+        .map(|(_, s)| values[s.index()])
+        .collect()
+}
+
+/// Next-state (flip-flop D) values from a full signal vector.
+fn next_state<V: Copy>(nl: &GateNetlist, values: &[V]) -> Vec<V> {
+    nl.flip_flops()
+        .iter()
+        .map(|q| values[nl.gate(*q).operands()[0].index()])
+        .collect()
 }
 
 /// A three-valued logic value: 0, 1 or unknown.
@@ -278,37 +189,6 @@ impl Tri {
             Tri::Zero => Some(false),
             Tri::One => Some(true),
             Tri::X => None,
-        }
-    }
-
-    fn not(self) -> Tri {
-        match self {
-            Tri::Zero => Tri::One,
-            Tri::One => Tri::Zero,
-            Tri::X => Tri::X,
-        }
-    }
-
-    fn and(self, o: Tri) -> Tri {
-        match (self, o) {
-            (Tri::Zero, _) | (_, Tri::Zero) => Tri::Zero,
-            (Tri::One, Tri::One) => Tri::One,
-            _ => Tri::X,
-        }
-    }
-
-    fn or(self, o: Tri) -> Tri {
-        match (self, o) {
-            (Tri::One, _) | (_, Tri::One) => Tri::One,
-            (Tri::Zero, Tri::Zero) => Tri::Zero,
-            _ => Tri::X,
-        }
-    }
-
-    fn xor(self, o: Tri) -> Tri {
-        match (self, o) {
-            (Tri::X, _) | (_, Tri::X) => Tri::X,
-            (a, b) => Tri::from_bool(a != b),
         }
     }
 }
@@ -387,81 +267,20 @@ impl<'a> SeqSim<'a> {
     ///
     /// Panics on input length mismatch.
     pub fn step(&mut self, inputs: &[Tri], fault: Option<(SignalId, bool)>) -> Vec<Tri> {
-        assert_eq!(inputs.len(), self.nl.inputs().len(), "input length");
-        let mut v = vec![Tri::X; self.nl.gates().len()];
-        for ((_, s), val) in self.nl.inputs().iter().zip(inputs) {
-            v[s.index()] = *val;
-        }
-        for (q, val) in self.nl.flip_flops().iter().zip(&self.state) {
-            v[q.index()] = *val;
-        }
-        for (i, g) in self.nl.gates().iter().enumerate() {
-            match g.kind {
-                GateKind::Const0 => v[i] = Tri::Zero,
-                GateKind::Const1 => v[i] = Tri::One,
-                _ => {}
-            }
-        }
-        if let Some((s, stuck)) = fault {
-            let kind = self.nl.gate(s).kind;
-            if matches!(
-                kind,
-                GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-            ) {
-                v[s.index()] = Tri::from_bool(stuck);
-            }
-        }
-        for s in self.nl.topo_order() {
-            let g = self.nl.gate(*s);
-            let ops = g.operands();
-            let val = match g.kind {
-                GateKind::Not => v[ops[0].index()].not(),
-                GateKind::Buf => v[ops[0].index()],
-                GateKind::And2 => v[ops[0].index()].and(v[ops[1].index()]),
-                GateKind::Or2 => v[ops[0].index()].or(v[ops[1].index()]),
-                GateKind::Nand2 => v[ops[0].index()].and(v[ops[1].index()]).not(),
-                GateKind::Nor2 => v[ops[0].index()].or(v[ops[1].index()]).not(),
-                GateKind::Xor2 => v[ops[0].index()].xor(v[ops[1].index()]),
-                GateKind::Xnor2 => v[ops[0].index()].xor(v[ops[1].index()]).not(),
-                GateKind::Mux2 => match v[ops[0].index()] {
-                    Tri::Zero => v[ops[1].index()],
-                    Tri::One => v[ops[2].index()],
-                    Tri::X => {
-                        let a = v[ops[1].index()];
-                        let b = v[ops[2].index()];
-                        if a == b {
-                            a
-                        } else {
-                            Tri::X
-                        }
-                    }
-                },
-                _ => unreachable!("topo order holds only combinational gates"),
-            };
-            v[s.index()] = val;
-            if let Some((fs, stuck)) = fault {
-                if fs == *s {
-                    v[s.index()] = Tri::from_bool(stuck);
-                }
-            }
-        }
-        let outs = self
-            .nl
-            .outputs()
-            .iter()
-            .map(|(_, s)| v[s.index()])
-            .collect();
-        for (i, q) in self.nl.flip_flops().iter().enumerate() {
-            self.state[i] = v[self.nl.gate(*q).operands()[0].index()];
-        }
-        outs
+        let pi: Vec<Tri64> = inputs.iter().map(|t| Tri64::splat(*t)).collect();
+        let ff: Vec<Tri64> = self.state.iter().map(|t| Tri64::splat(*t)).collect();
+        let mut v = Vec::new();
+        sweep(self.nl, &pi, &ff, &mut v, stuck_at(fault));
+        let lane0 = |vals: Vec<Tri64>| vals.into_iter().map(|t| t.lane(0)).collect();
+        self.state = lane0(next_state(self.nl, &v));
+        lane0(outputs(self.nl, &v))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::GateNetlistBuilder;
+    use crate::netlist::{GateKind, GateNetlistBuilder};
 
     fn full_adder() -> GateNetlist {
         let mut b = GateNetlistBuilder::new("fa");
@@ -542,13 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn tri_algebra() {
-        assert_eq!(Tri::X.not(), Tri::X);
-        assert_eq!(Tri::Zero.and(Tri::X), Tri::Zero);
-        assert_eq!(Tri::One.or(Tri::X), Tri::One);
-        assert_eq!(Tri::X.and(Tri::One), Tri::X);
-        assert_eq!(Tri::One.xor(Tri::One), Tri::Zero);
-        assert_eq!(Tri::One.xor(Tri::X), Tri::X);
+    fn tri_conversions() {
         assert_eq!(Tri::from_bool(true).to_bool(), Some(true));
         assert_eq!(Tri::X.to_bool(), None);
         assert_eq!(Tri::X.to_string(), "X");

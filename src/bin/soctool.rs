@@ -38,8 +38,10 @@
 //! Systems: `system1` (the barcode SOC), `system2`, or `synthetic:<n>`
 //! for an n-core generated SOC.
 //!
-//! Unknown flags or surplus positional arguments are rejected with exit
-//! code 2 and the usage text.
+//! The command comes first and accepts only the flags listed for it in the
+//! usage text. Unknown commands, surplus positional arguments, flags the
+//! command does not read, repeated flags, and missing or non-numeric flag
+//! values are rejected with exit code 2 and the usage text.
 
 use socet::bist::plan_memory_bist;
 use socet::cells::{CellLibrary, DftCosts};
@@ -54,7 +56,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: soctool <command> [args] [--stats]\n\
+        "usage: soctool <command> [args] [flags]\n\
          commands:\n\
            systems\n\
            report  <system> [choice] [--stats] [--trace PATH] [--profile PATH]\n\
@@ -138,62 +140,114 @@ fn parse_choice(soc: &Soc, arg: Option<&str>) -> Option<Vec<usize>> {
     }
 }
 
-/// Removes `--flag VALUE` from `args`, returning the value if present.
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    if at + 1 >= args.len() {
-        return None;
-    }
-    let value = args.remove(at + 1);
-    args.remove(at);
-    Some(value)
-}
-
-/// Maximum positional argument count (command included) per command; the
-/// parser rejects anything beyond it so typos never silently no-op.
-fn max_positionals(cmd: &str) -> Option<usize> {
+/// Each command's maximum positional count (command included) and the
+/// flags it reads. Anything else is rejected, so typos and misplaced flags
+/// never silently no-op.
+fn command_spec(cmd: &str) -> Option<(usize, &'static [&'static str])> {
     match cmd {
-        "systems" => Some(1),
-        "sweep" | "atpg" | "prepare" | "bist" | "verify" => Some(2),
-        "report" | "dot-rcg" | "dot-ccg" => Some(3),
+        "systems" => Some((1, &[])),
+        "report" => Some((3, &["--stats", "--trace", "--profile"])),
+        "sweep" => Some((2, &["--stats", "--trace", "--profile"])),
+        "dot-rcg" | "dot-ccg" => Some((3, &[])),
+        "atpg" => Some((2, &["--stats"])),
+        "prepare" => Some((
+            2,
+            &[
+                "--stats",
+                "--cache-dir",
+                "--workers",
+                "--trace",
+                "--profile",
+            ],
+        )),
+        "bist" => Some((2, &[])),
+        "verify" => Some((2, &["--stats", "--seed", "--cases"])),
         _ => None,
     }
 }
 
+/// The flags of one invocation, already checked against its command.
+#[derive(Debug, Default)]
+struct Flags {
+    stats: bool,
+    cache_dir: Option<PathBuf>,
+    workers: Option<usize>,
+    trace: Option<PathBuf>,
+    profile: Option<PathBuf>,
+    seed: Option<u64>,
+    cases: Option<u64>,
+}
+
+/// Splits the command line (command first) into positional arguments,
+/// command included, and the flags that command reads.
+fn parse_args(args: &[String]) -> Result<(Vec<&str>, Flags), String> {
+    let cmd = match args.first() {
+        Some(cmd) if !cmd.starts_with('-') => cmd.as_str(),
+        _ => return Err("no command given".to_owned()),
+    };
+    let (max, allowed) = command_spec(cmd).ok_or(format!("unknown command `{cmd}`"))?;
+    let mut positionals = vec![cmd];
+    let mut flags = Flags::default();
+    let mut seen: Vec<&str> = Vec::new();
+    let mut it = args[1..].iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            positionals.push(arg);
+            continue;
+        }
+        if !allowed.contains(&arg) {
+            return Err(format!("`{cmd}` does not take `{arg}`"));
+        }
+        if seen.contains(&arg) {
+            return Err(format!("flag `{arg}` given twice"));
+        }
+        seen.push(arg);
+        if arg == "--stats" {
+            flags.stats = true;
+            continue;
+        }
+        let value = it.next().ok_or(format!("flag `{arg}` needs a value"))?;
+        match arg {
+            "--cache-dir" => flags.cache_dir = Some(value.into()),
+            "--workers" => flags.workers = Some(number(arg, value)?),
+            "--trace" => flags.trace = Some(value.into()),
+            "--profile" => flags.profile = Some(value.into()),
+            "--seed" => flags.seed = Some(number(arg, value)?),
+            "--cases" => flags.cases = Some(number(arg, value)?),
+            _ => unreachable!("every flag in a command table is handled"),
+        }
+    }
+    if let Some(extra) = positionals.get(max) {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    Ok((positionals, flags))
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("`{flag}` takes a whole number, got `{value}`"))
+}
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stats = {
-        let before = args.len();
-        args.retain(|a| a != "--stats");
-        args.len() != before
-    };
-    let cache_dir = take_flag_value(&mut args, "--cache-dir").map(PathBuf::from);
-    let workers = take_flag_value(&mut args, "--workers").and_then(|w| w.parse::<usize>().ok());
-    let trace = take_flag_value(&mut args, "--trace").map(PathBuf::from);
-    let profile = take_flag_value(&mut args, "--profile").map(PathBuf::from);
-    let seed = take_flag_value(&mut args, "--seed").and_then(|s| s.parse::<u64>().ok());
-    let cases = take_flag_value(&mut args, "--cases").and_then(|s| s.parse::<u64>().ok());
-    // Everything left must be a positional argument: an unknown flag (or a
-    // flag whose value was consumed as a positional) must not be silently
-    // accepted.
-    if let Some(bad) = args.iter().find(|a| a.starts_with('-')) {
-        eprintln!("unknown flag `{bad}`");
-        return usage();
-    }
-    let Some(cmd) = args.first().map(String::as_str) else {
-        return usage();
-    };
-    match max_positionals(cmd) {
-        None => {
-            eprintln!("unknown command `{cmd}`");
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let (args, flags) = match parse_args(&raw) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}");
             return usage();
         }
-        Some(max) if args.len() > max => {
-            eprintln!("unexpected argument `{}`", args[max]);
-            return usage();
-        }
-        Some(_) => {}
-    }
+    };
+    let Flags {
+        stats,
+        cache_dir,
+        workers,
+        trace,
+        profile,
+        seed,
+        cases,
+    } = flags;
+    let cmd = args[0];
     if cmd == "systems" {
         println!("system1      the paper's barcode SOC (CPU, PREPROCESSOR, DISPLAY, RAM, ROM)");
         println!("system2      graphics -> GCD -> X.25 pipeline");
@@ -203,7 +257,11 @@ fn main() -> ExitCode {
     let Some(system_name) = args.get(1) else {
         return usage();
     };
-    if cmd == "verify" && system_name == "synthetic" {
+    if cmd == "verify" && *system_name == "synthetic" {
+        if stats {
+            eprintln!("`verify synthetic` does not take `--stats`");
+            return usage();
+        }
         let opts = socet::verify::VerifyOptions {
             seed: seed.unwrap_or(0x50CE7),
             max_vectors: Some(4),
@@ -227,7 +285,7 @@ fn main() -> ExitCode {
     match cmd {
         "report" => {
             let data = prepare(&soc, 105);
-            let Some(choice) = parse_choice(&soc, args.get(2).map(String::as_str)) else {
+            let Some(choice) = parse_choice(&soc, args.get(2).copied()) else {
                 return usage();
             };
             let explorer = Explorer::new(&soc, &data, costs);
@@ -303,7 +361,7 @@ fn main() -> ExitCode {
         }
         "dot-ccg" => {
             let data = prepare(&soc, 105);
-            let Some(choice) = parse_choice(&soc, args.get(2).map(String::as_str)) else {
+            let Some(choice) = parse_choice(&soc, args.get(2).copied()) else {
                 return usage();
             };
             let ccg = Ccg::build(&soc, &data, &choice);

@@ -1,7 +1,8 @@
 //! Regression tests for `soctool` argument handling: unknown flags,
-//! unknown commands, and surplus positional arguments must all be
-//! rejected with exit code 2 and a usage message — historically the tool
-//! exited 0 on unknown flags, silently ignoring typos like `--cout`.
+//! unknown commands, surplus positional arguments, flags the command does
+//! not read and malformed flag values must all be rejected with exit code
+//! 2 and a usage message — historically the tool exited 0 on unknown
+//! flags, silently ignoring typos like `--cout`.
 
 use std::process::{Command, Output};
 
@@ -60,10 +61,34 @@ fn flag_values_are_not_swallowed_as_positionals() {
 }
 
 #[test]
+fn malformed_flag_values_are_rejected() {
+    // Each of these used to fall back to a default without a word.
+    assert_usage_rejection(&["prepare", "system1", "--workers", "abc"]);
+    assert_usage_rejection(&["verify", "synthetic", "--seed", "xyz"]);
+    assert_usage_rejection(&["verify", "system1", "--cases", "xyz"]);
+    assert_usage_rejection(&["verify", "system1", "--seed", "-1"]);
+    // A trailing value flag must not vanish.
+    assert_usage_rejection(&["report", "system1", "--trace"]);
+    assert_usage_rejection(&["sweep", "system1", "--stats", "--stats"]);
+}
+
+#[test]
+fn flags_the_command_never_reads_are_rejected() {
+    assert_usage_rejection(&["verify", "system1", "--trace", "x.json"]);
+    assert_usage_rejection(&["prepare", "system1", "--seed", "3"]);
+    assert_usage_rejection(&["atpg", "system1", "--workers", "2"]);
+    assert_usage_rejection(&["bist", "system1", "--stats"]);
+    assert_usage_rejection(&["verify", "synthetic", "--stats"]);
+}
+
+#[test]
 fn valid_invocations_still_work() {
     let out = soctool(&["systems"]);
     assert!(out.status.success(), "soctool systems failed");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("system1"), "{stdout}");
     assert!(stdout.contains("system2"), "{stdout}");
+    // Flags are accepted in any position relative to the positionals.
+    let out = soctool(&["verify", "--cases", "1", "synthetic", "--seed", "3"]);
+    assert!(out.status.success(), "soctool verify synthetic failed");
 }
