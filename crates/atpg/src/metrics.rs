@@ -77,22 +77,6 @@ impl AtpgMetrics {
         }
     }
 
-    /// Charges these counters into `rec` (the inverse of
-    /// [`AtpgMetrics::from_recorder`]).
-    pub fn record_into(&self, rec: &mut Recorder) {
-        rec.record(Counter::BlocksSimulated, self.blocks_simulated);
-        rec.record(Counter::ConeGateEvals, self.cone_gate_evals);
-        rec.record(Counter::FullGateEvalsEquiv, self.full_gate_evals_equiv);
-        rec.record(
-            Counter::FaultsSkippedUnobservable,
-            self.faults_skipped_unobservable,
-        );
-        rec.record(Counter::FaultsDroppedRandom, self.faults_dropped_random);
-        rec.record(Counter::FaultsDroppedPodem, self.faults_dropped_podem);
-        rec.record(Counter::FillMaskEvents, self.fill_mask_events);
-        rec.record(Counter::ParallelShards, self.parallel_shards);
-    }
-
     /// Charges these counters into the thread's installed
     /// [`socet_obs`] recorder, if any.
     pub fn publish(&self) {
@@ -186,9 +170,6 @@ mod tests {
             fill_mask_events: 7,
             parallel_shards: 8,
         };
-        let mut rec = Recorder::new();
-        m.record_into(&mut rec);
-        assert_eq!(AtpgMetrics::from_recorder(&rec), m);
         // publish() reaches the installed thread-local sink.
         let mut tls = Recorder::new();
         {

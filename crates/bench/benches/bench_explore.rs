@@ -4,29 +4,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use socet_cells::DftCosts;
 use socet_core::{CoreTestData, Explorer, Objective, Scheduler};
-use socet_hscan::insert_hscan;
 use socet_socs::barcode_system;
-use socet_transparency::synthesize_versions;
 
 fn bench_explore(c: &mut Criterion) {
     let soc = barcode_system();
     let costs = DftCosts::default();
-    let data: Vec<Option<CoreTestData>> = soc
-        .cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 105,
-            })
-        })
-        .collect();
+    let data = CoreTestData::synthesize_soc(&soc, &costs, 105)
+        .expect("every logic core has input and output ports");
     let explorer = Explorer::new(&soc, &data, costs);
     let mut group = c.benchmark_group("explore");
     group.sample_size(20);

@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use socet_cells::DftCosts;
 use socet_core::{schedule, CoreTestData, Scheduler};
-use socet_hscan::insert_hscan;
 use socet_socs::{generate_soc, SyntheticConfig};
-use socet_transparency::synthesize_versions;
 
 fn bench_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling");
@@ -19,19 +17,8 @@ fn bench_scaling(c: &mut Criterion) {
             seed: 7,
         });
         let costs = DftCosts::default();
-        let data: Vec<Option<CoreTestData>> = soc
-            .cores()
-            .iter()
-            .map(|inst| {
-                let hscan = insert_hscan(inst.core(), &costs);
-                let versions = synthesize_versions(inst.core(), &hscan, &costs);
-                Some(CoreTestData {
-                    versions,
-                    hscan,
-                    scan_vectors: 50,
-                })
-            })
-            .collect();
+        let data = CoreTestData::synthesize_soc(&soc, &costs, 50)
+            .expect("every logic core has input and output ports");
         let choice = vec![0usize; soc.cores().len()];
         group.bench_with_input(BenchmarkId::new("schedule", cores), &cores, |b, _| {
             b.iter(|| schedule(&soc, &data, &choice, &costs))

@@ -4,29 +4,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use socet_cells::DftCosts;
 use socet_core::{schedule, Ccg, CoreTestData};
-use socet_hscan::insert_hscan;
 use socet_socs::barcode_system;
-use socet_transparency::synthesize_versions;
 
 fn inputs() -> (socet_rtl::Soc, Vec<Option<CoreTestData>>) {
     let soc = barcode_system();
     let costs = DftCosts::default();
-    let data = soc
-        .cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 105,
-            })
-        })
-        .collect();
+    let data = CoreTestData::synthesize_soc(&soc, &costs, 105)
+        .expect("every logic core has input and output ports");
     (soc, data)
 }
 

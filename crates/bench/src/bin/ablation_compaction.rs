@@ -7,22 +7,24 @@
 //! chip's test application time — at zero hardware cost.
 
 use socet_atpg::{compact_tests, generate_tests, TpgConfig};
-use socet_bench::PreparedSystem;
+use socet_bench::prepare;
 use socet_cells::DftCosts;
 use socet_core::schedule;
 use socet_gate::elaborate;
+use socet_rtl::Soc;
 use socet_socs::{barcode_system, system2};
 
-fn run(mut system: PreparedSystem) {
-    println!("\n{}:", system.soc.name());
+fn run(soc: Soc) {
+    let mut system = prepare(&soc);
+    println!("\n{}:", soc.name());
     let costs = DftCosts::default();
     // Baseline TAT with the raw ATPG sets.
-    let choice = vec![0usize; system.soc.cores().len()];
-    let before_tat = schedule(&system.soc, &system.data, &choice, &costs).test_application_time();
+    let choice = vec![0usize; soc.cores().len()];
+    let before_tat = schedule(&soc, &system.data, &choice, &costs).test_application_time();
 
     // Compact each core's set and refresh the per-core vector counts.
-    for cid in system.soc.logic_cores() {
-        let inst = system.soc.core(cid);
+    for cid in soc.logic_cores() {
+        let inst = soc.core(cid);
         let nl = elaborate(inst.core())
             .expect("example cores elaborate")
             .netlist;
@@ -40,7 +42,7 @@ fn run(mut system: PreparedSystem) {
             td.scan_vectors = tests.vector_count();
         }
     }
-    let after_tat = schedule(&system.soc, &system.data, &choice, &costs).test_application_time();
+    let after_tat = schedule(&soc, &system.data, &choice, &costs).test_application_time();
     println!(
         "  min-area TAT: {before_tat} -> {after_tat} cycles (x{:.2})",
         before_tat as f64 / after_tat.max(1) as f64
@@ -49,6 +51,6 @@ fn run(mut system: PreparedSystem) {
 
 fn main() {
     println!("ABLATION: static test-set compaction");
-    run(PreparedSystem::prepare(barcode_system()));
-    run(PreparedSystem::prepare(system2()));
+    run(barcode_system());
+    run(system2());
 }

@@ -8,20 +8,22 @@
 //! worked example the unconstrained router would claim 7 cycles per vector
 //! where the hardware needs 9.
 
-use socet_bench::PreparedSystem;
+use socet_bench::prepare;
 use socet_cells::DftCosts;
 use socet_core::{parallelize, schedule_with};
+use socet_rtl::Soc;
 use socet_socs::{barcode_system, system2};
 
-fn run(system: PreparedSystem) {
+fn run(soc: Soc) {
+    let system = prepare(&soc);
     let costs = DftCosts::default();
-    let n = system.soc.cores().len();
-    println!("\n{}:", system.soc.name());
+    let n = soc.cores().len();
+    println!("\n{}:", soc.name());
     for (label, choice) in [
         ("min area", vec![0usize; n]),
         ("min latency", {
             let mut c = vec![0usize; n];
-            for cid in system.soc.logic_cores() {
+            for cid in soc.logic_cores() {
                 c[cid.index()] = system.data[cid.index()]
                     .as_ref()
                     .map(|d| d.versions.len() - 1)
@@ -30,8 +32,8 @@ fn run(system: PreparedSystem) {
             c
         }),
     ] {
-        let with = schedule_with(&system.soc, &system.data, &choice, &costs, true);
-        let without = schedule_with(&system.soc, &system.data, &choice, &costs, false);
+        let with = schedule_with(&soc, &system.data, &choice, &costs, true);
+        let without = schedule_with(&soc, &system.data, &choice, &costs, false);
         let underestimate =
             with.test_application_time() as f64 / without.test_application_time().max(1) as f64;
         println!(
@@ -41,7 +43,7 @@ fn run(system: PreparedSystem) {
         );
         // Bonus row: the parallel-scheduling extension on the *correct*
         // (reserved) plan.
-        let par = parallelize(&system.soc, &with);
+        let par = parallelize(&soc, &with);
         println!(
             "  {label:<12} parallel extension: makespan {:>9} cycles (x{:.2} over serial)",
             par.makespan,
@@ -52,6 +54,6 @@ fn run(system: PreparedSystem) {
 
 fn main() {
     println!("ABLATION: reservation-aware routing vs naive shortest paths");
-    run(PreparedSystem::prepare(barcode_system()));
-    run(PreparedSystem::prepare(system2()));
+    run(barcode_system());
+    run(system2());
 }

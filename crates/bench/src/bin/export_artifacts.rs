@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p socet-bench --bin export_artifacts`
 
-use socet_bench::PreparedSystem;
+use socet_bench::prepare;
 use socet_cells::DftCosts;
 use socet_core::{build_controller, render_plan, schedule, Ccg};
 use socet_gate::export::to_verilog;
@@ -18,9 +18,9 @@ use std::path::Path;
 fn main() -> std::io::Result<()> {
     let out = Path::new("artifacts");
     fs::create_dir_all(out)?;
-    let system = PreparedSystem::prepare(barcode_system());
+    let soc = &barcode_system();
+    let system = prepare(soc);
     let costs = DftCosts::default();
-    let soc = &system.soc;
 
     // Per-core RCGs.
     for cid in soc.logic_cores() {

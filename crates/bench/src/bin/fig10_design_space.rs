@@ -9,15 +9,16 @@
 //! ~4.5x TAT reduction from point 1 to point 18 for a ~2x area-overhead
 //! increase.
 
-use socet_bench::{compare_row, PreparedSystem};
+use socet_bench::{compare_row, prepare};
 use socet_cells::{CellLibrary, DftCosts};
 use socet_core::Explorer;
 use socet_socs::barcode_system;
 
 fn main() {
-    let prepared = PreparedSystem::prepare(barcode_system());
+    let soc = barcode_system();
+    let prepared = prepare(&soc);
     let lib = CellLibrary::generic_08um();
-    let explorer = Explorer::new(&prepared.soc, &prepared.data, DftCosts::default());
+    let explorer = Explorer::new(&soc, &prepared.data, DftCosts::default());
 
     let mut points = explorer.sweep();
     points.sort_by_key(|p| (p.overhead_cells(&lib), p.test_application_time()));

@@ -15,15 +15,16 @@
 //! each core's full precomputed test set, so FC does not depend on the
 //! version mix; only area and TAT move.
 
-use socet_bench::{compare_row, PreparedSystem};
+use socet_bench::{compare_row, prepare};
 use socet_cells::{CellLibrary, DftCosts};
 use socet_core::Explorer;
 use socet_socs::barcode_system;
 
 fn main() {
-    let prepared = PreparedSystem::prepare(barcode_system());
+    let soc = barcode_system();
+    let prepared = prepare(&soc);
     let lib = CellLibrary::generic_08um();
-    let explorer = Explorer::new(&prepared.soc, &prepared.data, DftCosts::default());
+    let explorer = Explorer::new(&soc, &prepared.data, DftCosts::default());
     let coverage = prepared.aggregate_coverage();
 
     let min_area = explorer.evaluate(&explorer.min_area_choice());

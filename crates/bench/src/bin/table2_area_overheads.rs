@@ -10,9 +10,10 @@
 //! | System 2 | 15.6  | 10.3  | 9.9   | 1.2            | 4.7            | 25.5              | 11.5 / 15.0 |
 
 use socet_baselines::FscanBscanReport;
-use socet_bench::{compare_row, PreparedSystem};
+use socet_bench::{compare_row, prepare};
 use socet_cells::{CellLibrary, DftCosts};
 use socet_core::Explorer;
+use socet_rtl::Soc;
 use socet_socs::{barcode_system, system2};
 
 struct PaperRow {
@@ -26,14 +27,15 @@ struct PaperRow {
     socet_total_min_tapp: f64,
 }
 
-fn run(system: PreparedSystem, paper: &PaperRow) {
+fn run(soc: Soc, paper: &PaperRow) {
+    let system = prepare(&soc);
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
     let orig = system.original_area_cells(&lib) as f64;
     let pct = |cells: u64| cells as f64 / orig * 100.0;
 
-    let fb = FscanBscanReport::evaluate(&system.soc, &system.vectors(), &costs);
-    let explorer = Explorer::new(&system.soc, &system.data, costs);
+    let fb = FscanBscanReport::evaluate(&soc, &system.vectors(), &costs);
+    let explorer = Explorer::new(&soc, &system.data, costs);
     let min_area = explorer.evaluate(&explorer.min_area_choice());
     let min_tat = explorer
         .sweep()
@@ -41,12 +43,8 @@ fn run(system: PreparedSystem, paper: &PaperRow) {
         .min_by_key(|p| (p.test_application_time(), p.overhead_cells(&lib)))
         .expect("sweep is non-empty");
 
-    let hscan_cells = system.hscan_cells(&lib);
-    println!(
-        "\n{} — original area {} cells",
-        system.soc.name(),
-        orig as u64
-    );
+    let hscan_cells = system.hscan_overhead_cells(&lib);
+    println!("\n{} — original area {} cells", soc.name(), orig as u64);
     compare_row(
         "core-level FSCAN ovhd %",
         pct(fb.fscan_cells(&lib)),
@@ -109,7 +107,7 @@ fn run(system: PreparedSystem, paper: &PaperRow) {
 fn main() {
     println!("TAB2: area overheads (percent of original chip area)");
     run(
-        PreparedSystem::prepare(barcode_system()),
+        barcode_system(),
         &PaperRow {
             fscan: 18.8,
             hscan: 10.1,
@@ -122,7 +120,7 @@ fn main() {
         },
     );
     run(
-        PreparedSystem::prepare(system2()),
+        system2(),
         &PaperRow {
             fscan: 15.6,
             hscan: 10.3,

@@ -10,9 +10,10 @@
 //! | System 2 | 11.2    | 13.8     | 98.2  | 46,394  | 98.2     | 16,435 / 3,998                    |
 
 use socet_baselines::{flatten_soc, hscan_only_coverage, orig_coverage, FscanBscanReport};
-use socet_bench::{compare_row, PreparedSystem};
+use socet_bench::{compare_row, prepare};
 use socet_cells::{CellLibrary, DftCosts};
 use socet_core::Explorer;
+use socet_rtl::Soc;
 use socet_socs::{barcode_system, system2};
 
 struct PaperRow {
@@ -28,20 +29,21 @@ struct PaperRow {
 const RANDOM_CYCLES: usize = 96;
 const SEED: u64 = 0xdac1998;
 
-fn run(system: PreparedSystem, paper: &PaperRow) {
+fn run(soc: Soc, paper: &PaperRow) {
+    let system = prepare(&soc);
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
-    let flat = flatten_soc(&system.soc).expect("example systems flatten");
+    let flat = flatten_soc(&soc).expect("example systems flatten");
 
     // "Orig.": random sequential vectors against the un-DFT'd chip.
     let orig = orig_coverage(&flat, RANDOM_CYCLES, SEED);
     // "HSCAN": cores are scan-testable but embedded ones are unreachable.
-    let hscan = hscan_only_coverage(&system.soc, &flat, &system.tests, RANDOM_CYCLES, SEED);
+    let hscan = hscan_only_coverage(&soc, &flat, &system.tests, RANDOM_CYCLES, SEED);
     // Full scan access: the aggregated per-core ATPG coverage.
     let full = system.aggregate_coverage();
 
-    let fb = FscanBscanReport::evaluate(&system.soc, &system.vectors(), &costs);
-    let explorer = Explorer::new(&system.soc, &system.data, costs);
+    let fb = FscanBscanReport::evaluate(&soc, &system.vectors(), &costs);
+    let explorer = Explorer::new(&soc, &system.data, costs);
     let min_area = explorer.evaluate(&explorer.min_area_choice());
     let min_tat = explorer
         .sweep()
@@ -49,7 +51,7 @@ fn run(system: PreparedSystem, paper: &PaperRow) {
         .min_by_key(|p| (p.test_application_time(), p.overhead_cells(&lib)))
         .expect("sweep is non-empty");
 
-    println!("\n{}:", system.soc.name());
+    println!("\n{}:", soc.name());
     compare_row(
         "Orig. fault coverage",
         orig.fault_coverage(),
@@ -134,7 +136,7 @@ fn main() {
         "TAB3: testability results ({RANDOM_CYCLES} random sequential cycles for Orig/HSCAN rows)"
     );
     run(
-        PreparedSystem::prepare(barcode_system()),
+        barcode_system(),
         &PaperRow {
             orig_fc: 10.6,
             hscan_fc: 14.6,
@@ -146,7 +148,7 @@ fn main() {
         },
     );
     run(
-        PreparedSystem::prepare(system2()),
+        system2(),
         &PaperRow {
             orig_fc: 11.2,
             hscan_fc: 13.8,

@@ -13,30 +13,14 @@ use socet_baselines::FscanBscanReport;
 use socet_bench::compare_row;
 use socet_cells::DftCosts;
 use socet_core::{schedule, CoreTestData};
-use socet_hscan::insert_hscan;
 use socet_socs::barcode_system;
-use socet_transparency::synthesize_versions;
 
 fn main() {
     let soc = barcode_system();
     let costs = DftCosts::default();
     // The worked example's premise: 105 combinational vectors per core.
-    let data: Vec<Option<CoreTestData>> = soc
-        .cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 105,
-            })
-        })
-        .collect();
+    let data = CoreTestData::synthesize_soc(&soc, &costs, 105)
+        .expect("every logic core has input and output ports");
 
     let prep = soc.find_core("PREPROCESSOR").expect("core");
     let cpu = soc.find_core("CPU").expect("core");

@@ -15,118 +15,20 @@
 //! cargo run --release -p socet-bench --bin worked_example_display
 //! ```
 
-use socet_atpg::{generate_tests, TestSet, TpgConfig};
+use socet::atpg::TpgConfig;
+use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
 use socet_cells::{CellLibrary, DftCosts};
 use socet_core::CoreTestData;
-use socet_gate::{elaborate, GateNetlist};
-use socet_hscan::insert_hscan;
 use socet_rtl::{Core, Soc};
-use socet_transparency::synthesize_versions;
 
-/// Everything the experiments need for one system.
-pub struct PreparedSystem {
-    /// The SOC.
-    pub soc: Soc,
-    /// Chip-level planning inputs per core instance.
-    pub data: Vec<Option<CoreTestData>>,
-    /// Elaborated netlists per logic core.
-    pub netlists: Vec<Option<GateNetlist>>,
-    /// Generated test sets per logic core.
-    pub tests: Vec<Option<TestSet>>,
-}
-
-impl PreparedSystem {
-    /// Runs the core-level flow on `soc` with the default ATPG budget.
-    pub fn prepare(soc: Soc) -> PreparedSystem {
-        let costs = DftCosts::default();
-        let tpg = TpgConfig::default();
-        let mut data = Vec::new();
-        let mut netlists = Vec::new();
-        let mut tests = Vec::new();
-        for inst in soc.cores() {
-            if inst.is_memory() {
-                data.push(None);
-                netlists.push(None);
-                tests.push(None);
-                continue;
-            }
-            let core = inst.core();
-            let hscan = insert_hscan(core, &costs);
-            let versions = synthesize_versions(core, &hscan, &costs);
-            let elab = elaborate(core).expect("example cores elaborate");
-            let t = generate_tests(&elab.netlist, &tpg);
-            data.push(Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: t.vector_count(),
-            }));
-            netlists.push(Some(elab.netlist));
-            tests.push(Some(t));
-        }
-        PreparedSystem {
-            soc,
-            data,
-            netlists,
-            tests,
-        }
-    }
-
-    /// Full-scan vector count per core instance.
-    pub fn vectors(&self) -> Vec<u64> {
-        self.tests
-            .iter()
-            .map(|t| t.as_ref().map(|t| t.vector_count() as u64).unwrap_or(0))
-            .collect()
-    }
-
-    /// HSCAN chain depth per core instance.
-    pub fn depths(&self) -> Vec<u64> {
-        self.data
-            .iter()
-            .map(|d| {
-                d.as_ref()
-                    .map(|d| d.hscan.sequential_depth() as u64)
-                    .unwrap_or(0)
-            })
-            .collect()
-    }
-
-    /// Pre-DFT chip area (logic cores, elaborated) in cells.
-    pub fn original_area_cells(&self, lib: &CellLibrary) -> u64 {
-        self.netlists
-            .iter()
-            .flatten()
-            .map(|nl| nl.area().cells(lib))
-            .sum()
-    }
-
-    /// Total HSCAN overhead in cells.
-    pub fn hscan_cells(&self, lib: &CellLibrary) -> u64 {
-        self.data
-            .iter()
-            .flatten()
-            .map(|d| d.hscan.overhead_cells(lib))
-            .sum()
-    }
-
-    /// Merged per-core ATPG coverage.
-    pub fn aggregate_coverage(&self) -> socet_atpg::Coverage {
-        self.tests
-            .iter()
-            .flatten()
-            .fold(socet_atpg::Coverage::default(), |acc, t| {
-                acc.merge(&t.coverage)
-            })
-    }
-
-    /// Merged per-core ATPG-engine counters (cone pruning, fault dropping).
-    pub fn atpg_stats(&self) -> socet_atpg::AtpgMetrics {
-        let mut m = socet_atpg::AtpgMetrics::new();
-        for t in self.tests.iter().flatten() {
-            m.merge(&t.stats);
-        }
-        m
-    }
+/// Runs the core-level flow on `soc` through the content-addressed
+/// pipeline ([`prepare_soc_with`]) at the default DFT costs and ATPG
+/// budget — the preparation every table and figure binary reads.
+pub fn prepare(soc: &Soc) -> PreparedSoc {
+    let tpg = TpgConfig::default();
+    prepare_soc_with(soc, &DftCosts::default(), &tpg, &PrepareOptions::default())
+        .expect("the paper's systems prepare")
+        .0
 }
 
 /// Prints a `measured vs paper` row with a ratio, used by every table
@@ -143,10 +45,10 @@ pub fn compare_row(label: &str, measured: f64, paper: f64, unit: &str) {
 /// The version latency/overhead ladder of one core, as printed by the
 /// figure binaries.
 pub fn print_ladder(core: &Core, pairs: &[(&str, &str)]) {
-    let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
-    let hscan = insert_hscan(core, &costs);
-    let versions = synthesize_versions(core, &hscan, &costs);
+    let versions = CoreTestData::synthesize(core, &DftCosts::default(), 0)
+        .expect("the paper's cores synthesize")
+        .versions;
     print!("  {:<10}", "");
     for (i, o) in pairs {
         print!(" {:>14}", format!("{i}->{o}"));

@@ -435,9 +435,7 @@ mod tests {
     use super::*;
     use crate::plan::CoreTestData;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn buf_core(name: &str) -> Arc<socet_rtl::Core> {
@@ -448,17 +446,6 @@ mod tests {
         b.connect_port_to_reg(i, r).unwrap();
         b.connect_reg_to_port(r, o).unwrap();
         Arc::new(b.build().unwrap())
-    }
-
-    fn data_for(core: &socet_rtl::Core) -> CoreTestData {
-        let costs = DftCosts::default();
-        let hscan = insert_hscan(core, &costs);
-        let versions = synthesize_versions(core, &hscan, &costs);
-        CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: 10,
-        }
     }
 
     #[test]
@@ -475,7 +462,7 @@ mod tests {
         sb.connect_cores(u0, o, u1, i).unwrap();
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&core)), Some(data_for(&core))];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         let ccg = Ccg::build(&soc, &data, &[0, 0]);
         // Nodes: 1 PI + 1 PO + 2 cores x 2 ports.
         assert_eq!(ccg.nodes().len(), 6);
@@ -513,7 +500,7 @@ mod tests {
         sb.connect_core_to_pin(u0, o, po).unwrap();
         sb.connect_cores(u0, o, ram, i).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&core)), None];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         let ccg = Ccg::build(&soc, &data, &[0, 0]);
         // RAM contributes no nodes: 1 PI + 1 PO + 2 core ports.
         assert_eq!(ccg.nodes().len(), 4);
@@ -541,7 +528,7 @@ mod tests {
         sb.connect_pin_to_core(pi, u0, i).unwrap();
         sb.connect_core_to_pin(u0, o, po).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&core))];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         let lat_of = |choice: usize| {
             let ccg = Ccg::build(&soc, &data, &[choice]);
             ccg.edges()

@@ -122,9 +122,7 @@ mod tests {
     use crate::schedule::schedule;
     use socet_cells::DftCosts;
     use socet_gate::CombSim;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn tiny_plan() -> (socet_rtl::Soc, DesignPoint) {
@@ -145,13 +143,8 @@ mod tests {
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
         let costs = DftCosts::default();
-        let hscan = insert_hscan(&core, &costs);
-        let td = CoreTestData {
-            versions: synthesize_versions(&core, &hscan, &costs),
-            hscan,
-            scan_vectors: 3, // tiny TAT so the simulation stays fast
-        };
-        let data = vec![Some(td.clone()), Some(td)];
+        // Tiny TAT so the simulation stays fast.
+        let data = CoreTestData::synthesize_soc(&soc, &costs, 3).unwrap();
         let plan = schedule(&soc, &data, &[0, 0], &costs);
         (soc, plan)
     }

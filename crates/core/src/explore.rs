@@ -452,21 +452,8 @@ struct Candidate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
-
-    fn data_for(core: &socet_rtl::Core, vectors: usize) -> CoreTestData {
-        let costs = DftCosts::default();
-        let hscan = insert_hscan(core, &costs);
-        let versions = synthesize_versions(core, &hscan, &costs);
-        CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: vectors,
-        }
-    }
 
     fn pipeline_core(name: &str, depth: usize) -> Arc<socet_rtl::Core> {
         let mut b = CoreBuilder::new(name);
@@ -501,11 +488,11 @@ mod tests {
         sb.connect_cores(ub, bo, uc, ci).unwrap();
         sb.connect_core_to_pin(uc, co, po).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![
-            Some(data_for(&a, 20)),
-            Some(data_for(&b, 15)),
-            Some(data_for(&c, 10)),
-        ];
+        let costs = DftCosts::default();
+        let data = [(&a, 20), (&b, 15), (&c, 10)]
+            .into_iter()
+            .map(|(core, vectors)| Some(CoreTestData::synthesize(core, &costs, vectors).unwrap()))
+            .collect();
         (soc, data)
     }
 

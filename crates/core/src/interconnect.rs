@@ -110,32 +110,11 @@ mod tests {
     use crate::plan::CoreTestData;
     use crate::schedule::schedule;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
-    use socet_transparency::synthesize_versions;
-
-    fn prepare(soc: &Soc) -> Vec<Option<CoreTestData>> {
-        let costs = DftCosts::default();
-        soc.cores()
-            .iter()
-            .map(|inst| {
-                if inst.is_memory() {
-                    return None;
-                }
-                let hscan = insert_hscan(inst.core(), &costs);
-                let versions = synthesize_versions(inst.core(), &hscan, &costs);
-                Some(CoreTestData {
-                    versions,
-                    hscan,
-                    scan_vectors: 20,
-                })
-            })
-            .collect()
-    }
 
     #[test]
     fn system1_covers_its_logic_backbone() {
         let soc = socet_socs::barcode_system();
-        let data = prepare(&soc);
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
         let plan = schedule(
             &soc,
             &data,
@@ -178,7 +157,7 @@ mod tests {
         sb.connect_pin_to_core(pi, u, i).unwrap();
         sb.connect_core_to_pin(u, o, po).unwrap();
         let soc = sb.build().unwrap();
-        let data = prepare(&soc);
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
         let plan = schedule(&soc, &data, &[0], &DftCosts::default());
         let report = interconnect_report(&soc, &plan);
         // Pin nets ARE crossed here (SOCET still exercises them); there are

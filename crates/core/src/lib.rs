@@ -23,9 +23,7 @@
 //!
 //! ```
 //! use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-//! use socet_hscan::insert_hscan;
 //! use socet_cells::DftCosts;
-//! use socet_transparency::synthesize_versions;
 //! use socet_core::{CoreTestData, Explorer, Objective};
 //! use std::sync::Arc;
 //!
@@ -49,13 +47,7 @@
 //! let soc = sb.build()?;
 //!
 //! let costs = DftCosts::default();
-//! let hscan = insert_hscan(&core, &costs);
-//! let data = CoreTestData {
-//!     versions: synthesize_versions(&core, &hscan, &costs),
-//!     hscan,
-//!     scan_vectors: 12,
-//! };
-//! let per_core = vec![Some(data.clone()), Some(data)];
+//! let per_core = CoreTestData::synthesize_soc(&soc, &costs, 12).expect("buffers synthesize");
 //! let explorer = Explorer::new(&soc, &per_core, costs);
 //! let plan = explorer.optimize(Objective::MinTatUnderArea {
 //!     max_overhead_cells: 10_000,

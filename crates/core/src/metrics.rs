@@ -23,10 +23,10 @@ use std::fmt;
 use std::time::Duration;
 
 /// Counters and stage wall-times of one core-preparation pipeline run
-/// (`socet::flow::prepare_soc`): how many physical instances were requested,
-/// how many unique cores actually had to be prepared, and where each
-/// artifact came from — computed fresh, shared through the in-process memo,
-/// or loaded from the on-disk store.
+/// (`socet::flow::prepare_soc_with`): how many physical instances were
+/// requested, how many unique cores actually had to be prepared, and where
+/// each artifact came from — computed fresh, shared through the in-process
+/// memo, or loaded from the on-disk store.
 ///
 /// Stage times are summed across workers, so under parallel preparation
 /// they exceed the wall-clock `total_time` — that gap *is* the parallel

@@ -125,9 +125,7 @@ mod tests {
     use crate::plan::CoreTestData;
     use crate::schedule::schedule;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn buf_core() -> Arc<socet_rtl::Core> {
@@ -138,16 +136,6 @@ mod tests {
         b.connect_port_to_reg(i, r).unwrap();
         b.connect_reg_to_port(r, o).unwrap();
         Arc::new(b.build().unwrap())
-    }
-
-    fn data_for(core: &socet_rtl::Core, vectors: usize) -> CoreTestData {
-        let costs = DftCosts::default();
-        let hscan = insert_hscan(core, &costs);
-        CoreTestData {
-            versions: synthesize_versions(core, &hscan, &costs),
-            hscan,
-            scan_vectors: vectors,
-        }
     }
 
     #[test]
@@ -168,7 +156,7 @@ mod tests {
         sb.connect_core_to_pin(u0, o, po0).unwrap();
         sb.connect_core_to_pin(u1, o, po1).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&core, 10)), Some(data_for(&core, 10))];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         let plan = schedule(&soc, &data, &[0, 0], &DftCosts::default());
         let par = parallelize(&soc, &plan);
         assert!(
@@ -193,7 +181,7 @@ mod tests {
         sb.connect_cores(u0, o, u1, i).unwrap();
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&core, 10)), Some(data_for(&core, 10))];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         let plan = schedule(&soc, &data, &[0, 0], &DftCosts::default());
         let par = parallelize(&soc, &plan);
         assert_eq!(par.makespan, par.serial_tat, "{par}");
@@ -203,17 +191,7 @@ mod tests {
     fn makespan_never_exceeds_serial() {
         let soc = socet_socs::barcode_system();
         let costs = DftCosts::default();
-        let data: Vec<Option<CoreTestData>> = soc
-            .cores()
-            .iter()
-            .map(|inst| {
-                if inst.is_memory() {
-                    None
-                } else {
-                    Some(data_for(inst.core(), 20))
-                }
-            })
-            .collect();
+        let data = CoreTestData::synthesize_soc(&soc, &costs, 20).unwrap();
         let plan = schedule(&soc, &data, &vec![0; soc.cores().len()], &costs);
         let par = parallelize(&soc, &plan);
         assert!(par.makespan <= par.serial_tat);

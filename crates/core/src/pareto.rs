@@ -75,9 +75,7 @@ mod tests {
     use crate::explore::Explorer;
     use crate::plan::CoreTestData;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn setup() -> (socet_rtl::Soc, Vec<Option<CoreTestData>>) {
@@ -102,13 +100,8 @@ mod tests {
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
         let costs = DftCosts::default();
-        let hscan = insert_hscan(&core, &costs);
-        let td = CoreTestData {
-            versions: synthesize_versions(&core, &hscan, &costs),
-            hscan,
-            scan_vectors: 25,
-        };
-        (soc, vec![Some(td.clone()), Some(td)])
+        let data = CoreTestData::synthesize_soc(&soc, &costs, 25).unwrap();
+        (soc, data)
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Data types of the chip-level test plan: per-core test data, design
 //! points, episodes and system-level test muxes.
 
-use socet_cells::{AreaReport, CellLibrary};
-use socet_hscan::HscanResult;
-use socet_rtl::{CoreInstanceId, PortId};
-use socet_transparency::CoreVersion;
+use socet_cells::{AreaReport, CellLibrary, DftCosts};
+use socet_hscan::{insert_hscan, HscanResult};
+use socet_rtl::{Core, CoreInstanceId, PortId, Soc};
+use socet_transparency::{try_synthesize_versions, CoreVersion, SearchError};
 use std::fmt;
 
 /// Everything the chip-level planner needs to know about one core, produced
@@ -21,6 +21,51 @@ pub struct CoreTestData {
 }
 
 impl CoreTestData {
+    /// Runs the planning half of the core-level flow on `core`: HSCAN
+    /// insertion, then the transparency version ladder. `scan_vectors` is
+    /// the core's precomputed combinational vector count — the ATPG result
+    /// in the full flow, or a fixed budget where only the plan's shape
+    /// matters.
+    ///
+    /// # Errors
+    ///
+    /// The [`SearchError`] of version synthesis for a core it rejects (no
+    /// input or no output ports).
+    pub fn synthesize(
+        core: &Core,
+        costs: &DftCosts,
+        scan_vectors: usize,
+    ) -> Result<CoreTestData, SearchError> {
+        let hscan = insert_hscan(core, costs);
+        let versions = try_synthesize_versions(core, &hscan, costs)?;
+        Ok(CoreTestData {
+            versions,
+            hscan,
+            scan_vectors,
+        })
+    }
+
+    /// [`synthesize`](Self::synthesize) for every core instance of `soc`,
+    /// indexed by instance, with `None` at memory instances.
+    ///
+    /// # Errors
+    ///
+    /// The first logic instance's [`SearchError`], in declaration order.
+    pub fn synthesize_soc(
+        soc: &Soc,
+        costs: &DftCosts,
+        scan_vectors: usize,
+    ) -> Result<Vec<Option<CoreTestData>>, SearchError> {
+        soc.cores()
+            .iter()
+            .map(|inst| {
+                (!inst.is_memory())
+                    .then(|| CoreTestData::synthesize(inst.core(), costs, scan_vectors))
+                    .transpose()
+            })
+            .collect()
+    }
+
     /// HSCAN test length for this core: each combinational vector costs
     /// `depth` shift cycles plus one apply cycle.
     pub fn hscan_vectors(&self) -> usize {
@@ -254,6 +299,50 @@ mod tests {
             tested_nets: vec![],
         };
         assert_eq!(dp.test_application_time(), 300);
+    }
+
+    #[test]
+    fn synthesize_soc_leaves_exactly_the_memories_empty() {
+        let synthetic = socet_socs::generate_soc(&socet_socs::SyntheticConfig {
+            cores: 4,
+            ..Default::default()
+        });
+        for soc in [socet_socs::barcode_system(), synthetic] {
+            let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 7).unwrap();
+            assert_eq!(data.len(), soc.cores().len());
+            for (inst, td) in soc.cores().iter().zip(&data) {
+                assert_eq!(td.is_none(), inst.is_memory(), "{}", inst.name());
+                if let Some(td) = td {
+                    assert_eq!(td.scan_vectors, 7);
+                    assert_eq!(td.versions.len(), 3);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_version_synthesis_is_an_error() {
+        // An output port driven by logic, and no input port: nothing can
+        // be justified into the core, so version synthesis rejects it.
+        use socet_rtl::{CoreBuilder, Direction, FuKind, SocBuilder};
+        use std::sync::Arc;
+        let mut b = CoreBuilder::new("source");
+        let o = b.port("o", Direction::Out, 1).unwrap();
+        let fu = b.functional_unit("gen", FuKind::Logic, 1).unwrap();
+        b.connect_fu_to_port(fu, o).unwrap();
+        let core = Arc::new(b.build().unwrap());
+        let expected = SearchError::NoInputPorts {
+            core: "source".to_owned(),
+        };
+        let err = CoreTestData::synthesize(&core, &DftCosts::default(), 1).unwrap_err();
+        assert_eq!(err, expected);
+        let mut sb = SocBuilder::new("s");
+        let po = sb.output_pin("po", 1).unwrap();
+        let u = sb.instantiate("u", core).unwrap();
+        sb.connect_core_to_pin(u, o, po).unwrap();
+        let soc = sb.build().unwrap();
+        let err = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 1).unwrap_err();
+        assert_eq!(err, expected);
     }
 
     fn dummy_core() -> CoreInstanceId {

@@ -15,8 +15,6 @@ use std::fmt::Write as _;
 /// ```
 /// use socet_core::{schedule, report::render_plan, CoreTestData};
 /// use socet_cells::DftCosts;
-/// use socet_hscan::insert_hscan;
-/// use socet_transparency::synthesize_versions;
 /// # use socet_rtl::{CoreBuilder, Direction, SocBuilder};
 /// # use std::sync::Arc;
 /// # let mut b = CoreBuilder::new("buf");
@@ -34,12 +32,7 @@ use std::fmt::Write as _;
 /// # sb.connect_core_to_pin(u0, o, po)?;
 /// # let soc = sb.build()?;
 /// let costs = DftCosts::default();
-/// let hscan = insert_hscan(&core, &costs);
-/// let data = vec![Some(CoreTestData {
-///     versions: synthesize_versions(&core, &hscan, &costs),
-///     hscan,
-///     scan_vectors: 10,
-/// })];
+/// let data = CoreTestData::synthesize_soc(&soc, &costs, 10).expect("a buffer synthesizes");
 /// let plan = schedule(&soc, &data, &[0], &costs);
 /// let text = render_plan(&soc, &data, &plan);
 /// assert!(text.contains("test plan for soc chip"));
@@ -150,9 +143,7 @@ mod tests {
     use super::*;
     use crate::schedule::schedule;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn tiny() -> (Soc, Vec<Option<CoreTestData>>) {
@@ -173,13 +164,8 @@ mod tests {
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
         let costs = DftCosts::default();
-        let hscan = insert_hscan(&core, &costs);
-        let td = CoreTestData {
-            versions: synthesize_versions(&core, &hscan, &costs),
-            hscan,
-            scan_vectors: 10,
-        };
-        (soc, vec![Some(td.clone()), Some(td)])
+        let data = CoreTestData::synthesize_soc(&soc, &costs, 10).unwrap();
+        (soc, data)
     }
 
     #[test]

@@ -320,9 +320,7 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 ///
 /// ```
 /// # use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-/// # use socet_hscan::insert_hscan;
 /// # use socet_cells::DftCosts;
-/// # use socet_transparency::synthesize_versions;
 /// # use socet_core::{CoreTestData, Scheduler};
 /// # use std::sync::Arc;
 /// # let mut b = CoreBuilder::new("buf");
@@ -340,12 +338,7 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// # sb.connect_core_to_pin(u0, o, po).unwrap();
 /// # let soc = sb.build().unwrap();
 /// # let costs = DftCosts::default();
-/// # let hscan = insert_hscan(&core, &costs);
-/// # let data = vec![Some(CoreTestData {
-/// #     versions: synthesize_versions(&core, &hscan, &costs),
-/// #     hscan,
-/// #     scan_vectors: 10,
-/// # })];
+/// # let data = CoreTestData::synthesize_soc(&soc, &costs, 10).unwrap();
 /// let mut scheduler = Scheduler::new(&soc, &data, &costs);
 /// let slow = scheduler.evaluate(&[0])?;
 /// let fast = scheduler.evaluate(&[2])?; // patches one core, reuses buffers
@@ -790,21 +783,8 @@ fn push_mux(muxes: &mut Vec<SystemMux>, m: SystemMux) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
-
-    fn data_for(core: &socet_rtl::Core, vectors: usize) -> CoreTestData {
-        let costs = DftCosts::default();
-        let hscan = insert_hscan(core, &costs);
-        let versions = synthesize_versions(core, &hscan, &costs);
-        CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: vectors,
-        }
-    }
 
     fn buf_core(name: &str, depth: usize) -> Arc<socet_rtl::Core> {
         let mut b = CoreBuilder::new(name);
@@ -835,7 +815,7 @@ mod tests {
         sb.connect_cores(u0, o, u1, i).unwrap();
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&core, 10)), Some(data_for(&core, 10))];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         (soc, data)
     }
 
@@ -890,7 +870,7 @@ mod tests {
         // u1's output dangles at chip level (allowed: the net list only
         // requires the instance to be touched).
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&core, 5)), Some(data_for(&core, 5))];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 5).unwrap();
         let dp = schedule(&soc, &data, &[0, 0], &DftCosts::default());
         assert_eq!(dp.system_muxes.len(), 1);
         let m = dp.system_muxes[0];
@@ -916,7 +896,7 @@ mod tests {
         // u1's input dangles; its output is pinned out.
         sb.connect_core_to_pin(u1, o, po2).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&core, 5)), Some(data_for(&core, 5))];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 5).unwrap();
         let dp = schedule(&soc, &data, &[0, 0], &DftCosts::default());
         let m = dp
             .system_muxes
@@ -993,7 +973,7 @@ mod tests {
         sb.connect_cores(u0, uo, u1, c).unwrap();
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
-        let data = vec![Some(data_for(&up, 5)), Some(data_for(&two, 5))];
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 5).unwrap();
         let dp = schedule(&soc, &data, &[0, 0], &DftCosts::default());
         let ep1 = &dp.episodes[1];
         // Input a arrives after 1 cycle (through `up`); input c must wait

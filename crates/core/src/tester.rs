@@ -132,9 +132,7 @@ mod tests {
     use crate::plan::CoreTestData;
     use crate::schedule::schedule;
     use socet_cells::DftCosts;
-    use socet_hscan::insert_hscan;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
-    use socet_transparency::synthesize_versions;
     use std::sync::Arc;
 
     fn chain_plan() -> (socet_rtl::Soc, crate::plan::DesignPoint) {
@@ -157,13 +155,7 @@ mod tests {
         sb.connect_core_to_pin(u1, o, po).unwrap();
         let soc = sb.build().unwrap();
         let costs = DftCosts::default();
-        let hscan = insert_hscan(&core, &costs);
-        let td = CoreTestData {
-            versions: synthesize_versions(&core, &hscan, &costs),
-            hscan,
-            scan_vectors: 7,
-        };
-        let data = vec![Some(td.clone()), Some(td)];
+        let data = CoreTestData::synthesize_soc(&soc, &costs, 7).unwrap();
         let plan = schedule(&soc, &data, &[0, 0], &costs);
         (soc, plan)
     }

@@ -10,28 +10,12 @@ use socet_core::tester::{tester_program, validate_program};
 use socet_core::{build_controller, try_schedule, CoreTestData, DesignPoint};
 use socet_gate::export::to_verilog;
 use socet_gate::CombSim;
-use socet_hscan::insert_hscan;
 use socet_rtl::Soc;
-use socet_transparency::try_synthesize_versions;
 
 fn system1_plan() -> (Soc, DesignPoint) {
     let soc = socet_socs::barcode_system();
     let costs = DftCosts::default();
-    let data: Vec<Option<CoreTestData>> = soc
-        .cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            Some(CoreTestData {
-                versions: try_synthesize_versions(inst.core(), &hscan, &costs).unwrap(),
-                hscan,
-                scan_vectors: 10,
-            })
-        })
-        .collect();
+    let data = CoreTestData::synthesize_soc(&soc, &costs, 10).unwrap();
     let choice = vec![0; soc.cores().len()];
     let plan = try_schedule(&soc, &data, &choice, &costs).unwrap();
     (soc, plan)

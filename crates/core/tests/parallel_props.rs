@@ -6,10 +6,8 @@
 use proptest::prelude::*;
 use socet_cells::DftCosts;
 use socet_core::{parallelize, try_schedule, CoreEpisode, CoreTestData, DesignPoint};
-use socet_hscan::insert_hscan;
 use socet_rtl::Soc;
 use socet_socs::SocSpec;
-use socet_transparency::try_synthesize_versions;
 
 /// Mirrors the packer's private resource model: an episode occupies its
 /// CUT, every transit core, and every chip pin it drives or observes.
@@ -26,20 +24,7 @@ fn resources(ep: &CoreEpisode) -> Vec<(u8, usize)> {
 fn plan_for(spec: &SocSpec) -> Option<(Soc, DesignPoint)> {
     let soc = spec.build();
     let costs = DftCosts::default();
-    let mut data: Vec<Option<CoreTestData>> = Vec::new();
-    for inst in soc.cores() {
-        if inst.is_memory() {
-            data.push(None);
-            continue;
-        }
-        let hscan = insert_hscan(inst.core(), &costs);
-        let versions = try_synthesize_versions(inst.core(), &hscan, &costs).ok()?;
-        data.push(Some(CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: 4,
-        }));
-    }
+    let data = CoreTestData::synthesize_soc(&soc, &costs, 4).ok()?;
     let choice = vec![0; soc.cores().len()];
     let plan = try_schedule(&soc, &data, &choice, &costs).ok()?;
     Some((soc, plan))
@@ -103,21 +88,7 @@ fn hundred_synthetic_socs_pack_soundly() {
 fn paper_systems_pack_soundly() {
     for soc in [socet_socs::barcode_system(), socet_socs::system2()] {
         let costs = DftCosts::default();
-        let data: Vec<Option<CoreTestData>> = soc
-            .cores()
-            .iter()
-            .map(|inst| {
-                if inst.is_memory() {
-                    return None;
-                }
-                let hscan = insert_hscan(inst.core(), &costs);
-                Some(CoreTestData {
-                    versions: try_synthesize_versions(inst.core(), &hscan, &costs).unwrap(),
-                    hscan,
-                    scan_vectors: 20,
-                })
-            })
-            .collect();
+        let data = CoreTestData::synthesize_soc(&soc, &costs, 20).unwrap();
         let choice = vec![0; soc.cores().len()];
         let plan = try_schedule(&soc, &data, &choice, &costs).unwrap();
         assert_packing_sound(&soc, &plan);

@@ -10,9 +10,7 @@ use crate::replay::{verify_design_point, VerifyOptions, VerifyReport};
 use crate::VerifyError;
 use socet_cells::DftCosts;
 use socet_core::{try_schedule, CoreTestData};
-use socet_hscan::insert_hscan;
 use socet_socs::SocSpec;
-use socet_transparency::try_synthesize_versions;
 use std::fmt::Write as _;
 
 fn mix(mut x: u64) -> u64 {
@@ -35,23 +33,13 @@ pub fn verify_spec(
 ) -> Result<VerifyReport, VerifyError> {
     let soc = spec.build();
     let costs = DftCosts::default();
-    let mut data: Vec<Option<CoreTestData>> = Vec::with_capacity(soc.cores().len());
-    let mut choice: Vec<usize> = Vec::with_capacity(soc.cores().len());
-    for (i, inst) in soc.cores().iter().enumerate() {
-        if inst.is_memory() {
-            data.push(None);
-            choice.push(0);
-            continue;
-        }
-        let hscan = insert_hscan(inst.core(), &costs);
-        let versions = try_synthesize_versions(inst.core(), &hscan, &costs)?;
-        let n = versions.len().max(1);
-        choice.push((mix(case_seed ^ (1000 + i as u64)) % n as u64) as usize);
-        data.push(Some(CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: 2 + (mix(case_seed ^ (2000 + i as u64)) % 3) as usize,
-        }));
+    let mut data = CoreTestData::synthesize_soc(&soc, &costs, 0)?;
+    let mut choice = vec![0; data.len()];
+    for (i, td) in data.iter_mut().enumerate() {
+        let Some(td) = td else { continue };
+        let n = td.versions.len().max(1);
+        choice[i] = (mix(case_seed ^ (1000 + i as u64)) % n as u64) as usize;
+        td.scan_vectors = 2 + (mix(case_seed ^ (2000 + i as u64)) % 3) as usize;
     }
     let plan = try_schedule(&soc, &data, &choice, &costs)?;
     verify_design_point(&soc, &data, &plan, opts)
@@ -69,20 +57,7 @@ pub fn verify_soc(
     opts: &VerifyOptions,
 ) -> Result<VerifyReport, VerifyError> {
     let costs = DftCosts::default();
-    let mut data: Vec<Option<CoreTestData>> = Vec::with_capacity(soc.cores().len());
-    for inst in soc.cores() {
-        if inst.is_memory() {
-            data.push(None);
-            continue;
-        }
-        let hscan = insert_hscan(inst.core(), &costs);
-        let versions = try_synthesize_versions(inst.core(), &hscan, &costs)?;
-        data.push(Some(CoreTestData {
-            versions,
-            hscan,
-            scan_vectors,
-        }));
-    }
+    let data = CoreTestData::synthesize_soc(soc, &costs, scan_vectors)?;
     let plan = try_schedule(soc, &data, choice, &costs)?;
     verify_design_point(soc, &data, &plan, opts)
 }

@@ -10,9 +10,7 @@
 use socet::baselines::FscanBscanReport;
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{schedule, CoreTestData};
-use socet::hscan::insert_hscan;
 use socet::socs::barcode_system;
-use socet::transparency::synthesize_versions;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -23,22 +21,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("{soc}");
     // Core-level data with the paper's premise of 105 combinational
     // vectors per core.
-    let data: Vec<Option<CoreTestData>> = soc
-        .cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 105,
-            })
-        })
-        .collect();
+    let data = CoreTestData::synthesize_soc(&soc, &costs, 105)
+        .expect("every logic core has input and output ports");
 
     // The version ladders (Figs. 6 and 8).
     for cid in soc.logic_cores() {

@@ -11,7 +11,7 @@
 use socet::atpg::TpgConfig;
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{Explorer, Objective};
-use socet::flow::prepare_soc;
+use socet::flow::{prepare_soc_with, PrepareOptions};
 use socet::socs::system2;
 use std::error::Error;
 
@@ -20,7 +20,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
     println!("preparing {} (HSCAN + versions + ATPG)...", soc.name());
-    let prepared = prepare_soc(&soc, &costs, &TpgConfig::default())?;
+    let (prepared, _) = prepare_soc_with(
+        &soc,
+        &costs,
+        &TpgConfig::default(),
+        &PrepareOptions::default(),
+    )?;
     println!(
         "  original area {} cells, HSCAN overhead {} cells, coverage {}",
         prepared.original_area_cells(&lib),

@@ -13,9 +13,7 @@
 use socet::bist::{march_c, plan_memory_bist, Lfsr, MemoryFault, MemoryModel, Misr};
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{schedule, CoreTestData};
-use socet::hscan::insert_hscan;
 use socet::socs::barcode_system;
-use socet::transparency::synthesize_versions;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -97,22 +95,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 4. The whole-chip budget: SOCET for logic + concurrent BIST.
     let costs = DftCosts::default();
-    let data: Vec<Option<CoreTestData>> = soc
-        .cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 105,
-            })
-        })
-        .collect();
+    let data = CoreTestData::synthesize_soc(&soc, &costs, 105)
+        .expect("every logic core has input and output ports");
     let plan = schedule(&soc, &data, &vec![0; soc.cores().len()], &costs);
     let logic_tat = plan.test_application_time();
     let bist_tat = plans.iter().map(|p| p.test_cycles()).max().unwrap_or(0);

@@ -50,7 +50,7 @@ use socet::hscan::insert_hscan;
 use socet::obs::{Recorder, SharedRecorder};
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, generate_soc, system2, SyntheticConfig};
-use socet::transparency::{synthesize_versions, Rcg};
+use socet::transparency::Rcg;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -107,25 +107,6 @@ fn load_system(name: &str) -> Option<Soc> {
             }))
         }
     }
-}
-
-fn prepare(soc: &Soc, vectors: usize) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: vectors,
-            })
-        })
-        .collect()
 }
 
 fn parse_choice(soc: &Soc, arg: Option<&str>) -> Option<Vec<usize>> {
@@ -213,7 +194,10 @@ fn parse_args(args: &[String]) -> Result<(Vec<&str>, Flags), String> {
             "--trace" => flags.trace = Some(value.into()),
             "--profile" => flags.profile = Some(value.into()),
             "--seed" => flags.seed = Some(number(arg, value)?),
-            "--cases" => flags.cases = Some(number(arg, value)?),
+            "--cases" => match number(arg, value)? {
+                0 => return Err("`--cases` must be at least 1".to_owned()),
+                n => flags.cases = Some(n),
+            },
             _ => unreachable!("every flag in a command table is handled"),
         }
     }
@@ -282,9 +266,14 @@ fn main() -> ExitCode {
     };
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
+    // Planning inputs with the paper's premise of 105 vectors per core.
+    let planning_data = || {
+        CoreTestData::synthesize_soc(&soc, &costs, 105)
+            .expect("every core of the built-in systems has input and output ports")
+    };
     match cmd {
         "report" => {
-            let data = prepare(&soc, 105);
+            let data = planning_data();
             let Some(choice) = parse_choice(&soc, args.get(2).copied()) else {
                 return usage();
             };
@@ -316,7 +305,7 @@ fn main() -> ExitCode {
             }
         }
         "sweep" => {
-            let data = prepare(&soc, 105);
+            let data = planning_data();
             let explorer = Explorer::new(&soc, &data, costs);
             let points = explorer.sweep();
             println!("{:>10} {:>12}  choice", "ovhd", "TAT");
@@ -360,7 +349,7 @@ fn main() -> ExitCode {
             print!("{}", rcg.to_dot(core));
         }
         "dot-ccg" => {
-            let data = prepare(&soc, 105);
+            let data = planning_data();
             let Some(choice) = parse_choice(&soc, args.get(2).copied()) else {
                 return usage();
             };
@@ -368,14 +357,15 @@ fn main() -> ExitCode {
             print!("{}", ccg.to_dot(&soc));
         }
         "atpg" => {
-            let prepared =
-                match socet::flow::prepare_soc(&soc, &costs, &socet::atpg::TpgConfig::default()) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("cannot prepare {}: {e}", soc.name());
-                        return ExitCode::FAILURE;
-                    }
-                };
+            let tpg = socet::atpg::TpgConfig::default();
+            let opts = socet::flow::PrepareOptions::default();
+            let prepared = match socet::flow::prepare_soc_with(&soc, &costs, &tpg, &opts) {
+                Ok((p, _)) => p,
+                Err(e) => {
+                    eprintln!("cannot prepare {}: {e}", soc.name());
+                    return ExitCode::FAILURE;
+                }
+            };
             println!(
                 "{:<14} {:>7} {:>8} {:>8} {:>8}",
                 "core", "faults", "FC%", "TEff%", "vectors"
@@ -441,13 +431,13 @@ fn main() -> ExitCode {
             }
         }
         "verify" => {
-            let data = prepare(&soc, 105);
+            let data = planning_data();
             let limits: Vec<usize> = data
                 .iter()
                 .map(|d| d.as_ref().map_or(1, |d| d.versions.len().max(1)))
                 .collect();
             let base_seed = seed.unwrap_or(0x50CE7);
-            let cases = cases.unwrap_or(1).max(1);
+            let cases = cases.unwrap_or(1);
             let mut choice = vec![0usize; limits.len()];
             let mut all_ok = true;
             let (mut checks, mut bits) = (0u64, 0u64);

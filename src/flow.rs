@@ -45,10 +45,10 @@ use socet_cells::{CellLibrary, CodecError, Dec, DftCosts, Enc, Fingerprint, Stab
 use socet_core::{CoreTestData, PrepareMetrics};
 use socet_gate::codec::{decode_netlist, encode_netlist};
 use socet_gate::{elaborate, GateError, GateNetlist};
-use socet_hscan::{decode_hscan, encode_hscan, insert_hscan};
+use socet_hscan::{decode_hscan, encode_hscan};
 use socet_obs::{names, Counter, Recorder, SharedRecorder};
 use socet_rtl::{Core, CoreInstanceId, Soc};
-use socet_transparency::{decode_versions, encode_versions, synthesize_versions};
+use socet_transparency::{decode_versions, encode_versions};
 
 /// Per-core artifacts of the SOCET core-level flow for a whole SOC.
 #[derive(Debug)]
@@ -119,8 +119,9 @@ impl PreparedSoc {
     /// Merged ATPG-engine counters over every logic core's test
     /// generation. Counted **per physical instance**, like
     /// [`aggregate_coverage`](Self::aggregate_coverage) — render it
-    /// directly, or fold it into a [`Recorder`](socet_obs::Recorder) with
-    /// [`socet_atpg::AtpgMetrics::record_into`].
+    /// directly, or charge it to the thread's installed
+    /// [`Recorder`](socet_obs::Recorder) with
+    /// [`publish`](socet_atpg::AtpgMetrics::publish).
     pub fn atpg_stats(&self) -> socet_atpg::AtpgMetrics {
         let mut m = socet_atpg::AtpgMetrics::new();
         for t in self.tests.iter().flatten() {
@@ -161,9 +162,9 @@ impl PreparedSoc {
 
 /// A core-level flow failure, pinned to the SOC instance it occurred on.
 ///
-/// [`prepare_soc`] processes instances in declaration order conceptually;
-/// whatever the worker count, the error reported is the one the serial
-/// flow would have hit first.
+/// [`prepare_soc_with`] processes instances in declaration order
+/// conceptually; whatever the worker count, the error reported is the one
+/// the serial flow would have hit first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrepareError {
     /// The failing core instance.
@@ -408,17 +409,13 @@ fn prepare_unique(
         socet_obs::add(Counter::DiskMisses, 1);
     }
 
-    let hscan = insert_hscan(core, costs);
-    let versions = synthesize_versions(core, &hscan, costs);
+    let mut data = CoreTestData::synthesize(core, costs, 0).unwrap_or_else(|e| panic!("{e}"));
     let elab = elaborate(core)?;
     let tests = generate_tests(&elab.netlist, tpg);
+    data.scan_vectors = tests.vector_count();
 
     let artifact = CoreArtifact {
-        data: CoreTestData {
-            versions,
-            hscan,
-            scan_vectors: tests.vector_count(),
-        },
+        data,
         netlist: elab.netlist,
         tests,
     };
@@ -518,35 +515,28 @@ pub fn prepare_core(
 }
 
 /// Runs the core-level flow on every logic core of `soc` through the
-/// content-addressed pipeline with default options (auto worker count, no
-/// disk store).
+/// content-addressed pipeline, returning the prepared data and the
+/// pipeline's [`PrepareMetrics`]. [`PrepareOptions::default`] means auto
+/// worker count, no disk store and no trace capture.
+///
+/// The result is bit-identical to the serial, uncached flow
+/// ([`prepare_soc_uncached`]) for every worker count and cache state:
+/// repeated instances share one preparation (the flow is deterministic, so
+/// sharing is observationally invisible), parallel workers merge in
+/// instance order, and a disk hit decodes to exactly the value that was
+/// encoded (the codec is a bijection).
+///
+/// The returned [`PrepareMetrics`] is a view over a fresh [`Recorder`]
+/// that observed the run ([`PrepareMetrics::from_recorder`]); when
+/// [`PrepareOptions::recorder`] is set, the recorder itself — the `prepare`
+/// root span, per-core stage spans, cache counters — is folded into the
+/// shared handle afterwards.
 ///
 /// # Errors
 ///
 /// Returns the [`PrepareError`] for the first instance (in declaration
 /// order) whose elaboration fails — the same instance the serial flow
 /// would report.
-pub fn prepare_soc(
-    soc: &Soc,
-    costs: &DftCosts,
-    tpg: &TpgConfig,
-) -> Result<PreparedSoc, PrepareError> {
-    prepare_soc_with(soc, costs, tpg, &PrepareOptions::default()).map(|(p, _)| p)
-}
-
-/// [`prepare_soc`] with explicit [`PrepareOptions`], also returning the
-/// pipeline's [`PrepareMetrics`].
-///
-/// The result is bit-identical to the serial, uncached flow for every
-/// worker count and cache state: repeated instances share one preparation
-/// (the flow is deterministic, so sharing is observationally invisible),
-/// parallel workers merge in instance order, and a disk hit decodes to
-/// exactly the value that was encoded (the codec is a bijection).
-///
-/// The returned [`PrepareMetrics`] is a view over a fresh [`Recorder`]
-/// that observed the run ([`PrepareMetrics::from_recorder`]); when
-/// [`PrepareOptions::recorder`] is set, the recorder itself — spans and
-/// all — is folded into the shared handle afterwards.
 pub fn prepare_soc_with(
     soc: &Soc,
     costs: &DftCosts,
@@ -554,37 +544,17 @@ pub fn prepare_soc_with(
     opts: &PrepareOptions,
 ) -> Result<(PreparedSoc, PrepareMetrics), PrepareError> {
     let mut rec = Recorder::new();
-    let result = prepare_soc_recorded(soc, costs, tpg, opts, &mut rec);
-    let metrics = PrepareMetrics::from_recorder(&rec);
-    if let Some(shared) = &opts.recorder {
-        shared.lock().merge_child(rec);
-    }
-    result.map(|prepared| (prepared, metrics))
-}
-
-/// [`prepare_soc_with`] recording into a caller-owned [`Recorder`]: the
-/// run's full event stream — the `prepare` root span, per-core stage
-/// spans, cache counters — lands in `rec`, ready for
-/// [`Recorder::to_json`] / [`Recorder::to_folded`] or a
-/// [`PrepareMetrics::from_recorder`] view.
-///
-/// # Errors
-///
-/// Same contract as [`prepare_soc_with`].
-pub fn prepare_soc_recorded(
-    soc: &Soc,
-    costs: &DftCosts,
-    tpg: &TpgConfig,
-    opts: &PrepareOptions,
-    rec: &mut Recorder,
-) -> Result<PreparedSoc, PrepareError> {
     let span = rec.begin(names::PREPARE);
     let result = {
         let _sink = rec.install();
         prepare_soc_inner(soc, costs, tpg, opts)
     };
     rec.end(span);
-    result
+    let metrics = PrepareMetrics::from_recorder(&rec);
+    if let Some(shared) = &opts.recorder {
+        shared.lock().merge_child(rec);
+    }
+    result.map(|prepared| (prepared, metrics))
 }
 
 /// The pipeline body. Runs with the caller's recorder installed as the
@@ -775,7 +745,13 @@ mod tests {
     #[test]
     fn prepared_system2_has_all_logic_cores() {
         let soc = socet_socs::system2();
-        let prepared = prepare_soc(&soc, &DftCosts::default(), &light_tpg()).unwrap();
+        let (prepared, _) = prepare_soc_with(
+            &soc,
+            &DftCosts::default(),
+            &light_tpg(),
+            &PrepareOptions::default(),
+        )
+        .unwrap();
         assert_eq!(prepared.data.iter().flatten().count(), 3);
         assert!(prepared.aggregate_coverage().total > 0);
         let lib = CellLibrary::generic_08um();
@@ -832,7 +808,13 @@ mod tests {
     #[test]
     fn aggregate_coverage_counts_each_physical_instance() {
         let soc = twin_soc();
-        let prepared = prepare_soc(&soc, &DftCosts::default(), &light_tpg()).unwrap();
+        let (prepared, _) = prepare_soc_with(
+            &soc,
+            &DftCosts::default(),
+            &light_tpg(),
+            &PrepareOptions::default(),
+        )
+        .unwrap();
         let single = prepared.tests[0].as_ref().unwrap().coverage;
         let agg = prepared.aggregate_coverage();
         // Two physical copies of the core: double the population, double

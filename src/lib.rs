@@ -26,7 +26,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use socet::flow::prepare_soc;
+//! use socet::flow::{prepare_soc_with, PrepareOptions};
 //! use socet::core::{Explorer, Objective};
 //! use socet::cells::DftCosts;
 //!
@@ -34,7 +34,7 @@
 //! let soc = socet::socs::barcode_system();
 //! let costs = DftCosts::default();
 //! let tpg = socet::atpg::TpgConfig { random_patterns: 16, max_backtracks: 64, ..Default::default() };
-//! let prepared = prepare_soc(&soc, &costs, &tpg)?;
+//! let (prepared, _) = prepare_soc_with(&soc, &costs, &tpg, &PrepareOptions::default())?;
 //! let explorer = Explorer::new(&soc, &prepared.data, costs);
 //! let plan = explorer.optimize(Objective::MinTatUnderArea { max_overhead_cells: 10_000 });
 //! assert!(plan.test_application_time() > 0);

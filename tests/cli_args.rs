@@ -67,6 +67,9 @@ fn malformed_flag_values_are_rejected() {
     assert_usage_rejection(&["verify", "synthetic", "--seed", "xyz"]);
     assert_usage_rejection(&["verify", "system1", "--cases", "xyz"]);
     assert_usage_rejection(&["verify", "system1", "--seed", "-1"]);
+    // Zero cases would check nothing and still report a pass.
+    assert_usage_rejection(&["verify", "synthetic", "--cases", "0"]);
+    assert_usage_rejection(&["verify", "system2", "--cases", "0"]);
     // A trailing value flag must not vanish.
     assert_usage_rejection(&["report", "system1", "--trace"]);
     assert_usage_rejection(&["sweep", "system1", "--stats", "--stats"]);

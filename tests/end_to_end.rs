@@ -7,22 +7,26 @@ use socet::atpg::TpgConfig;
 use socet::baselines::{flatten_soc, orig_coverage, FscanBscanReport, TestBusReport};
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{Explorer, Objective};
-use socet::flow::prepare_soc;
+use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, system2};
 
-fn light_tpg() -> TpgConfig {
-    TpgConfig {
+/// Prepares `soc` at default DFT costs with a light ATPG budget.
+fn prepare(soc: &Soc) -> PreparedSoc {
+    let tpg = TpgConfig {
         random_patterns: 32,
         max_backtracks: 64,
         ..TpgConfig::default()
-    }
+    };
+    prepare_soc_with(soc, &DftCosts::default(), &tpg, &PrepareOptions::default())
+        .expect("elaboration succeeds")
+        .0
 }
 
 fn check_system(soc: &Soc) {
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
-    let prepared = prepare_soc(soc, &costs, &light_tpg()).expect("elaboration succeeds");
+    let prepared = prepare(soc);
 
     // Core-level quality: every core reaches high test efficiency.
     let agg = prepared.aggregate_coverage();
@@ -114,7 +118,7 @@ fn objective_one_and_two_bracket_the_extremes() {
     let soc = system2();
     let costs = DftCosts::default();
     let lib = CellLibrary::generic_08um();
-    let prepared = prepare_soc(&soc, &costs, &light_tpg()).expect("elaboration succeeds");
+    let prepared = prepare(&soc);
     let explorer = Explorer::new(&soc, &prepared.data, costs);
     let min_area = explorer.evaluate(&explorer.min_area_choice());
 
@@ -144,7 +148,7 @@ fn objective_one_and_two_bracket_the_extremes() {
 fn design_points_are_reproducible() {
     let soc = barcode_system();
     let costs = DftCosts::default();
-    let prepared = prepare_soc(&soc, &costs, &light_tpg()).expect("elaboration succeeds");
+    let prepared = prepare(&soc);
     let explorer = Explorer::new(&soc, &prepared.data, costs);
     let a = explorer.evaluate(&explorer.min_area_choice());
     let b = explorer.evaluate(&explorer.min_area_choice());
@@ -160,7 +164,7 @@ fn preprocessor_address_needs_the_fig9_system_mux() {
     // observing it by existing paths through the cores."
     let soc = barcode_system();
     let costs = DftCosts::default();
-    let prepared = prepare_soc(&soc, &costs, &light_tpg()).expect("elaboration succeeds");
+    let prepared = prepare(&soc);
     let explorer = Explorer::new(&soc, &prepared.data, costs);
     let plan = explorer.evaluate(&explorer.min_area_choice());
     let prep = soc.find_core("PREPROCESSOR").expect("core exists");

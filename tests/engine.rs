@@ -6,29 +6,8 @@
 use proptest::prelude::*;
 use socet::cells::DftCosts;
 use socet::core::{schedule, try_schedule, Ccg, CoreTestData, Explorer, ScheduleError, Scheduler};
-use socet::hscan::insert_hscan;
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, generate_soc, SyntheticConfig};
-use socet::transparency::synthesize_versions;
-
-fn prepare(soc: &Soc) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 20,
-            })
-        })
-        .collect()
-}
 
 fn ladder_len(data: &[Option<CoreTestData>], idx: usize) -> usize {
     data[idx].as_ref().map(|d| d.versions.len()).unwrap_or(1)
@@ -69,7 +48,7 @@ proptest! {
             pipeline_depth: 3,
             seed,
         });
-        let data = prepare(&soc);
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
         let logic = soc.logic_cores();
         let mut choice = vec![0usize; soc.cores().len()];
         let mut patched = Ccg::try_build(&soc, &data, &choice).expect("valid start");
@@ -92,7 +71,7 @@ proptest! {
         walk in prop::collection::vec((0usize..100, 0usize..3), 1..8),
     ) {
         let soc = barcode_system();
-        let data = prepare(&soc);
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
         let costs = DftCosts::default();
         let logic = soc.logic_cores();
         let mut engine = Scheduler::new(&soc, &data, &costs);
@@ -110,7 +89,7 @@ proptest! {
 #[test]
 fn try_evaluate_reports_missing_core_data() {
     let soc = barcode_system();
-    let mut data = prepare(&soc);
+    let mut data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
     let victim = soc.logic_cores()[1];
     data[victim.index()] = None;
     let ex = Explorer::new(&soc, &data, DftCosts::default());
@@ -123,7 +102,7 @@ fn try_evaluate_reports_missing_core_data() {
 #[test]
 fn try_evaluate_reports_out_of_range_choice() {
     let soc = barcode_system();
-    let data = prepare(&soc);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
     let ex = Explorer::new(&soc, &data, DftCosts::default());
     let mut choice = vec![0; soc.cores().len()];
     let victim = soc.logic_cores()[0];
@@ -145,7 +124,7 @@ fn try_evaluate_reports_out_of_range_choice() {
 #[test]
 fn try_schedule_reports_short_choice_vector() {
     let soc = barcode_system();
-    let data = prepare(&soc);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
     assert!(matches!(
         try_schedule(&soc, &data, &[0], &DftCosts::default()),
         Err(ScheduleError::ChoiceLengthMismatch { .. })
@@ -155,7 +134,7 @@ fn try_schedule_reports_short_choice_vector() {
 #[test]
 fn engine_recovers_after_failed_patch() {
     let soc = barcode_system();
-    let data = prepare(&soc);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
     let costs = DftCosts::default();
     let mut engine = Scheduler::new(&soc, &data, &costs);
     let good = vec![0; soc.cores().len()];
@@ -171,7 +150,7 @@ fn engine_recovers_after_failed_patch() {
 #[test]
 fn explorer_metrics_count_sweep_work() {
     let soc = barcode_system();
-    let data = prepare(&soc);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
     let ex = Explorer::new(&soc, &data, DftCosts::default());
     let points = ex.sweep();
     let m = ex.metrics();

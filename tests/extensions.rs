@@ -9,33 +9,13 @@ use socet::core::{
 };
 use socet::hscan::insert_hscan;
 use socet::rtl::export::{dump_core, dump_soc};
-use socet::rtl::Soc;
 use socet::socs::{barcode_system, generate_soc, SyntheticConfig};
-use socet::transparency::{synthesize_versions, Rcg};
-
-fn prepare(soc: &Soc, vectors: usize) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: vectors,
-            })
-        })
-        .collect()
-}
+use socet::transparency::Rcg;
 
 #[test]
 fn pareto_front_of_system1_is_consistent_with_objectives() {
     let soc = barcode_system();
-    let data = prepare(&soc, 50);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 50).unwrap();
     let explorer = Explorer::new(&soc, &data, DftCosts::default());
     let points = explorer.sweep();
     let front = pareto_front(&points);
@@ -55,7 +35,7 @@ fn pareto_front_of_system1_is_consistent_with_objectives() {
 #[test]
 fn parallel_packing_of_system1_respects_serialization() {
     let soc = barcode_system();
-    let data = prepare(&soc, 50);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 50).unwrap();
     let plan = schedule(
         &soc,
         &data,
@@ -72,7 +52,7 @@ fn parallel_packing_of_system1_respects_serialization() {
 #[test]
 fn report_and_dumps_cover_the_whole_system() {
     let soc = barcode_system();
-    let data = prepare(&soc, 50);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 50).unwrap();
     let plan = schedule(
         &soc,
         &data,
@@ -95,7 +75,7 @@ fn report_and_dumps_cover_the_whole_system() {
 #[test]
 fn dot_exports_are_well_formed() {
     let soc = barcode_system();
-    let data = prepare(&soc, 50);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 50).unwrap();
     let costs = DftCosts::default();
     let ccg = Ccg::build(&soc, &data, &vec![0; soc.cores().len()]);
     let dot = ccg.to_dot(&soc);
@@ -141,7 +121,7 @@ fn synthetic_socs_schedule_cleanly_at_scale() {
         pipeline_depth: 3,
         seed: 5,
     });
-    let data = prepare(&soc, 20);
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 20).unwrap();
     let costs = DftCosts::default();
     let plan = schedule(&soc, &data, &vec![0; soc.cores().len()], &costs);
     assert_eq!(plan.episodes.len(), 12);

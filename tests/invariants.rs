@@ -9,29 +9,7 @@ use socet::core::{
     CoreTestData, Explorer,
 };
 use socet::gate::elaborate;
-use socet::hscan::insert_hscan;
-use socet::rtl::Soc;
 use socet::socs::{generate_soc, SyntheticConfig};
-use socet::transparency::synthesize_versions;
-
-fn prepare(soc: &Soc, vectors: usize) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: vectors,
-            })
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -52,7 +30,7 @@ proptest! {
             pipeline_depth: depth,
             seed,
         });
-        let data = prepare(&soc, vectors);
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), vectors).unwrap();
         let costs = DftCosts::default();
         let choice = vec![0usize; soc.cores().len()];
         let with = schedule_with(&soc, &data, &choice, &costs, true);
@@ -79,7 +57,8 @@ proptest! {
             pipeline_depth: 2,
             seed,
         });
-        let data = prepare(&soc, 2); // tiny TAT: simulation stays fast
+        // Tiny TAT: simulation stays fast.
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 2).unwrap();
         let costs = DftCosts::default();
         let plan = schedule(&soc, &data, &vec![0; soc.cores().len()], &costs);
         let ctrl = build_controller(&soc, &plan).expect("controller builds");
@@ -107,7 +86,7 @@ proptest! {
             pipeline_depth: 3,
             seed,
         });
-        let data = prepare(&soc, 5);
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 5).unwrap();
         let plan = schedule(&soc, &data, &vec![0; soc.cores().len()], &DftCosts::default());
         let report = interconnect_report(&soc, &plan);
         prop_assert_eq!(
@@ -156,7 +135,7 @@ proptest! {
             pipeline_depth: 4,
             seed,
         });
-        let data = prepare(&soc, 10);
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         let costs = DftCosts::default();
         let base = vec![0usize; soc.cores().len()];
         let plan0 = schedule(&soc, &data, &base, &costs);

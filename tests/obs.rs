@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use socet::atpg::TpgConfig;
 use socet::cells::DftCosts;
-use socet::flow::{prepare_soc_recorded, prepare_soc_with, PrepareOptions, PreparedSoc};
-use socet::obs::{names, Counter, Recorder, SpanRec};
+use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
+use socet::obs::{names, Counter, SharedRecorder, SpanRec};
 use socet::rtl::{Soc, SocBuilder};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -56,11 +56,13 @@ fn path(spans: &[SpanRec], i: usize) -> Vec<&'static str> {
 #[test]
 fn trace_shape_matches_the_pipeline_structure() {
     let soc = twin_soc();
+    let shared = SharedRecorder::new();
     let opts = PrepareOptions::new()
         .workers(1)
-        .cache_dir(fresh_cache_dir("trace-shape"));
-    let mut rec = Recorder::new();
-    prepare_soc_recorded(&soc, &DftCosts::default(), &light_tpg(), &opts, &mut rec).unwrap();
+        .cache_dir(fresh_cache_dir("trace-shape"))
+        .recorder(shared.clone());
+    prepare_soc_with(&soc, &DftCosts::default(), &light_tpg(), &opts).unwrap();
+    let rec = shared.take();
 
     let spans = rec.spans();
     assert_eq!(spans[0].name, names::PREPARE, "root span opens first");
@@ -121,15 +123,10 @@ fn trace_shape_matches_the_pipeline_structure() {
 #[test]
 fn exporters_emit_wellformed_output() {
     let soc = twin_soc();
-    let mut rec = Recorder::new();
-    prepare_soc_recorded(
-        &soc,
-        &DftCosts::default(),
-        &light_tpg(),
-        &PrepareOptions::new().workers(1),
-        &mut rec,
-    )
-    .unwrap();
+    let shared = SharedRecorder::new();
+    let opts = PrepareOptions::new().workers(1).recorder(shared.clone());
+    prepare_soc_with(&soc, &DftCosts::default(), &light_tpg(), &opts).unwrap();
+    let rec = shared.take();
 
     let json = rec.to_json();
     assert!(json_parses(&json), "trace must be valid JSON:\n{json}");
@@ -283,7 +280,7 @@ proptest! {
         let tpg = TpgConfig { seed, ..light_tpg() };
         let plain = PrepareOptions::new().workers(workers);
         let (unrecorded, _) = prepare_soc_with(&soc, &costs, &tpg, &plain).unwrap();
-        let shared = socet::obs::SharedRecorder::new();
+        let shared = SharedRecorder::new();
         let traced = PrepareOptions::new().workers(workers).recorder(shared.clone());
         let (recorded, _) = prepare_soc_with(&soc, &costs, &tpg, &traced).unwrap();
         prop_assert_eq!(all_bytes(&recorded, &soc), all_bytes(&unrecorded, &soc));

@@ -13,37 +13,14 @@
 use socet::baselines::FscanBscanReport;
 use socet::cells::DftCosts;
 use socet::core::{schedule, CoreTestData};
-use socet::hscan::insert_hscan;
-use socet::rtl::Soc;
 use socet::socs::barcode_system;
-use socet::transparency::synthesize_versions;
-
-/// Builds System 1's planning inputs with the paper's 105 combinational
-/// vectors for every core (the worked example's premise).
-fn paper_inputs(soc: &Soc) -> Vec<Option<CoreTestData>> {
-    let costs = DftCosts::default();
-    soc.cores()
-        .iter()
-        .map(|inst| {
-            if inst.is_memory() {
-                return None;
-            }
-            let hscan = insert_hscan(inst.core(), &costs);
-            let versions = synthesize_versions(inst.core(), &hscan, &costs);
-            Some(CoreTestData {
-                versions,
-                hscan,
-                scan_vectors: 105,
-            })
-        })
-        .collect()
-}
 
 /// The DISPLAY test time under a given CPU version (PREPROCESSOR fixed at
 /// Version 2, its "one cycle NUM -> DB" premise).
 fn display_test_time(cpu_version: usize) -> u64 {
     let soc = barcode_system();
-    let data = paper_inputs(&soc);
+    // The worked example's premise: 105 combinational vectors per core.
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 105).unwrap();
     let prep = soc.find_core("PREPROCESSOR").expect("core exists");
     let cpu = soc.find_core("CPU").expect("core exists");
     let disp = soc.find_core("DISPLAY").expect("core exists");
@@ -105,7 +82,8 @@ fn socet_beats_fscan_bscan_on_the_display_in_every_version() {
 fn per_vector_cycles_match_the_papers_arithmetic() {
     // J = 9: one PREPROCESSOR cycle plus the CPU's serialized 6 + 2.
     let soc = barcode_system();
-    let data = paper_inputs(&soc);
+    // The worked example's premise: 105 combinational vectors per core.
+    let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 105).unwrap();
     let prep = soc.find_core("PREPROCESSOR").expect("core exists");
     let disp = soc.find_core("DISPLAY").expect("core exists");
     let mut choice = vec![0usize; soc.cores().len()];
