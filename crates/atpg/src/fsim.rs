@@ -22,8 +22,8 @@
 
 use crate::fault::Fault;
 use crate::metrics::AtpgMetrics;
-use socet_gate::kernel::{eval, sweep};
-use socet_gate::{GateKind, GateNetlist, PackedSim, SignalId};
+use socet_gate::kernel::{eval, sweep, Events};
+use socet_gate::{GateNetlist, PackedSim, SignalId};
 use socet_obs::names;
 
 /// Minimum live faults in a block before the engine fans out over threads;
@@ -464,44 +464,22 @@ fn fault_mask(
     diff
 }
 
-/// Builds every signal's fanout cone: a BFS over the fanout lists that
-/// stops at flip-flop boundaries (their D inputs are the observable
-/// points; their Q outputs belong to the *next* scan frame), sorted into
-/// topological order so one forward pass re-evaluates the cone.
+/// Builds every signal's fanout cone ([`Events::cone`]): the walk stops at
+/// flip-flops, whose D inputs are observable points and whose Qs belong to
+/// the *next* scan frame, and it comes out in topological order so one
+/// forward pass re-evaluates the cone.
 fn build_cones(nl: &GateNetlist) -> Vec<Cone> {
     let n = nl.gates().len();
-    let fanouts = nl.fanouts();
-    let topo_pos = nl.topo_positions();
+    let mut events = Events::new(nl);
     let mut observable = vec![false; n];
     for s in nl.comb_outputs() {
         observable[s.index()] = true;
     }
     let mut cones = Vec::with_capacity(n);
-    let mut seen = vec![u32::MAX; n];
     for site in 0..n {
         let site_id = SignalId::from_index(site);
-        let marker = site as u32;
         let mut gates: Vec<SignalId> = Vec::new();
-        let mut frontier: Vec<SignalId> = Vec::new();
-        seen[site] = marker;
-        frontier.push(site_id);
-        while let Some(s) = frontier.pop() {
-            for &next in &fanouts[s.index()] {
-                if seen[next.index()] == marker {
-                    continue;
-                }
-                // Dff consumers observe the fault at their D input (already
-                // an observable point); their Q is a pseudo-input of the
-                // next frame and never changes within one evaluation.
-                if nl.gate(next).kind == GateKind::Dff {
-                    continue;
-                }
-                seen[next.index()] = marker;
-                gates.push(next);
-                frontier.push(next);
-            }
-        }
-        gates.sort_unstable_by_key(|s| topo_pos[s.index()]);
+        events.cone(nl, site_id, &mut gates);
         let mut obs: Vec<SignalId> = Vec::new();
         if observable[site] {
             obs.push(site_id);

@@ -12,9 +12,11 @@
 //!   [`GateNetlist`](socet_gate::GateNetlist), with buffer/constant
 //!   collapsing;
 //! * [`Podem`] — the classic PODEM algorithm on the full-scan
-//!   (combinational) view, three-valued implication of the good and faulty
-//!   machines as two lanes of one kernel sweep, D-frontier objectives,
-//!   X-path pruning and a backtrack bound;
+//!   (combinational) view: three-valued implication of the good and faulty
+//!   machines as two lanes of one kernel plane, event-driven after each
+//!   fault's first sweep ([`socet_gate::kernel::propagate`]), D-frontier
+//!   objectives and X-path pruning over the fault's fanout cone only, and
+//!   a backtrack bound; its work shows in [`PodemCounters`];
 //! * [`FaultSim`] — pattern-parallel combinational fault simulation with
 //!   fanout-cone pruning and fault-parallel threading, instrumented by
 //!   [`AtpgMetrics`];
@@ -57,7 +59,7 @@ pub use coverage::Coverage;
 pub use fault::{fault_list, Fault};
 pub use fsim::FaultSim;
 pub use metrics::AtpgMetrics;
-pub use podem::{Podem, PodemOutcome};
+pub use podem::{Podem, PodemCounters, PodemOutcome};
 pub use seqfsim::SeqFaultSim;
 pub use tpg::{generate_tests, TestSet, TpgConfig};
 

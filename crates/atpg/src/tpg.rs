@@ -163,6 +163,7 @@ pub fn generate_tests(nl: &GateNetlist, config: &TpgConfig) -> TestSet {
             PodemOutcome::Aborted => aborted += 1,
         }
     }
+    podem.counters().publish();
     drop(phase);
 
     let coverage = Coverage {

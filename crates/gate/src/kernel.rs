@@ -13,7 +13,10 @@
 //!
 //! [`eval`] computes one gate from operands fetched through a caller's
 //! reader, so a sparse overlay can supply them; [`sweep`] evaluates a whole
-//! netlist in levelized order with a per-signal stuck-at injection hook.
+//! netlist in levelized order with a per-signal stuck-at injection hook;
+//! [`propagate`] is its event-driven counterpart, re-evaluating after a
+//! source change only the gates whose operands changed, through the same
+//! `eval` and the same hook ([`Events`] holds the fanout lists it walks).
 
 use crate::netlist::{GateKind, GateNetlist, SignalId};
 use crate::sim::Tri;
@@ -265,6 +268,150 @@ pub fn sweep<V: Logic>(
     }
 }
 
+/// The combinational fanout of a netlist in the form event-driven
+/// evaluation reads it, plus the pending-gate scratch of [`propagate`].
+///
+/// Built once per netlist; every later query is proportional to the part
+/// of the netlist it touches. Gates are named by their position in
+/// [`GateNetlist::topo_order`], so one forward scan of a bitset over those
+/// positions visits pending gates in evaluation order.
+#[derive(Debug, Clone)]
+pub struct Events {
+    /// `consumers[start[i]..start[i + 1]]`: topological positions of the
+    /// combinational gates reading signal `i` (flip-flops excluded: their
+    /// Q is a source).
+    start: Vec<u32>,
+    consumers: Vec<u32>,
+    /// Pending gates, one bit per topological position.
+    pending: Vec<u64>,
+    /// The words of `pending` that may hold a set bit: `lo..end`.
+    lo: usize,
+    end: usize,
+}
+
+impl Events {
+    /// Builds the fanout lists of `nl`.
+    pub fn new(nl: &GateNetlist) -> Self {
+        let pos = nl.topo_positions();
+        let mut start = vec![0u32; nl.gates().len() + 1];
+        for &s in nl.topo_order() {
+            for op in nl.gate(s).operands() {
+                start[op.index() + 1] += 1;
+            }
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut fill = start.clone();
+        let mut consumers = vec![0u32; start[start.len() - 1] as usize];
+        for &s in nl.topo_order() {
+            for op in nl.gate(s).operands() {
+                consumers[fill[op.index()] as usize] = pos[s.index()];
+                fill[op.index()] += 1;
+            }
+        }
+        Events {
+            start,
+            consumers,
+            pending: vec![0; nl.topo_order().len().div_ceil(64)],
+            lo: usize::MAX,
+            end: 0,
+        }
+    }
+
+    /// Marks every combinational consumer of `s` pending.
+    #[inline]
+    fn schedule(&mut self, s: SignalId) {
+        let range = self.start[s.index()] as usize..self.start[s.index() + 1] as usize;
+        for &k in &self.consumers[range] {
+            let w = k as usize / 64;
+            self.pending[w] |= 1 << (k % 64);
+            self.lo = self.lo.min(w);
+            self.end = self.end.max(w + 1);
+        }
+    }
+
+    /// Visits the pending gates in topological order, clearing each bit as
+    /// it goes. `step(gate)` returns whether the gate's value changed; if
+    /// so, its consumers (all later in the order) become pending too.
+    #[inline]
+    fn drain(&mut self, nl: &GateNetlist, mut step: impl FnMut(SignalId) -> bool) {
+        let topo = nl.topo_order();
+        let mut w = self.lo;
+        while w < self.end {
+            let word = self.pending[w];
+            if word == 0 {
+                w += 1;
+                continue;
+            }
+            self.pending[w] = word & (word - 1);
+            let s = topo[w * 64 + word.trailing_zeros() as usize];
+            if step(s) {
+                self.schedule(s);
+            }
+        }
+        self.lo = usize::MAX;
+        self.end = 0;
+    }
+
+    /// Writes the strict transitive fanout of `s` into `cone`, in
+    /// topological order: the combinational gates a change at `s` can
+    /// reach. The walk stops at flip-flops, whose Q is a source.
+    pub fn cone(&mut self, nl: &GateNetlist, s: SignalId, cone: &mut Vec<SignalId>) {
+        cone.clear();
+        self.schedule(s);
+        self.drain(nl, |g| {
+            cone.push(g);
+            true
+        });
+    }
+}
+
+/// Brings `v`, the result of a [`sweep`] (or of earlier calls), up to date
+/// after the sources in `changed` take new values; returns the number of
+/// gates evaluated.
+///
+/// Each `(source, value)` pair is an input or flip-flop Q and its new
+/// value, which passes through `inject` like the sweep's. Only gates an
+/// operand of which changed are re-evaluated, in topological order, and a
+/// gate whose value stays the same stops the wave there. For the same
+/// sources and hook, `v` ends equal to what a fresh [`sweep`] computes.
+///
+/// # Panics
+///
+/// Panics in debug builds if a changed signal is not an input or a
+/// flip-flop.
+#[inline]
+pub fn propagate<V: Logic + PartialEq>(
+    nl: &GateNetlist,
+    events: &mut Events,
+    changed: impl IntoIterator<Item = (SignalId, V)>,
+    v: &mut [V],
+    mut inject: impl FnMut(SignalId, V) -> V,
+) -> usize {
+    for (s, val) in changed {
+        debug_assert!(
+            matches!(nl.gate(s).kind, GateKind::Input | GateKind::Dff),
+            "only sources change from outside"
+        );
+        let val = inject(s, val);
+        if v[s.index()] != val {
+            v[s.index()] = val;
+            events.schedule(s);
+        }
+    }
+    let mut evals = 0;
+    events.drain(nl, |s| {
+        evals += 1;
+        let g = nl.gate(s);
+        let val = inject(s, eval(g.kind, g.operands(), |o| v[o.index()]));
+        let changed = v[s.index()] != val;
+        v[s.index()] = val;
+        changed
+    });
+    evals
+}
+
 /// The [`sweep`] injection hook for at most one stuck-at fault, forced on
 /// every lane.
 pub(crate) fn stuck_at<V: Logic>(fault: Option<(SignalId, bool)>) -> impl Fn(SignalId, V) -> V {
@@ -478,5 +625,180 @@ mod tests {
         let lanes: Vec<Tri> = (0..4).map(|i| v[y.index()].lane(i)).collect();
         assert_eq!(lanes, [Tri::Zero, Tri::One, Tri::One, Tri::Zero]);
         assert_eq!(v[a.index()].lane(1), Tri::Zero, "source forced in place");
+    }
+
+    /// A splitmix64 stream: deterministic test randomness without a
+    /// dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Random definite lanes, the rest X.
+        fn tri64(&mut self) -> Tri64 {
+            let (ones, definite) = (self.next(), self.next());
+            Tri64::X.force(ones & definite, !ones & definite)
+        }
+    }
+
+    /// A random netlist with inputs, both constants, flip-flops fed back
+    /// from later gates, and every combinational gate kind.
+    fn random_netlist(rng: &mut Rng) -> GateNetlist {
+        let mut b = GateNetlistBuilder::new("rnd");
+        let mut sig: Vec<SignalId> = (0..1 + rng.below(5))
+            .map(|i| b.input(&format!("i{i}")))
+            .collect();
+        sig.push(b.const0());
+        sig.push(b.const1());
+        let ffs: Vec<SignalId> = (0..rng.below(3)).map(|_| b.dff_deferred()).collect();
+        sig.extend(&ffs);
+        for _ in 0..2 + rng.below(30) {
+            let mut pick = || sig[rng.below(sig.len())];
+            let (x, y, z) = (pick(), pick(), pick());
+            let g = match rng.below(10) {
+                0 => b.gate1(GateKind::Not, x),
+                1 => b.gate1(GateKind::Buf, x),
+                2 => b.gate2(GateKind::And2, x, y),
+                3 => b.gate2(GateKind::Or2, x, y),
+                4 => b.gate2(GateKind::Nand2, x, y),
+                5 => b.gate2(GateKind::Nor2, x, y),
+                6 => b.gate2(GateKind::Xor2, x, y),
+                7 => b.gate2(GateKind::Xnor2, x, y),
+                _ => b.mux(x, y, z),
+            };
+            sig.push(g);
+        }
+        for q in ffs {
+            b.set_dff_input(q, sig[rng.below(sig.len())]);
+        }
+        for k in 0..1 + rng.below(3) {
+            b.output(&format!("o{k}"), sig[sig.len() - 1 - rng.below(sig.len())]);
+        }
+        b.build().unwrap()
+    }
+
+    /// After every step of a random sequence of source changes (set to
+    /// definite lanes, flip, reset to X; one or several sources at a
+    /// time), event-driven propagation leaves exactly the values a fresh
+    /// sweep computes. Lanes 1–7 each carry a stuck-at on a random signal,
+    /// so the sites cover inputs, flip-flop Qs, constants and gates.
+    #[test]
+    fn propagate_matches_a_fresh_sweep() {
+        let mut rng = Rng(7);
+        for _ in 0..300 {
+            let nl = random_netlist(&mut rng);
+            let n = nl.gates().len();
+            let faults: Vec<(SignalId, u64, u64)> = (1..8)
+                .map(|lane| {
+                    let bit = 1u64 << lane;
+                    let (s1, s0) = if rng.below(2) == 0 {
+                        (bit, 0)
+                    } else {
+                        (0, bit)
+                    };
+                    (SignalId::from_index(rng.below(n)), s1, s0)
+                })
+                .collect();
+            let inject = |s: SignalId, v: Tri64| {
+                faults.iter().fold(
+                    v,
+                    |v, &(site, s1, s0)| if site == s { v.force(s1, s0) } else { v },
+                )
+            };
+            let srcs = nl.comb_inputs();
+            let n_pi = nl.inputs().len();
+            let mut vals = vec![Tri64::X; srcs.len()];
+            let mut v = Vec::new();
+            sweep(&nl, &vals[..n_pi], &vals[n_pi..], &mut v, inject);
+            let mut events = Events::new(&nl);
+            for _ in 0..20 {
+                let mut changed = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    let i = rng.below(srcs.len());
+                    vals[i] = match rng.below(3) {
+                        0 => rng.tri64(),
+                        1 => !vals[i],
+                        _ => Tri64::X,
+                    };
+                    changed.push((srcs[i], vals[i]));
+                }
+                let evals = propagate(&nl, &mut events, changed, &mut v, inject);
+                assert!(evals <= nl.topo_order().len());
+                let mut fresh = Vec::new();
+                sweep(&nl, &vals[..n_pi], &vals[n_pi..], &mut fresh, inject);
+                assert_eq!(v, fresh, "{nl}");
+            }
+        }
+    }
+
+    /// `Events::cone` is the fanout closure a plain graph search finds,
+    /// stopping at flip-flops, in topological order.
+    #[test]
+    fn cone_is_the_sorted_transitive_fanout() {
+        let mut rng = Rng(11);
+        let mut cone = Vec::new();
+        for _ in 0..100 {
+            let nl = random_netlist(&mut rng);
+            let fanouts = nl.fanouts();
+            let pos = nl.topo_positions();
+            let mut events = Events::new(&nl);
+            for site in 0..nl.gates().len() {
+                let mut seen = vec![false; nl.gates().len()];
+                let mut stack = vec![site];
+                let mut want = Vec::new();
+                while let Some(i) = stack.pop() {
+                    for &f in &fanouts[i] {
+                        if !seen[f.index()] && nl.gate(f).kind != GateKind::Dff {
+                            seen[f.index()] = true;
+                            want.push(f);
+                            stack.push(f.index());
+                        }
+                    }
+                }
+                want.sort_by_key(|s| pos[s.index()]);
+                events.cone(&nl, SignalId::from_index(site), &mut cone);
+                assert_eq!(cone, want, "site {site} of {nl}");
+            }
+        }
+    }
+
+    /// A change stops where a gate's value does not move: behind an AND
+    /// held at 0, nothing downstream is evaluated again.
+    #[test]
+    fn propagation_stops_where_values_settle() {
+        let mut b = GateNetlistBuilder::new("stop");
+        let a = b.input("a");
+        let c = b.input("c");
+        let g = b.gate2(GateKind::And2, a, c);
+        let n1 = b.gate1(GateKind::Not, g);
+        let n2 = b.gate1(GateKind::Not, n1);
+        b.output("y", n2);
+        let nl = b.build().unwrap();
+        let mut v = Vec::new();
+        sweep(&nl, &[false, false], &[], &mut v, |_, x| x);
+        let mut events = Events::new(&nl);
+        assert_eq!(
+            propagate(&nl, &mut events, [(a, true)], &mut v, |_, x| x),
+            1
+        );
+        assert_eq!(
+            propagate(&nl, &mut events, [(c, true)], &mut v, |_, x| x),
+            3
+        );
+        assert!(v[n2.index()]);
+        assert_eq!(
+            propagate(&nl, &mut events, [(c, true)], &mut v, |_, x| x),
+            0
+        );
     }
 }

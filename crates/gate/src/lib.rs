@@ -14,9 +14,10 @@
 //! * [`kernel`] — the one gate-evaluation kernel: [`eval`](kernel::eval)
 //!   holds the only `match` over gate functions, generic over a [`Logic`]
 //!   value (`bool`, `u64` = 64 two-valued lanes, or [`Tri64`] = 64
-//!   three-valued dual-rail lanes), and [`sweep`](kernel::sweep)
+//!   three-valued dual-rail lanes), [`sweep`](kernel::sweep)
 //!   evaluates a netlist in levelized order with a per-signal stuck-at
-//!   injection hook;
+//!   injection hook, and [`propagate`](kernel::propagate) re-evaluates
+//!   only the gates downstream of changed sources;
 //! * thin typed wrappers over the kernel: [`CombSim`] (one two-valued
 //!   machine), [`PackedSim`] (64 patterns at once, with single stuck-at
 //!   injection) and [`SeqSim`] (one three-valued sequential machine for

@@ -182,6 +182,14 @@ counters! {
     FillMaskEvents => "fill_mask_events", Add;
     /// Worker threads spawned by parallel fault partitioning.
     ParallelShards => "parallel_shards", Add;
+    /// PODEM primary-input decisions (backtraced objectives).
+    PodemDecisions => "podem_decisions", Add;
+    /// PODEM decisions flipped to their other value.
+    PodemBacktracks => "podem_backtracks", Add;
+    /// PODEM implications (one per search step).
+    PodemImplications => "podem_implications", Add;
+    /// Gates PODEM's implications evaluated.
+    PodemGateEvals => "podem_gate_evals", Add;
 
     // Core-preparation pipeline (socet::flow).
     /// Core instances in the SOC (memory cores excluded).

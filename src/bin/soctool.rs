@@ -21,10 +21,11 @@
 //! `--cache-dir PATH` (on-disk artifact store) and `--workers N`
 //! (`0` = auto).
 //!
-//! `report`, `sweep` and `prepare` accept `--trace PATH` (machine-readable
-//! JSON trace of the run's spans and counters) and `--profile PATH`
-//! (collapsed-stack profile for flamegraph tooling) — both exporters of
-//! the unified observability layer ([`socet::obs`]).
+//! `report`, `sweep`, `atpg` and `prepare` accept `--trace PATH`
+//! (machine-readable JSON trace of the run's spans and counters, PODEM's
+//! decision, backtrack, implication and gate-evaluation counts included)
+//! and `--profile PATH` (collapsed-stack profile for flamegraph tooling) —
+//! both exporters of the unified observability layer ([`socet::obs`]).
 //!
 //! `verify` replays scheduled test programs on the gate-level
 //! transparency shell and checks the three oracle invariants
@@ -63,7 +64,7 @@ fn usage() -> ExitCode {
            sweep   <system> [--stats] [--trace PATH] [--profile PATH]\n\
            dot-rcg <system> <core-name>\n\
            dot-ccg <system> [choice]\n\
-           atpg    <system> [--stats]\n\
+           atpg    <system> [--stats] [--trace PATH] [--profile PATH]\n\
            prepare <system> [--stats] [--cache-dir PATH] [--workers N]\n\
                    [--trace PATH] [--profile PATH]\n\
            bist    <system>\n\
@@ -130,7 +131,7 @@ fn command_spec(cmd: &str) -> Option<(usize, &'static [&'static str])> {
         "report" => Some((3, &["--stats", "--trace", "--profile"])),
         "sweep" => Some((2, &["--stats", "--trace", "--profile"])),
         "dot-rcg" | "dot-ccg" => Some((3, &[])),
-        "atpg" => Some((2, &["--stats"])),
+        "atpg" => Some((2, &["--stats", "--trace", "--profile"])),
         "prepare" => Some((
             2,
             &[
@@ -358,7 +359,8 @@ fn main() -> ExitCode {
         }
         "atpg" => {
             let tpg = socet::atpg::TpgConfig::default();
-            let opts = socet::flow::PrepareOptions::default();
+            let shared = SharedRecorder::new();
+            let opts = socet::flow::PrepareOptions::new().recorder(shared.clone());
             let prepared = match socet::flow::prepare_soc_with(&soc, &costs, &tpg, &opts) {
                 Ok((p, _)) => p,
                 Err(e) => {
@@ -387,6 +389,9 @@ fn main() -> ExitCode {
             println!("\naggregate: {agg}");
             if stats {
                 println!("\n{}", prepared.atpg_stats());
+            }
+            if !export_trace(&shared.take(), trace.as_ref(), profile.as_ref()) {
+                return ExitCode::FAILURE;
             }
         }
         "prepare" => {

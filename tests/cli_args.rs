@@ -94,4 +94,22 @@ fn valid_invocations_still_work() {
     // Flags are accepted in any position relative to the positionals.
     let out = soctool(&["verify", "--cases", "1", "synthetic", "--seed", "3"]);
     assert!(out.status.success(), "soctool verify synthetic failed");
+    // `atpg` exports a trace that carries PODEM's counters.
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let (trace, profile) = (
+        dir.join("atpg-system2.json"),
+        dir.join("atpg-system2.folded"),
+    );
+    let out = soctool(&[
+        "atpg",
+        "system2",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--profile",
+        profile.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "soctool atpg --trace failed");
+    let json = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(json.contains("\"podem_decisions\""), "{json}");
+    assert!(!std::fs::read_to_string(&profile).unwrap().is_empty());
 }

@@ -143,6 +143,41 @@ fn exporters_emit_wellformed_output() {
     }
 }
 
+/// System 1's prepare trace carries PODEM's work counters, and event-driven
+/// implication shows in them: fewer gate evaluations than one full sweep
+/// of the largest core per implication.
+#[test]
+fn system1_trace_counts_podem_work() {
+    let soc = socet::socs::barcode_system();
+    let shared = SharedRecorder::new();
+    let opts = PrepareOptions::new().workers(1).recorder(shared.clone());
+    let (prepared, _) =
+        prepare_soc_with(&soc, &DftCosts::default(), &TpgConfig::default(), &opts).unwrap();
+    let rec = shared.take();
+    for c in [
+        Counter::PodemDecisions,
+        Counter::PodemBacktracks,
+        Counter::PodemImplications,
+        Counter::PodemGateEvals,
+    ] {
+        assert!(rec.counter(c) > 0, "{} is zero", c.name());
+    }
+    let comb_gates = prepared
+        .netlists
+        .iter()
+        .flatten()
+        .map(|nl| nl.topo_order().len() as u64)
+        .max()
+        .unwrap();
+    assert!(
+        rec.counter(Counter::PodemGateEvals) < rec.counter(Counter::PodemImplications) * comb_gates,
+        "{} gate evals for {} implications of up to {comb_gates} gates",
+        rec.counter(Counter::PodemGateEvals),
+        rec.counter(Counter::PodemImplications)
+    );
+    assert!(rec.to_json().contains("\"podem_decisions\""));
+}
+
 /// A minimal JSON recognizer — enough to catch unbalanced structure,
 /// missing commas and bad literals in the hand-rolled exporter.
 fn json_parses(s: &str) -> bool {
