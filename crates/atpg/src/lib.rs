@@ -21,7 +21,12 @@
 //!   fanout-cone pruning and fault-parallel threading, instrumented by
 //!   [`AtpgMetrics`];
 //! * [`SeqFaultSim`] — fault-parallel (64 faults per word) three-valued
-//!   sequential fault simulation, used for the "Orig." rows of Table 3;
+//!   sequential fault simulation, used for the "Orig." rows of Table 3.
+//!   It is differential: each cycle sweeps the good machine once, and each
+//!   64-fault block starts from it and propagates
+//!   ([`socet_gate::kernel::propagate`]) only from its fault sites and the
+//!   flip-flops whose state has diverged. [`SeqFaultSim::run_naive`] keeps
+//!   the full sweep per block and cycle as the oracle;
 //! * [`generate_tests`] — the ATPG driver: random-pattern phase, PODEM
 //!   top-off, fault dropping; produces a [`TestSet`] with
 //!   [`Coverage`] metrics.
@@ -51,6 +56,8 @@ pub mod fsim;
 pub mod metrics;
 pub mod podem;
 pub mod seqfsim;
+#[cfg(test)]
+mod testutil;
 pub mod tpg;
 
 pub use codec::{decode_test_set, encode_test_set};

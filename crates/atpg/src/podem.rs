@@ -475,6 +475,7 @@ fn inject(fault: Fault) -> impl Fn(SignalId, Tri64) -> Tri64 {
 mod tests {
     use super::*;
     use crate::fault::fault_list;
+    use crate::testutil::{random_netlist, Rng};
     use socet_gate::{CombSim, GateNetlistBuilder};
 
     fn c17_like() -> GateNetlist {
@@ -629,56 +630,6 @@ mod tests {
         }
     }
 
-    /// A splitmix64 stream: deterministic test randomness without a
-    /// dependency.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
-    }
-
-    /// A random netlist with at most ten combinational inputs (real inputs
-    /// plus flip-flop Qs), both constants, and every gate kind.
-    fn random_netlist(rng: &mut Rng) -> GateNetlist {
-        let mut b = GateNetlistBuilder::new("rnd");
-        let mut sig: Vec<SignalId> = (0..1 + rng.below(6))
-            .map(|i| b.input(&format!("i{i}")))
-            .collect();
-        sig.push(b.const0());
-        sig.push(b.const1());
-        let ffs: Vec<SignalId> = (0..rng.below(4)).map(|_| b.dff_deferred()).collect();
-        sig.extend(&ffs);
-        for _ in 0..2 + rng.below(25) {
-            let mut pick = || sig[rng.below(sig.len())];
-            let (x, y, z) = (pick(), pick(), pick());
-            let g = match rng.below(10) {
-                0 => b.gate1(GateKind::Not, x),
-                1 => b.gate1(GateKind::Buf, x),
-                2 => b.gate2(GateKind::And2, x, y),
-                3 => b.gate2(GateKind::Or2, x, y),
-                4 => b.gate2(GateKind::Nand2, x, y),
-                5 => b.gate2(GateKind::Nor2, x, y),
-                6 => b.gate2(GateKind::Xor2, x, y),
-                7 => b.gate2(GateKind::Xnor2, x, y),
-                _ => b.mux(x, y, z),
-            };
-            sig.push(g);
-        }
-        for q in ffs {
-            b.set_dff_input(q, sig[rng.below(sig.len())]);
-        }
-        for k in 0..1 + rng.below(3) {
-            b.output(&format!("o{k}"), sig[sig.len() - 1 - rng.below(sig.len())]);
-        }
-        b.build().unwrap()
-    }
-
     /// One fault site of each kind the netlist has: a real input, a
     /// flip-flop Q, a constant and a combinational gate.
     fn sites_of_every_kind(nl: &GateNetlist) -> Vec<SignalId> {
@@ -706,7 +657,7 @@ mod tests {
     fn incremental_implication_matches_a_fresh_sweep() {
         let mut rng = Rng(3);
         for _ in 0..200 {
-            let nl = random_netlist(&mut rng);
+            let nl = random_netlist(&mut rng, 4);
             let mut podem = Podem::new(&nl, 0);
             let n_pi = nl.inputs().len();
             for site in sites_of_every_kind(&nl) {
@@ -743,7 +694,7 @@ mod tests {
         let mut rng = Rng(5);
         let (mut tests, mut untestable) = (0, 0);
         for _ in 0..500 {
-            let nl = random_netlist(&mut rng);
+            let nl = random_netlist(&mut rng, 4);
             let psim = socet_gate::PackedSim::new(&nl);
             let n_pi = nl.inputs().len();
             let width = n_pi + nl.flip_flop_count();

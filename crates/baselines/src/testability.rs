@@ -30,20 +30,17 @@ pub fn orig_coverage(flat: &GateNetlist, cycles: usize, seed: u64) -> Coverage {
 /// Fault coverage when cores are HSCAN-testable but no chip-level DFT
 /// exists (Table 3, "HSCAN" columns).
 ///
-/// Modeled as the random sequential campaign of [`orig_coverage`] plus full
-/// per-core ATPG credit for any core whose ports are all directly at chip
-/// pins — only such cores can actually receive their precomputed scan
-/// vectors. Embedded cores gain nothing, which is precisely the paper's
-/// point ("the overall fault coverage of the chip may be quite poor even if
-/// individual cores are testable").
+/// Modeled as the random sequential campaign `orig` (the chip's
+/// [`orig_coverage`]) plus full per-core ATPG credit for any core whose
+/// ports are all directly at chip pins — only such cores can actually
+/// receive their precomputed scan vectors. Embedded cores gain nothing,
+/// which is precisely the paper's point ("the overall fault coverage of the
+/// chip may be quite poor even if individual cores are testable").
 pub fn hscan_only_coverage(
     soc: &Soc,
-    flat: &GateNetlist,
+    orig: &Coverage,
     per_core_tests: &[Option<TestSet>],
-    cycles: usize,
-    seed: u64,
 ) -> Coverage {
-    let base = orig_coverage(flat, cycles, seed);
     // Bonus: pin-accessible cores are fully testable through their scan
     // chains. Their fault populations overlap the flat chip's, so credit
     // the *additional* detected fraction conservatively: scale each
@@ -57,12 +54,12 @@ pub fn hscan_only_coverage(
             extra += tests.coverage.detected;
         }
     }
-    let detected = (base.detected + extra).min(base.total);
+    let detected = (orig.detected + extra).min(orig.total);
     Coverage {
-        total: base.total,
+        total: orig.total,
         detected,
-        untestable: base.untestable,
-        aborted: base.aborted,
+        untestable: orig.untestable,
+        aborted: orig.aborted,
     }
 }
 
@@ -198,7 +195,7 @@ mod tests {
             .collect();
         let (_, sets) = aggregate_core_coverage(&netlists, &TpgConfig::default());
         let orig = orig_coverage(&flat, 32, 7);
-        let hscan = hscan_only_coverage(&soc, &flat, &sets, 32, 7);
+        let hscan = hscan_only_coverage(&soc, &orig, &sets);
         // Neither core is fully at pins in the chain, so HSCAN-only equals
         // the random campaign here.
         assert_eq!(hscan.detected, orig.detected);
@@ -222,7 +219,7 @@ mod tests {
         let netlists = vec![Some(elaborate(&core).unwrap().netlist)];
         let (_, sets) = aggregate_core_coverage(&netlists, &TpgConfig::default());
         let orig = orig_coverage(&flat, 16, 3);
-        let hscan = hscan_only_coverage(&soc, &flat, &sets, 16, 3);
+        let hscan = hscan_only_coverage(&soc, &orig, &sets);
         assert!(hscan.detected > orig.detected);
     }
 }

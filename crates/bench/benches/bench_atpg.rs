@@ -1,16 +1,15 @@
 //! Criterion bench: elaboration, PODEM-based test generation (System 1's
-//! CPU core is the PODEM-heavy case) and fault simulation — the naive
-//! full-netlist path against the cone-pruned engine (cold = constructed
-//! per run, warm = cones and buffers reused, parallel = fault partitioning
-//! across all cores) on the largest netlist we have, the flattened barcode
-//! chip.
+//! CPU core is the PODEM-heavy case) and combinational fault simulation —
+//! the naive full-netlist path against the cone-pruned engine (cold =
+//! constructed per run, warm = cones and buffers reused, parallel = fault
+//! partitioning across all cores) on the largest netlist we have, the
+//! flattened barcode chip.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use socet_atpg::tpg::random_sequence;
-use socet_atpg::{fault_list, generate_tests, FaultSim, SeqFaultSim, TpgConfig};
+use socet_atpg::{fault_list, generate_tests, FaultSim, TpgConfig};
 use socet_baselines::flatten_soc;
 use socet_gate::elaborate;
-use socet_socs::{barcode_system, cpu_core, gcd_core, preprocessor_core};
+use socet_socs::{barcode_system, cpu_core, gcd_core};
 
 /// Deterministic random scan patterns without pulling in an RNG dependency.
 fn lcg_patterns(width: usize, count: usize, mut seed: u64) -> Vec<Vec<bool>> {
@@ -41,14 +40,6 @@ fn bench_atpg(c: &mut Criterion) {
     let cpu = elaborate(&cpu_core()).unwrap().netlist;
     group.bench_function("podem_system1_cpu", |b| {
         b.iter(|| generate_tests(&cpu, &cfg))
-    });
-
-    let prep = preprocessor_core();
-    let pnl = elaborate(&prep).unwrap().netlist;
-    let faults = fault_list(&pnl);
-    let vectors = random_sequence(pnl.inputs().len(), 32, 7);
-    group.bench_function("seq_fault_sim/preprocessor_32c", |b| {
-        b.iter(|| SeqFaultSim::new(&pnl).run(&faults, &vectors))
     });
 
     // Combinational fault simulation on the flattened barcode chip — the

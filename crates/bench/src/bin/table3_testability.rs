@@ -38,7 +38,7 @@ fn run(soc: Soc, paper: &PaperRow) {
     // "Orig.": random sequential vectors against the un-DFT'd chip.
     let orig = orig_coverage(&flat, RANDOM_CYCLES, SEED);
     // "HSCAN": cores are scan-testable but embedded ones are unreachable.
-    let hscan = hscan_only_coverage(&soc, &flat, &system.tests, RANDOM_CYCLES, SEED);
+    let hscan = hscan_only_coverage(&soc, &orig, &system.tests);
     // Full scan access: the aggregated per-core ATPG coverage.
     let full = system.aggregate_coverage();
 

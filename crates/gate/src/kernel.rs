@@ -15,8 +15,9 @@
 //! reader, so a sparse overlay can supply them; [`sweep`] evaluates a whole
 //! netlist in levelized order with a per-signal stuck-at injection hook;
 //! [`propagate`] is its event-driven counterpart, re-evaluating after a
-//! source change only the gates whose operands changed, through the same
-//! `eval` and the same hook ([`Events`] holds the fanout lists it walks).
+//! source change or a newly injected fault site only the gates whose
+//! operands changed, through the same `eval` and the same hook ([`Events`]
+//! holds the fanout lists it walks).
 
 use crate::netlist::{GateKind, GateNetlist, SignalId};
 use crate::sim::Tri;
@@ -368,19 +369,23 @@ impl Events {
 }
 
 /// Brings `v`, the result of a [`sweep`] (or of earlier calls), up to date
-/// after the sources in `changed` take new values; returns the number of
-/// gates evaluated.
+/// after the signals in `changed` are seeded; returns the number of gates
+/// evaluated.
 ///
-/// Each `(source, value)` pair is an input or flip-flop Q and its new
-/// value, which passes through `inject` like the sweep's. Only gates an
-/// operand of which changed are re-evaluated, in topological order, and a
-/// gate whose value stays the same stops the wave there. For the same
-/// sources and hook, `v` ends equal to what a fresh [`sweep`] computes.
+/// Each `(signal, value)` pair gives a signal's value before injection,
+/// which passes through `inject` like the sweep's; if the result differs
+/// from `v`, the signal's consumers are scheduled. A source (an input or a
+/// flip-flop Q) is seeded with its new value. A constant or gate is seeded
+/// with the value its operands give, to re-force it after the hook changed
+/// there: that is how a stuck-at site takes effect when no source change
+/// reaches it. (For a gate whose operands also change in the same call,
+/// their old values will do; the gate is re-evaluated anyway.) Then only
+/// gates an operand of which changed are re-evaluated, in topological
+/// order, and a gate whose value stays the same stops the wave there.
 ///
-/// # Panics
-///
-/// Panics in debug builds if a changed signal is not an input or a
-/// flip-flop.
+/// For the same sources and hook, `v` ends equal to what a fresh [`sweep`]
+/// computes, provided every signal at which the hook differs from the one
+/// `v` was computed with is seeded.
 #[inline]
 pub fn propagate<V: Logic + PartialEq>(
     nl: &GateNetlist,
@@ -390,10 +395,6 @@ pub fn propagate<V: Logic + PartialEq>(
     mut inject: impl FnMut(SignalId, V) -> V,
 ) -> usize {
     for (s, val) in changed {
-        debug_assert!(
-            matches!(nl.gate(s).kind, GateKind::Input | GateKind::Dff),
-            "only sources change from outside"
-        );
         let val = inject(s, val);
         if v[s.index()] != val {
             v[s.index()] = val;
@@ -687,11 +688,12 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// After every step of a random sequence of source changes (set to
-    /// definite lanes, flip, reset to X; one or several sources at a
-    /// time), event-driven propagation leaves exactly the values a fresh
-    /// sweep computes. Lanes 1–7 each carry a stuck-at on a random signal,
-    /// so the sites cover inputs, flip-flop Qs, constants and gates.
+    /// After every step of a random sequence of changes, event-driven
+    /// propagation leaves exactly the values a fresh sweep computes. A step
+    /// changes one or several sources (set to definite lanes, flip, reset
+    /// to X) and may switch one of the stuck-at faults of lanes 1–7 on or
+    /// off, seeding the fault's site. The sites are random signals, so they
+    /// cover inputs, flip-flop Qs, constants and gates.
     #[test]
     fn propagate_matches_a_fresh_sweep() {
         let mut rng = Rng(7);
@@ -709,17 +711,25 @@ mod tests {
                     (SignalId::from_index(rng.below(n)), s1, s0)
                 })
                 .collect();
-            let inject = |s: SignalId, v: Tri64| {
-                faults.iter().fold(
-                    v,
-                    |v, &(site, s1, s0)| if site == s { v.force(s1, s0) } else { v },
-                )
+            // The hook with the faults of the lanes in `active` switched on.
+            let inject = |active: u64| {
+                let faults = &faults;
+                move |s: SignalId, v: Tri64| {
+                    faults.iter().fold(v, |v, &(site, s1, s0)| {
+                        if site == s {
+                            v.force(s1 & active, s0 & active)
+                        } else {
+                            v
+                        }
+                    })
+                }
             };
+            let mut active = rng.next();
             let srcs = nl.comb_inputs();
             let n_pi = nl.inputs().len();
             let mut vals = vec![Tri64::X; srcs.len()];
             let mut v = Vec::new();
-            sweep(&nl, &vals[..n_pi], &vals[n_pi..], &mut v, inject);
+            sweep(&nl, &vals[..n_pi], &vals[n_pi..], &mut v, inject(active));
             let mut events = Events::new(&nl);
             for _ in 0..20 {
                 let mut changed = Vec::new();
@@ -732,10 +742,28 @@ mod tests {
                     };
                     changed.push((srcs[i], vals[i]));
                 }
-                let evals = propagate(&nl, &mut events, changed, &mut v, inject);
+                if rng.below(2) == 0 {
+                    let (site, s1, s0) = faults[rng.below(faults.len())];
+                    active ^= s1 | s0;
+                    // The site's value before injection: a source's own,
+                    // or what a constant's or gate's operands give.
+                    let g = nl.gate(site);
+                    let before = match srcs.iter().position(|&x| x == site) {
+                        Some(i) => vals[i],
+                        None => eval(g.kind, g.operands(), |o| v[o.index()]),
+                    };
+                    changed.push((site, before));
+                }
+                let evals = propagate(&nl, &mut events, changed, &mut v, inject(active));
                 assert!(evals <= nl.topo_order().len());
                 let mut fresh = Vec::new();
-                sweep(&nl, &vals[..n_pi], &vals[n_pi..], &mut fresh, inject);
+                sweep(
+                    &nl,
+                    &vals[..n_pi],
+                    &vals[n_pi..],
+                    &mut fresh,
+                    inject(active),
+                );
                 assert_eq!(v, fresh, "{nl}");
             }
         }

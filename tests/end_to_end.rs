@@ -3,11 +3,13 @@
 //! claims (SOCET's area and test-time advantages over FSCAN-BSCAN, and the
 //! area/TAT trade-off between SOCET's own extremes).
 
-use socet::atpg::TpgConfig;
+use socet::atpg::tpg::random_sequence;
+use socet::atpg::{fault_list, SeqFaultSim, TpgConfig};
 use socet::baselines::{flatten_soc, orig_coverage, FscanBscanReport, TestBusReport};
 use socet::cells::{CellLibrary, DftCosts};
 use socet::core::{Explorer, Objective};
 use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
+use socet::gate::Tri;
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, system2};
 
@@ -110,6 +112,35 @@ fn orig_coverage_matches_the_table3_counts() {
             "{}",
             soc.name()
         );
+    }
+}
+
+/// The differential sequential fault simulator gives the full-sweep
+/// oracle's whole detection map on both paper systems, at Table 3's seed
+/// and the held-out one, for any worker count; the held-out counts are
+/// pinned too.
+#[test]
+fn orig_detection_maps_match_the_full_sweep_oracle() {
+    for (soc, held_out) in [(barcode_system(), (114, 4314)), (system2(), (642, 3192))] {
+        let flat = flatten_soc(&soc).expect("flattening succeeds");
+        let faults = fault_list(&flat);
+        for seed in [0xdac1998, 1998] {
+            let vectors = random_sequence(flat.inputs().len(), 96, seed);
+            let sim = SeqFaultSim::new(&flat);
+            let want = sim.run_naive(&faults, &vectors, Tri::Zero);
+            for workers in [1, 2, 6] {
+                let got = SeqFaultSim::new(&flat).with_workers(workers).run_from(
+                    &faults,
+                    &vectors,
+                    Tri::Zero,
+                );
+                assert!(got == want, "{} seed {seed}, {workers} workers", soc.name());
+            }
+            if seed == 1998 {
+                let detected = want.iter().filter(|&&d| d).count();
+                assert_eq!((detected, faults.len()), held_out, "{}", soc.name());
+            }
+        }
     }
 }
 
