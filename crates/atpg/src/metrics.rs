@@ -6,8 +6,9 @@
 //! re-evaluated versus the full-netlist equivalent the seed's simulator
 //! would have paid, how many faults were skipped outright because their
 //! cone reaches no observable point, and how the ATPG driver's phases
-//! dropped faults. `soctool atpg --stats` and `table3_testability` fold
-//! these counters into `socet-core`'s `Metrics` for display.
+//! dropped faults. Every test-set artifact carries its core's counters;
+//! `soctool atpg --stats` and `table3_testability` print their per-instance
+//! sum (`PreparedSoc::atpg_stats`) directly.
 
 use socet_obs::{Counter, Recorder};
 use std::fmt;

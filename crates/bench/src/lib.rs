@@ -1,5 +1,4 @@
-//! Shared plumbing for the table/figure regeneration binaries and the
-//! Criterion benches.
+//! Shared plumbing for the table/figure regeneration binaries.
 //!
 //! Every evaluation artifact of the paper has a binary here (see
 //! `DESIGN.md`'s experiment index); each prints the measured values next
@@ -17,9 +16,8 @@
 
 use socet::atpg::TpgConfig;
 use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
-use socet_cells::{CellLibrary, DftCosts};
-use socet_core::CoreTestData;
-use socet_rtl::{Core, Soc};
+use socet_cells::DftCosts;
+use socet_rtl::Soc;
 
 /// Runs the core-level flow on `soc` through the content-addressed
 /// pipeline ([`prepare_soc_with`]) at the default DFT costs and ATPG
@@ -40,30 +38,4 @@ pub fn compare_row(label: &str, measured: f64, paper: f64, unit: &str) {
         f64::NAN
     };
     println!("  {label:<34} measured {measured:>10.1} {unit:<7} paper {paper:>10.1} {unit:<7} (x{ratio:.2})");
-}
-
-/// The version latency/overhead ladder of one core, as printed by the
-/// figure binaries.
-pub fn print_ladder(core: &Core, pairs: &[(&str, &str)]) {
-    let lib = CellLibrary::generic_08um();
-    let versions = CoreTestData::synthesize(core, &DftCosts::default(), 0)
-        .expect("the paper's cores synthesize")
-        .versions;
-    print!("  {:<10}", "");
-    for (i, o) in pairs {
-        print!(" {:>14}", format!("{i}->{o}"));
-    }
-    println!(" {:>10}", "ovhd");
-    for v in &versions {
-        print!("  {:<10}", v.name());
-        for (i, o) in pairs {
-            let ip = core.find_port(i).expect("port exists");
-            let op = core.find_port(o).expect("port exists");
-            match v.pair_latency(ip, op) {
-                Some(l) => print!(" {l:>14}"),
-                None => print!(" {:>14}", "-"),
-            }
-        }
-        println!(" {:>10}", v.overhead_cells(&lib));
-    }
 }

@@ -5,19 +5,18 @@
 //! the interesting efficiency questions ("how many Dijkstra relaxations per
 //! point?", "how often does routing fall back to a system mux?", "how much
 //! of the graph did incremental patching actually rebuild?") are invisible
-//! from the outside. [`Metrics`] is a plain counter struct every stage
-//! increments; the [`Scheduler`](crate::schedule::Scheduler) owns one, the
-//! [`Explorer`](crate::explore::Explorer) aggregates across evaluations,
-//! and `soctool report --stats` / `fig10_design_space` print it.
+//! from the outside. [`Metrics`] answers them for the evaluation engine:
+//! `Scheduler::metrics` and `Explorer::metrics` return it, and
+//! `soctool report --stats` / `fig10_design_space` print it.
+//! [`PrepareMetrics`] does the same for the core-preparation pipeline
+//! (`soctool prepare --stats`).
 //!
-//! Since the unified observability layer (`socet_obs`, re-exported as
-//! [`crate::obs`]), these structs are **views**: every stage records typed
+//! Both structs are **views** over the unified observability layer
+//! (`socet_obs`, re-exported as [`crate::obs`]): every stage records typed
 //! counters and spans into a [`Recorder`](socet_obs::Recorder), and
-//! [`Metrics::from_recorder`] / [`PrepareMetrics::from_recorder`] /
-//! [`AtpgMetrics::from_recorder`] derive the familiar shapes from the one
-//! event stream.
+//! [`Metrics::from_recorder`] / [`PrepareMetrics::from_recorder`] derive
+//! the familiar shapes from that one event stream.
 
-use socet_atpg::AtpgMetrics;
 use socet_obs::{names, Counter, Recorder};
 use std::fmt;
 use std::time::Duration;
@@ -149,12 +148,6 @@ pub struct Metrics {
     /// Wall time spent assembling design points (overhead accounting,
     /// sorting).
     pub assemble_time: Duration,
-    /// Counters of the ATPG engines run on behalf of this flow (all zero
-    /// when no test generation happened).
-    pub atpg: AtpgMetrics,
-    /// Counters of the core-preparation pipeline (all zero when no
-    /// preparation happened in this flow).
-    pub prepare: PrepareMetrics,
 }
 
 impl Metrics {
@@ -163,9 +156,7 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// The view of one recorder's full event stream: engine counters and
-    /// stage spans, with the embedded ATPG and preparation blocks derived
-    /// from the same recorder.
+    /// The view of one recorder's engine counters and stage spans.
     pub fn from_recorder(rec: &Recorder) -> Self {
         Metrics {
             evaluations: rec.counter(Counter::Evaluations),
@@ -179,8 +170,6 @@ impl Metrics {
             build_time: rec.span_total(names::BUILD),
             route_time: rec.span_total(names::ROUTE),
             assemble_time: rec.span_total(names::ASSEMBLE),
-            atpg: AtpgMetrics::from_recorder(rec),
-            prepare: PrepareMetrics::from_recorder(rec),
         }
     }
 }
@@ -224,14 +213,7 @@ impl fmt::Display for Metrics {
             fmt_time(self.build_time),
             fmt_time(self.route_time),
             fmt_time(self.assemble_time)
-        )?;
-        if self.atpg != AtpgMetrics::default() {
-            write!(f, "\n{}", self.atpg)?;
-        }
-        if self.prepare != PrepareMetrics::default() {
-            write!(f, "\n{}", self.prepare)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -247,7 +229,6 @@ mod tests {
         rec.record(Counter::Instances, 4);
         rec.record(Counter::UniqueCores, 2);
         rec.record(Counter::Workers, 8);
-        rec.record(Counter::BlocksSimulated, 5);
         let b = rec.begin(names::BUILD);
         rec.end(b);
         let h = rec.begin(names::HSCAN);
@@ -257,30 +238,11 @@ mod tests {
         assert_eq!(m.evaluations, 3);
         assert_eq!(m.route_attempts, 7);
         assert_eq!(m.build_time, rec.span_total(names::BUILD));
-        // The embedded blocks derive from the same event stream.
-        assert_eq!(m.atpg.blocks_simulated, 5);
-        assert_eq!(m.prepare.instances, 4);
-        assert_eq!(m.prepare.unique_cores, 2);
-        assert_eq!(m.prepare.workers, 8);
-        assert_eq!(m.prepare.hscan_time, rec.span_total(names::HSCAN));
-        assert_eq!(
-            PrepareMetrics::from_recorder(&rec),
-            m.prepare,
-            "both views read the same slots"
-        );
-    }
-
-    #[test]
-    fn atpg_block_renders_only_when_nonzero() {
-        let m = Metrics {
-            atpg: AtpgMetrics {
-                cone_gate_evals: 12,
-                ..AtpgMetrics::default()
-            },
-            ..Metrics::new()
-        };
-        assert!(!Metrics::new().to_string().contains("atpg engine stats"));
-        assert!(m.to_string().contains("atpg engine stats"));
+        let p = PrepareMetrics::from_recorder(&rec);
+        assert_eq!(p.instances, 4);
+        assert_eq!(p.unique_cores, 2);
+        assert_eq!(p.workers, 8);
+        assert_eq!(p.hscan_time, rec.span_total(names::HSCAN));
     }
 
     #[test]
@@ -310,14 +272,5 @@ mod tests {
         };
         // The CI cache-smoke step greps for "<n> disk hits" with n > 0.
         assert!(a.to_string().contains("2 disk hits"), "{a}");
-    }
-
-    #[test]
-    fn prepare_block_renders_only_when_nonzero() {
-        let mut m = Metrics::new();
-        assert!(!m.to_string().contains("prepare pipeline stats"));
-        m.prepare.instances = 3;
-        assert!(m.to_string().contains("prepare pipeline stats"));
-        assert!(m.to_string().contains("0 disk hits"));
     }
 }

@@ -1,10 +1,8 @@
 //! Zero-dependency structured observability for the SOCET flow.
 //!
-//! Instrumentation across the workspace used to live in three disconnected
-//! surfaces — `socet_core::Metrics`, `PrepareMetrics`, `AtpgMetrics`, each
-//! with its own merge and print conventions, plus bare `Instant::now()`
-//! pairs sprinkled through the flow layer. This crate replaces all of them
-//! with **one** recording substrate the old structs are derived *from*:
+//! Every SOCET crate records into **one** substrate. The `--stats` views
+//! `socet_core::Metrics` and `PrepareMetrics` are derived *from* it, and
+//! the ATPG engines publish their `AtpgMetrics` counters into it:
 //!
 //! * hierarchical **spans** — name, wall time, parent — recorded into a
 //!   bounded buffer ([`SpanRec`]); per-name totals stay exact even when the
@@ -110,8 +108,8 @@ macro_rules! counters {
         ///
         /// One enum for the whole workspace keeps the recorder
         /// allocation-free (a fixed array) and the exporters exhaustive;
-        /// the legacy metrics structs (`Metrics`, `PrepareMetrics`,
-        /// `AtpgMetrics`) are views over these slots.
+        /// `Metrics` and `PrepareMetrics` are views over these slots, and
+        /// `AtpgMetrics::publish` charges its counters into them.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[non_exhaustive]
         pub enum Counter {

@@ -102,23 +102,49 @@ fn load_system(name: &str) -> Option<Soc> {
         "system2" => Some(system2()),
         other => {
             let n: usize = other.strip_prefix("synthetic:")?.parse().ok()?;
-            Some(generate_soc(&SyntheticConfig {
-                cores: n,
-                ..SyntheticConfig::default()
-            }))
+            (n > 0).then(|| {
+                generate_soc(&SyntheticConfig {
+                    cores: n,
+                    ..SyntheticConfig::default()
+                })
+            })
         }
     }
 }
 
-fn parse_choice(soc: &Soc, arg: Option<&str>) -> Option<Vec<usize>> {
-    match arg {
-        None => Some(vec![0; soc.cores().len()]),
-        Some(s) => {
-            let parts: Result<Vec<usize>, _> = s.split(',').map(str::parse).collect();
-            let mut v = parts.ok()?;
-            v.resize(soc.cores().len(), 0);
-            Some(v)
-        }
+/// How many versions each core offers: its ladder length for a logic
+/// core, 1 for a memory core.
+fn version_limits(data: &[Option<CoreTestData>]) -> Vec<usize> {
+    data.iter()
+        .map(|d| d.as_ref().map_or(1, |d| d.versions.len().max(1)))
+        .collect()
+}
+
+/// Parses a comma-separated version choice, one index per core, padding
+/// omitted trailing cores with version 0. Surplus entries and indices a
+/// core does not offer are rejected.
+fn parse_choice(limits: &[usize], arg: Option<&str>) -> Result<Vec<usize>, String> {
+    let mut choice = match arg {
+        None => Vec::new(),
+        Some(s) => s
+            .split(',')
+            .map(|part| number("choice", part))
+            .collect::<Result<Vec<usize>, _>>()?,
+    };
+    if choice.len() > limits.len() {
+        return Err(format!(
+            "choice has {} entries for {} cores",
+            choice.len(),
+            limits.len()
+        ));
+    }
+    choice.resize(limits.len(), 0);
+    match choice.iter().zip(limits).position(|(c, limit)| c >= limit) {
+        Some(i) => Err(format!(
+            "core {i} offers {} version(s), choice {} is out of range",
+            limits[i], choice[i]
+        )),
+        None => Ok(choice),
     }
 }
 
@@ -208,10 +234,10 @@ fn parse_args(args: &[String]) -> Result<(Vec<&str>, Flags), String> {
     Ok((positionals, flags))
 }
 
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+fn number<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, String> {
     value
         .parse()
-        .map_err(|_| format!("`{flag}` takes a whole number, got `{value}`"))
+        .map_err(|_| format!("`{what}` takes a whole number, got `{value}`"))
 }
 
 fn main() -> ExitCode {
@@ -275,8 +301,12 @@ fn main() -> ExitCode {
     match cmd {
         "report" => {
             let data = planning_data();
-            let Some(choice) = parse_choice(&soc, args.get(2).copied()) else {
-                return usage();
+            let choice = match parse_choice(&version_limits(&data), args.get(2).copied()) {
+                Ok(c) => c,
+                Err(msg) => {
+                    eprintln!("{msg}");
+                    return usage();
+                }
             };
             let explorer = Explorer::new(&soc, &data, costs);
             let plan = match explorer.try_evaluate(&choice) {
@@ -351,8 +381,12 @@ fn main() -> ExitCode {
         }
         "dot-ccg" => {
             let data = planning_data();
-            let Some(choice) = parse_choice(&soc, args.get(2).copied()) else {
-                return usage();
+            let choice = match parse_choice(&version_limits(&data), args.get(2).copied()) {
+                Ok(c) => c,
+                Err(msg) => {
+                    eprintln!("{msg}");
+                    return usage();
+                }
             };
             let ccg = Ccg::build(&soc, &data, &choice);
             print!("{}", ccg.to_dot(&soc));
@@ -437,10 +471,7 @@ fn main() -> ExitCode {
         }
         "verify" => {
             let data = planning_data();
-            let limits: Vec<usize> = data
-                .iter()
-                .map(|d| d.as_ref().map_or(1, |d| d.versions.len().max(1)))
-                .collect();
+            let limits = version_limits(&data);
             let base_seed = seed.unwrap_or(0x50CE7);
             let cases = cases.unwrap_or(1);
             let mut choice = vec![0usize; limits.len()];

@@ -42,6 +42,10 @@ fn unknown_commands_are_rejected() {
     assert_usage_rejection(&["frobnicate"]);
     assert_usage_rejection(&["Report", "system1"]);
     assert_usage_rejection(&[]);
+    // An empty synthetic SOC is not a system; generating one used to panic.
+    for cmd in ["report", "sweep", "prepare", "atpg", "bist", "verify"] {
+        assert_usage_rejection(&[cmd, "synthetic:0"]);
+    }
 }
 
 #[test]
@@ -49,6 +53,9 @@ fn surplus_positionals_are_rejected() {
     assert_usage_rejection(&["systems", "extra"]);
     assert_usage_rejection(&["verify", "system1", "extra", "more"]);
     assert_usage_rejection(&["bist", "system1", "surplus"]);
+    // A choice lists at most one version per core (System 1 has five).
+    assert_usage_rejection(&["report", "system1", "0,1,2,2,2,2,2"]);
+    assert_usage_rejection(&["dot-ccg", "system1", "0,0,0,0,0,0"]);
 }
 
 #[test]
@@ -73,6 +80,12 @@ fn malformed_flag_values_are_rejected() {
     // A trailing value flag must not vanish.
     assert_usage_rejection(&["report", "system1", "--trace"]);
     assert_usage_rejection(&["sweep", "system1", "--stats", "--stats"]);
+    // Version indices a core does not offer used to panic in `Ccg::build`;
+    // memory cores (System 1's RAM and ROM) offer only version 0.
+    assert_usage_rejection(&["dot-ccg", "system1", "9,9,9"]);
+    assert_usage_rejection(&["dot-ccg", "system2", "3"]);
+    assert_usage_rejection(&["report", "system1", "0,9,0"]);
+    assert_usage_rejection(&["report", "system1", "0,0,0,1"]);
 }
 
 #[test]
