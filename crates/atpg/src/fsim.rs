@@ -142,9 +142,7 @@ impl<'a> FaultSim<'a> {
             n_pi: nl.inputs().len(),
             n_ff: nl.flip_flop_count(),
             cones: build_cones(nl),
-            workers: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            workers: socet_obs::available_workers(),
             comb_gates: nl.topo_order().len() as u64,
             pi_buf: Vec::new(),
             ff_buf: Vec::new(),
@@ -279,59 +277,30 @@ impl<'a> FaultSim<'a> {
             .workers
             .min(live.len().div_ceil(MIN_PARALLEL_FAULTS / 2));
         if workers > 1 && live.len() >= MIN_PARALLEL_FAULTS {
-            let chunk = live.len().div_ceil(workers);
-            type Shard = (Vec<(u32, u64)>, AtpgMetrics, socet_obs::Recorder);
-            let shards: Vec<Shard> = std::thread::scope(|s| {
-                let handles: Vec<_> = live
-                    .chunks(chunk)
-                    .map(|part| {
-                        // Forked on the parent thread so the worker's
-                        // spans land on the caller's timeline (disabled
-                        // — and free — when nothing is installed).
-                        let mut rec = socet_obs::fork_local();
-                        s.spawn(move || {
-                            let mut m = AtpgMetrics::new();
-                            let out: Vec<(u32, u64)> = {
-                                let _sink = rec.install();
-                                let _span = socet_obs::span(names::FSIM_SHARD);
-                                let mut scratch = ConeScratch::new(nl.gates().len());
-                                part.iter()
-                                    .map(|&fi| {
-                                        let mask = fault_mask(
-                                            nl,
-                                            cones,
-                                            good,
-                                            &mut scratch,
-                                            faults[fi as usize],
-                                            used,
-                                            &mut m,
-                                        );
-                                        (fi, mask)
-                                    })
-                                    .collect()
-                            };
-                            (out, m, rec)
-                        })
+            let shards = socet_obs::fan_out(live.len(), workers, |range| {
+                let _span = socet_obs::span(names::FSIM_SHARD);
+                let mut m = AtpgMetrics::new();
+                let mut scratch = ConeScratch::new(nl.gates().len());
+                let out: Vec<(u32, u64)> = live[range]
+                    .iter()
+                    .map(|&fi| {
+                        let f = faults[fi as usize];
+                        let mask = fault_mask(nl, cones, good, &mut scratch, f, used, &mut m);
+                        (fi, mask)
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fault-sim worker panicked"))
-                    .collect()
+                (out, m)
             });
-            // Deterministic merge: shards are disjoint index sets, walked
-            // in spawn order; shard recorders fold into the caller's sink
-            // in the same order. Counters stay in `AtpgMetrics` (published
-            // once per run by the driver) so the trace never double-counts.
-            let count = shards.len() as u64;
-            for (out, m, rec) in shards {
-                for &(fi, mask) in &out {
+            // Shards are disjoint index sets. Counters stay in
+            // `AtpgMetrics` (published once per run by the driver) so the
+            // trace never double-counts.
+            self.metrics.parallel_shards += shards.len() as u64;
+            for (out, m) in shards {
+                for (fi, mask) in out {
                     masks[fi as usize] = mask;
                 }
                 self.metrics.merge(&m);
-                socet_obs::adopt([rec]);
             }
-            self.metrics.parallel_shards += count;
         } else {
             let scratch = &mut self.scratch;
             let metrics = &mut self.metrics;

@@ -60,9 +60,7 @@ impl<'a> SeqFaultSim<'a> {
     pub fn new(nl: &'a GateNetlist) -> Self {
         SeqFaultSim {
             nl,
-            workers: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            workers: socet_obs::available_workers(),
         }
     }
 
@@ -91,22 +89,12 @@ impl<'a> SeqFaultSim<'a> {
     pub fn run_from(&self, faults: &[Fault], vectors: &[Vec<Tri>], init: Tri) -> Vec<bool> {
         let taps = Taps::new(self.nl);
         let blocks: Vec<&[Fault]> = faults.chunks(64).collect();
-        let mut lanes = vec![0u64; blocks.len()];
-        let workers = self.workers.min(blocks.len());
-        if workers > 1 {
-            // Fault-block partitioning: contiguous runs of independent
-            // 64-fault blocks per worker, each writing its own disjoint
-            // slice of the detected lanes, so the merge is the identity.
-            let per = blocks.len().div_ceil(workers);
-            let taps = &taps;
-            std::thread::scope(|s| {
-                for (part, out) in blocks.chunks(per).zip(lanes.chunks_mut(per)) {
-                    s.spawn(move || self.run_blocks(part, vectors, init, taps, out));
-                }
-            });
-        } else {
-            self.run_blocks(&blocks, vectors, init, &taps, &mut lanes);
-        }
+        // Fault-block partitioning: contiguous runs of independent 64-fault
+        // blocks per worker; the detected lanes concatenate in block order.
+        let lanes = socet_obs::fan_out(blocks.len(), self.workers, |range| {
+            self.run_blocks(&blocks[range], vectors, init, &taps)
+        })
+        .concat();
         detection_map(faults.len(), &lanes)
     }
 
@@ -180,7 +168,7 @@ impl<'a> SeqFaultSim<'a> {
     }
 
     /// The differential engine behind [`SeqFaultSim::run_from`] for a
-    /// contiguous run of blocks; `lanes[b]` collects the detected lanes of
+    /// contiguous run of blocks; `result[b]` holds the detected lanes of
     /// `blocks[b]`.
     fn run_blocks(
         &self,
@@ -188,8 +176,8 @@ impl<'a> SeqFaultSim<'a> {
         vectors: &[Vec<Tri>],
         init: Tri,
         taps: &Taps,
-        lanes: &mut [u64],
-    ) {
+    ) -> Vec<u64> {
+        let mut lanes = vec![0u64; blocks.len()];
         let nl = self.nl;
         let n = nl.gates().len();
         let mut good = Good::new(nl, init);
@@ -268,6 +256,7 @@ impl<'a> SeqFaultSim<'a> {
                 masks.clear();
             }
         }
+        lanes
     }
 }
 

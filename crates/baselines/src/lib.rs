@@ -9,8 +9,7 @@
 //!   into one chip netlist, the object the "Orig." and "HSCAN-only"
 //!   experiments fault-simulate.
 //! * [`testability`] — fault-coverage measurements: random sequential
-//!   testing of the un-DFT'd chip, the HSCAN-only chip, and the aggregated
-//!   per-core ATPG coverage that both FSCAN-BSCAN and SOCET achieve.
+//!   testing of the un-DFT'd chip and the HSCAN-only chip.
 
 pub mod flatten;
 pub mod fscan_bscan;
@@ -19,5 +18,5 @@ pub mod testbus;
 
 pub use flatten::flatten_soc;
 pub use fscan_bscan::{FscanBscanCore, FscanBscanReport};
-pub use testability::{aggregate_core_coverage, hscan_only_coverage, orig_coverage};
+pub use testability::{hscan_only_coverage, orig_coverage};
 pub use testbus::TestBusReport;

@@ -9,7 +9,7 @@
 //! differ in few cores, so almost every evaluation is an incremental CCG
 //! patch; the §5.2 loop additionally memoizes evaluated points (the
 //! strict/lateral passes probe the same candidates repeatedly). Sweeps
-//! fan out over [`std::thread::scope`] when the host has more than one
+//! fan out over [`socet_obs::fan_out`] when the host has more than one
 //! CPU, splitting the lexicographic index range into contiguous chunks so
 //! the output order stays deterministic.
 
@@ -69,8 +69,9 @@ pub struct Explorer<'a> {
     /// The warm evaluation engine: its cached CCG, router scratch and
     /// route cache survive across `evaluate`/`optimize`/`sweep` calls.
     engine: Mutex<Option<Scheduler<'a>>>,
-    /// Explorer-wide recorder: every engine's events (including all sweep
-    /// workers') are folded in, in deterministic order.
+    /// Explorer-wide recorder, installed as the thread's sink around every
+    /// entry point: every engine's events (including all sweep workers')
+    /// land here, in deterministic order. Locked before `engine`.
     rec: Mutex<Recorder>,
 }
 
@@ -98,22 +99,19 @@ impl<'a> Explorer<'a> {
         Scheduler::new(self.soc, self.data, &self.costs)
     }
 
-    /// Runs `f` on the explorer's warm engine (created on first use),
-    /// folding the engine's recorded events into the explorer-wide
-    /// recorder.
+    /// Runs `f` on the explorer's warm engine (created on first use).
     fn with_engine<R>(&self, f: impl FnOnce(&mut Scheduler<'a>) -> R) -> R {
         let mut guard = self.engine.lock().expect("engine lock");
-        let engine = guard.get_or_insert_with(|| self.scheduler());
-        let r = f(engine);
-        let rec = engine.take_recorder();
-        drop(guard);
-        self.absorb(rec);
-        r
+        f(guard.get_or_insert_with(|| self.scheduler()))
     }
 
-    /// Folds one engine's recorded events into the explorer-wide recorder.
-    fn absorb(&self, rec: Recorder) {
-        self.rec.lock().expect("recorder lock").merge_child(rec);
+    /// Runs `f` with the explorer-wide recorder installed as the thread's
+    /// sink, inside a span named `span` when one is given.
+    fn recorded<R>(&self, span: Option<&'static str>, f: impl FnOnce() -> R) -> R {
+        let mut rec = self.rec.lock().expect("recorder lock");
+        let _sink = rec.install();
+        let _span = span.map(socet_obs::span);
+        f()
     }
 
     /// Engine counters aggregated over every evaluation this explorer has
@@ -145,7 +143,7 @@ impl<'a> Explorer<'a> {
     /// (missing core data, out-of-range or short choice vectors) as a
     /// [`ScheduleError`] instead of panicking.
     pub fn try_evaluate(&self, choice: &[usize]) -> Result<DesignPoint, ScheduleError> {
-        self.with_engine(|sched| sched.evaluate(choice))
+        self.recorded(None, || self.with_engine(|sched| sched.evaluate(choice)))
     }
 
     /// The minimum-area starting choice: version 1 everywhere.
@@ -183,18 +181,15 @@ impl<'a> Explorer<'a> {
     /// Non-panicking [`Explorer::sweep`].
     ///
     /// The sweep runs on every available CPU: the lexicographic index
-    /// range is split into contiguous chunks, one scoped worker thread per
-    /// chunk, each with its own incremental [`Scheduler`]; chunks are
-    /// concatenated in spawn order, so the result is identical to the
+    /// range is split into contiguous chunks by [`socet_obs::fan_out`],
+    /// each with its own incremental [`Scheduler`]; chunks are
+    /// concatenated in range order, so the result is identical to the
     /// sequential sweep.
     pub fn try_sweep(&self) -> Result<Vec<DesignPoint>, ScheduleError> {
-        let span = self.rec.lock().expect("recorder lock").begin(names::SWEEP);
-        let result = self.try_sweep_inner();
-        self.rec.lock().expect("recorder lock").end(span);
-        result
+        self.sweep_with(socet_obs::available_workers())
     }
 
-    fn try_sweep_inner(&self) -> Result<Vec<DesignPoint>, ScheduleError> {
+    fn sweep_with(&self, workers: usize) -> Result<Vec<DesignPoint>, ScheduleError> {
         let logic = self.soc.logic_cores();
         let radios: Vec<usize> = logic
             .iter()
@@ -215,59 +210,26 @@ impl<'a> Explorer<'a> {
             }
             choice
         };
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(total.max(1));
-        if workers <= 1 {
-            return self.with_engine(|sched| {
-                let mut points = Vec::with_capacity(total);
-                for k in 0..total {
-                    points.push(sched.evaluate(&choice_of(k))?);
-                }
-                Ok(points)
-            });
-        }
-        let chunk = total.div_ceil(workers);
-        let results: Vec<Result<(Vec<DesignPoint>, Recorder), ScheduleError>> =
-            std::thread::scope(|s| {
-                let choice_of = &choice_of;
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        s.spawn(move || {
-                            let lo = w * chunk;
-                            let hi = ((w + 1) * chunk).min(total);
-                            let mut sched = self.scheduler();
-                            let mut points = Vec::with_capacity(hi - lo);
-                            for k in lo..hi {
-                                points.push(sched.evaluate(&choice_of(k))?);
-                            }
-                            Ok((points, sched.take_recorder()))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            });
-        // Index-ordered merge: chunks concatenate and recorders fold in
-        // spawn order, so both the points and the trace are deterministic.
-        let mut points = Vec::with_capacity(total);
-        let mut first_err = None;
-        for r in results {
-            match r {
-                Ok((p, rec)) => {
-                    points.extend(p);
-                    self.absorb(rec);
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
+        self.recorded(Some(names::SWEEP), || {
+            if workers.min(total) <= 1 {
+                // The warm engine keeps its route cache for a later
+                // `optimize`.
+                return self.with_engine(|sched| {
+                    (0..total).map(|k| sched.evaluate(&choice_of(k))).collect()
+                });
             }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(points),
-        }
+            let chunks = socet_obs::fan_out(total, workers, |range| {
+                let mut sched = self.scheduler();
+                range
+                    .map(|k| sched.evaluate(&choice_of(k)))
+                    .collect::<Result<Vec<_>, _>>()
+            });
+            let mut points = Vec::with_capacity(total);
+            for chunk in chunks {
+                points.extend(chunk?);
+            }
+            Ok(points)
+        })
     }
 
     /// §5.2 latency number of `core` under `version_idx`, given the pair
@@ -317,15 +279,10 @@ impl<'a> Explorer<'a> {
     /// and over, and a memo hit skips the whole build/route/assemble
     /// pipeline.
     pub fn try_optimize(&self, objective: Objective) -> Result<DesignPoint, ScheduleError> {
-        let span = self
-            .rec
-            .lock()
-            .expect("recorder lock")
-            .begin(names::OPTIMIZE);
         let mut memo: HashMap<Vec<usize>, DesignPoint> = HashMap::new();
-        let result = self.with_engine(|sched| self.optimize_inner(objective, sched, &mut memo));
-        self.rec.lock().expect("recorder lock").end(span);
-        result
+        self.recorded(Some(names::OPTIMIZE), || {
+            self.with_engine(|sched| self.optimize_inner(objective, sched, &mut memo))
+        })
     }
 
     fn optimize_inner(
@@ -548,6 +505,36 @@ mod tests {
         assert!(m.ccg_full_builds >= 1);
         assert!(m.ccg_full_builds + m.ccg_incremental_patches >= 27, "{m}");
         assert!(m.route_attempts > 0);
+    }
+
+    #[test]
+    fn sweep_is_identical_for_any_worker_count() {
+        let (soc, data) = three_core_soc();
+        let mut reference = None;
+        // 12 workers over 27 points leave 9 ranges of 3: fewer ranges than
+        // workers.
+        for workers in [1, 2, 3, 5, 12] {
+            let ex = Explorer::new(&soc, &data, DftCosts::default());
+            let points = format!("{:?}", ex.sweep_with(workers).unwrap());
+            let reference = reference.get_or_insert_with(|| points.clone());
+            assert_eq!(&points, reference, "{workers} workers");
+            assert_eq!(ex.metrics().evaluations, 27, "{workers} workers");
+            // Every evaluation, on whichever worker, hangs under the one
+            // sweep span.
+            let rec = ex.take_recorder();
+            assert_eq!(rec.span_count(names::SWEEP), 1, "{workers} workers");
+            let sweep = rec.spans().iter().position(|s| s.name == names::SWEEP);
+            let evaluations: Vec<_> = rec
+                .spans()
+                .iter()
+                .filter(|s| s.name == names::EVALUATE)
+                .collect();
+            assert_eq!(evaluations.len(), 27, "{workers} workers");
+            for span in evaluations {
+                let parent = span.parent.map(|p| p as usize);
+                assert_eq!(parent, sweep, "{workers} workers");
+            }
+        }
     }
 
     #[test]

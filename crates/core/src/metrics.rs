@@ -6,14 +6,14 @@
 //! point?", "how often does routing fall back to a system mux?", "how much
 //! of the graph did incremental patching actually rebuild?") are invisible
 //! from the outside. [`Metrics`] answers them for the evaluation engine:
-//! `Scheduler::metrics` and `Explorer::metrics` return it, and
+//! `Explorer::metrics` returns it, and
 //! `soctool report --stats` / `fig10_design_space` print it.
 //! [`PrepareMetrics`] does the same for the core-preparation pipeline
 //! (`soctool prepare --stats`).
 //!
 //! Both structs are **views** over the unified observability layer
 //! (`socet_obs`, re-exported as [`crate::obs`]): every stage records typed
-//! counters and spans into a [`Recorder`](socet_obs::Recorder), and
+//! counters and spans into a [`Recorder`], and
 //! [`Metrics::from_recorder`] / [`PrepareMetrics::from_recorder`] derive
 //! the familiar shapes from that one event stream.
 

@@ -20,10 +20,9 @@
 
 use crate::ccg::{Ccg, CcgEdgeKind, CcgNode, Resource};
 use crate::error::ScheduleError;
-use crate::metrics::Metrics;
 use crate::plan::{CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux};
 use socet_cells::{AreaReport, CellKind, DftCosts};
-use socet_obs::{names, Counter, Recorder};
+use socet_obs::{names, Counter};
 use socet_rtl::{CoreInstanceId, PortId, Soc};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -313,15 +312,17 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// router's scratch buffers. Evaluating a neighbouring choice — the common
 /// case in the §5.2 loop and in a lexicographic sweep — patches only the
 /// stepped cores' edge groups and reuses every allocation. All failure
-/// modes are typed ([`ScheduleError`]); [`Metrics`] counts what each stage
-/// did.
+/// modes are typed ([`ScheduleError`]). Each stage records its span and
+/// counters into the thread's installed [`socet_obs`] sink, which
+/// [`Metrics`](crate::Metrics) views.
 ///
 /// # Examples
 ///
 /// ```
 /// # use socet_rtl::{CoreBuilder, Direction, SocBuilder};
 /// # use socet_cells::DftCosts;
-/// # use socet_core::{CoreTestData, Scheduler};
+/// # use socet_core::{CoreTestData, Metrics, Scheduler};
+/// # use socet_obs::Recorder;
 /// # use std::sync::Arc;
 /// # let mut b = CoreBuilder::new("buf");
 /// # let i = b.port("i", Direction::In, 8).unwrap();
@@ -340,11 +341,17 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 /// # let costs = DftCosts::default();
 /// # let data = CoreTestData::synthesize_soc(&soc, &costs, 10).unwrap();
 /// let mut scheduler = Scheduler::new(&soc, &data, &costs);
-/// let slow = scheduler.evaluate(&[0])?;
-/// let fast = scheduler.evaluate(&[2])?; // patches one core, reuses buffers
+/// let mut rec = Recorder::new();
+/// let (slow, fast) = {
+///     let _sink = rec.install(); // the engine records into the thread's sink
+///     let slow = scheduler.evaluate(&[0])?;
+///     let fast = scheduler.evaluate(&[2])?; // patches one core, reuses buffers
+///     (slow, fast)
+/// };
 /// assert!(fast.test_application_time() <= slow.test_application_time());
-/// assert_eq!(scheduler.metrics().evaluations, 2);
-/// assert_eq!(scheduler.metrics().ccg_incremental_patches, 1);
+/// let metrics = Metrics::from_recorder(&rec);
+/// assert_eq!(metrics.evaluations, 2);
+/// assert_eq!(metrics.ccg_incremental_patches, 1);
 /// # Ok::<(), socet_core::ScheduleError>(())
 /// ```
 #[derive(Debug)]
@@ -357,7 +364,6 @@ pub struct Scheduler<'a> {
     choice: Vec<usize>,
     scratch: Option<RouterScratch>,
     route_cache: HashMap<(CoreInstanceId, Vec<usize>), CoreRouteOutcome>,
-    rec: Recorder,
 }
 
 impl<'a> Scheduler<'a> {
@@ -373,7 +379,6 @@ impl<'a> Scheduler<'a> {
             choice: Vec::new(),
             scratch: None,
             route_cache: HashMap::new(),
-            rec: Recorder::new(),
         }
     }
 
@@ -388,48 +393,29 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// The accumulated counters since construction (or the last
-    /// [`Scheduler::take_recorder`]), as the familiar [`Metrics`] view over
-    /// the engine's recorder.
-    pub fn metrics(&self) -> Metrics {
-        Metrics::from_recorder(&self.rec)
-    }
-
-    /// The engine's recorder, for trace export or folding into a parent
-    /// recorder; a fresh (empty) one takes its place.
-    pub fn take_recorder(&mut self) -> Recorder {
-        let fresh = self.rec.fork();
-        std::mem::replace(&mut self.rec, fresh)
-    }
-
     /// Routes and schedules one version choice: build → route → assemble.
     pub fn evaluate(&mut self, choice: &[usize]) -> Result<DesignPoint, ScheduleError> {
-        let span = self.rec.begin(names::EVALUATE);
-        let result = self.evaluate_inner(choice);
-        self.rec.end(span);
-        result
-    }
-
-    fn evaluate_inner(&mut self, choice: &[usize]) -> Result<DesignPoint, ScheduleError> {
+        let _span = socet_obs::span(names::EVALUATE);
         self.build_stage(choice)?;
         let ccg = self.ccg.take().expect("build stage just set the graph");
         let routed = self.route_stage(&ccg, choice);
         self.ccg = Some(ccg);
         let routed = routed?;
-        let span = self.rec.begin(names::ASSEMBLE);
-        let dp = self.assemble_stage(choice, routed);
-        self.rec.end(span);
-        let dp = dp?;
-        self.rec.record(Counter::Evaluations, 1);
+        let dp = {
+            let _span = socet_obs::span(names::ASSEMBLE);
+            self.assemble_stage(choice, routed)?
+        };
+        socet_obs::add(Counter::Evaluations, 1);
         Ok(dp)
     }
 
     /// Build stage: construct the CCG, or — when one is cached for a
     /// same-length choice — patch only the cores whose version changed.
     fn build_stage(&mut self, choice: &[usize]) -> Result<(), ScheduleError> {
-        let span = self.rec.begin(names::BUILD);
-        let result = self.build_stage_inner(choice);
-        self.rec.end(span);
+        let result = {
+            let _span = socet_obs::span(names::BUILD);
+            self.build_stage_inner(choice)
+        };
         match result {
             Ok(()) => {
                 self.choice.clear();
@@ -459,17 +445,16 @@ impl<'a> Scheduler<'a> {
                     let (old, new) = (self.choice[cid.index()], choice[cid.index()]);
                     if old != new {
                         let written = ccg.step_core(cid, self.data, new)?;
-                        self.rec.record(Counter::CcgIncrementalPatches, 1);
-                        self.rec.record(Counter::CcgEdgesRebuilt, written as u64);
+                        socet_obs::add(Counter::CcgIncrementalPatches, 1);
+                        socet_obs::add(Counter::CcgEdgesRebuilt, written as u64);
                     }
                 }
                 self.ccg = Some(ccg);
             }
             _ => {
                 let ccg = Ccg::try_build(self.soc, self.data, choice)?;
-                self.rec.record(Counter::CcgFullBuilds, 1);
-                self.rec
-                    .record(Counter::CcgEdgesRebuilt, ccg.edges().len() as u64);
+                socet_obs::add(Counter::CcgFullBuilds, 1);
+                socet_obs::add(Counter::CcgEdgesRebuilt, ccg.edges().len() as u64);
                 self.ccg = Some(ccg);
             }
         }
@@ -485,17 +470,7 @@ impl<'a> Scheduler<'a> {
     /// outcome depends only on the other cores' choices; outcomes are
     /// cached under that key and replayed on revisit.
     fn route_stage(&mut self, ccg: &Ccg, choice: &[usize]) -> Result<RoutedPlan, ScheduleError> {
-        let span = self.rec.begin(names::ROUTE);
-        let result = self.route_stage_inner(ccg, choice);
-        self.rec.end(span);
-        result
-    }
-
-    fn route_stage_inner(
-        &mut self,
-        ccg: &Ccg,
-        choice: &[usize],
-    ) -> Result<RoutedPlan, ScheduleError> {
+        let _span = socet_obs::span(names::ROUTE);
         let mut routed = RoutedPlan {
             episodes: Vec::new(),
             system_muxes: Vec::new(),
@@ -508,7 +483,7 @@ impl<'a> Scheduler<'a> {
             let mut key = choice.to_vec();
             key[cid.index()] = usize::MAX;
             if let Some(outcome) = self.route_cache.get(&(cid, key.clone())) {
-                self.rec.record(Counter::RouteCacheHits, 1);
+                socet_obs::add(Counter::RouteCacheHits, 1);
                 routed.merge(outcome);
                 continue;
             }
@@ -568,7 +543,7 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 None => {
-                    self.rec.record(Counter::SystemMuxFallbacks, 1);
+                    socet_obs::add(Counter::SystemMuxFallbacks, 1);
                     push_mux(
                         &mut outcome.muxes,
                         SystemMux {
@@ -604,7 +579,7 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 None => {
-                    self.rec.record(Counter::SystemMuxFallbacks, 1);
+                    socet_obs::add(Counter::SystemMuxFallbacks, 1);
                     push_mux(
                         &mut outcome.muxes,
                         SystemMux {
@@ -627,8 +602,8 @@ impl<'a> Scheduler<'a> {
 
         let (scratch, relaxations, attempts) = router.dismantle();
         self.scratch = Some(scratch);
-        self.rec.record(Counter::DijkstraRelaxations, relaxations);
-        self.rec.record(Counter::RouteAttempts, attempts);
+        socet_obs::add(Counter::DijkstraRelaxations, relaxations);
+        socet_obs::add(Counter::RouteAttempts, attempts);
 
         let ep = &mut outcome.episode;
         let max_in = ep.input_arrivals.iter().map(|(_, a)| *a).max().unwrap_or(0);
@@ -783,6 +758,7 @@ fn push_mux(muxes: &mut Vec<SystemMux>, m: SystemMux) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
     use std::sync::Arc;
 
@@ -1026,14 +1002,19 @@ mod tests {
         let (soc, data) = chain_soc(3);
         let costs = DftCosts::default();
         let mut sched = Scheduler::new(&soc, &data, &costs);
+        let mut rec = socet_obs::Recorder::new();
         // Walk a version ladder up and back down with one engine; every
-        // point must be bit-identical to a fresh one-shot schedule.
+        // point must be bit-identical to a fresh one-shot schedule. Only
+        // the reused engine's calls record.
         for choice in [[0, 0], [1, 0], [1, 2], [0, 2], [0, 0]] {
-            let reused = sched.evaluate(&choice).unwrap();
+            let reused = {
+                let _sink = rec.install();
+                sched.evaluate(&choice).unwrap()
+            };
             let fresh = schedule(&soc, &data, &choice, &costs);
             assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "at {choice:?}");
         }
-        let m = sched.metrics();
+        let m = Metrics::from_recorder(&rec);
         assert_eq!(m.evaluations, 5);
         assert_eq!(m.ccg_full_builds, 1);
         // Four follow-up evaluations, each stepping one or two cores.

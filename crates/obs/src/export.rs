@@ -4,7 +4,7 @@
 //! Both formats are hand-rolled — this crate takes no dependencies — and
 //! only ever emit integers, `null`, and span names drawn from
 //! [`crate::names`] (plain ASCII identifiers), so no string escaping is
-//! required beyond what [`escape`] provides defensively.
+//! required beyond what `escape` provides defensively.
 //!
 //! # JSON schema (version 1)
 //!

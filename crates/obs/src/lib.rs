@@ -9,12 +9,11 @@
 //!   buffer overflows, so aggregate views never lose time;
 //! * typed **counters** ([`Counter`]) accumulated in a fixed array, each
 //!   with an explicit cross-worker [`MergePolicy`];
-//! * an explicit per-worker [`Recorder`] handle that composes with the
-//!   `std::thread::scope` fan-outs in the preparation pipeline, the fault
-//!   simulator and the design-space sweep: workers [`Recorder::fork`] from
-//!   the parent and the parent folds them back with
-//!   [`Recorder::merge_child`] **in index order**, so counter totals are
-//!   deterministic for any worker count;
+//! * one deterministic thread fan-out, [`fan_out`], shared by the
+//!   preparation pipeline, the fault simulators and the design-space
+//!   sweep: each worker records into a fork of the caller's sink, and the
+//!   forks are folded back **in range order**, so counter totals and the
+//!   span tree are the same for any worker count;
 //! * a thread-local sink ([`Recorder::install`]) so deep call sites —
 //!   gate elaboration, HSCAN insertion, version synthesis, the ATPG
 //!   driver — record through the free functions [`span`] and [`add`]
@@ -48,6 +47,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -420,8 +420,7 @@ impl Recorder {
     }
 
     /// An empty recorder sharing this one's epoch, capacity and
-    /// enabledness — the per-worker handle for `std::thread::scope`
-    /// fan-outs. Merge it back with [`Recorder::merge_child`].
+    /// enabledness. Merge it back with [`Recorder::merge_child`].
     pub fn fork(&self) -> Recorder {
         Recorder {
             inner: self.inner.as_ref().map(|i| Inner::new(i.epoch, i.cap)),
@@ -501,8 +500,9 @@ impl Recorder {
     }
 
     /// Installs this recorder as the thread's sink for the free functions
-    /// [`span`], [`add`] and [`fork_local`]; the returned guard restores
-    /// the previous sink (and this recorder's buffers) on drop.
+    /// [`span`] and [`add`] (and the worker forks of [`fan_out`]); the
+    /// returned guard restores the previous sink (and this recorder's
+    /// buffers) on drop.
     pub fn install(&mut self) -> Installed<'_> {
         let prev = SINK.replace(self.inner.take());
         Installed { rec: self, prev }
@@ -614,28 +614,71 @@ impl Drop for Span {
     }
 }
 
-/// A fork of the thread's installed recorder (disabled when none is) —
-/// the worker handle to move into a scoped thread. Fold the workers back
-/// with [`adopt`] in spawn order.
-pub fn fork_local() -> Recorder {
-    SINK.with_borrow(|s| match s.as_ref() {
-        Some(inner) => Recorder {
-            inner: Some(Inner::new(inner.epoch, inner.cap)),
-        },
-        None => Recorder::disabled(),
-    })
+/// Worker threads the host offers ([`std::thread::available_parallelism`],
+/// 1 when unknown) — the default width of every [`fan_out`] in the flow.
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Merges worker recorders into the thread's installed sink, in the order
-/// given (pass them in worker-index order for deterministic traces).
-pub fn adopt(children: impl IntoIterator<Item = Recorder>) {
-    SINK.with_borrow_mut(|s| {
-        for mut child in children {
-            if let (Some(inner), Some(child_inner)) = (s.as_mut(), child.inner.as_mut()) {
-                inner.merge_child(child_inner);
-            }
-        }
+/// Runs `work` over `0..n` split into at most `workers` contiguous ranges
+/// of `n.div_ceil(workers)` items, one scoped thread per range, and
+/// returns the results in range order.
+///
+/// Each worker records into a fork of the calling thread's sink, taken on
+/// the calling thread (so it shares the sink's epoch, and is disabled when
+/// nothing is installed). The forks are adopted back in range order under
+/// whatever span the caller has open, so counters and the span tree do not
+/// depend on `workers`. With a single range `work` runs inline: no thread,
+/// no fork. A worker's panic is re-raised on the calling thread.
+///
+/// # Examples
+///
+/// ```
+/// let sums = socet_obs::fan_out(10, 4, |r| r.sum::<usize>());
+/// assert_eq!(sums, [3, 12, 21, 9]);
+/// ```
+pub fn fan_out<R: Send>(
+    n: usize,
+    workers: usize,
+    work: impl Fn(Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    let chunk = n.div_ceil(workers.max(1)).max(1);
+    if chunk >= n {
+        return vec![work(0..n)];
+    }
+    let work = &work;
+    let shards: Vec<(R, Recorder)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| {
+                let mut rec = SINK.with_borrow(|sink| Recorder {
+                    inner: sink.as_ref().map(|i| Inner::new(i.epoch, i.cap)),
+                });
+                s.spawn(move || {
+                    let r = {
+                        let _sink = rec.install();
+                        work(lo..(lo + chunk).min(n))
+                    };
+                    (r, rec)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
+    SINK.with_borrow_mut(|sink| {
+        shards
+            .into_iter()
+            .map(|(r, mut rec)| {
+                if let (Some(inner), Some(child)) = (sink.as_mut(), rec.inner.as_mut()) {
+                    inner.merge_child(child);
+                }
+                r
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -773,39 +816,29 @@ mod tests {
     }
 
     #[test]
-    fn fork_local_and_adopt_compose_with_threads() {
+    fn fan_out_splits_in_order_and_adopts_every_worker() {
         let mut rec = Recorder::new();
         let root = rec.begin("run");
-        {
+        let ranges = {
             let _g = rec.install();
-            let children: Vec<Recorder> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|i| {
-                        let mut worker = fork_local();
-                        s.spawn(move || {
-                            {
-                                let _wg = worker.install();
-                                let _s = span("shard");
-                                add(Counter::ConeGateEvals, i + 1);
-                            }
-                            worker
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker"))
-                    .collect()
-            });
-            adopt(children);
-        }
+            fan_out(10, 4, |r| {
+                let _s = span("shard");
+                add(Counter::ConeGateEvals, r.len() as u64);
+                r
+            })
+        };
         rec.end(root);
-        assert_eq!(rec.counter(Counter::ConeGateEvals), 1 + 2 + 3 + 4);
+        assert_eq!(ranges, [0..3, 3..6, 6..9, 9..10]);
+        assert_eq!(rec.counter(Counter::ConeGateEvals), 10, "counters sum");
         assert_eq!(rec.span_count("shard"), 4);
-        // Every shard is a child of the run span.
+        // Every worker span is a child of the caller's open span.
         for s in rec.spans().iter().filter(|s| s.name == "shard") {
             assert_eq!(s.parent, Some(0));
         }
+        // No items: one inline call over the empty range.
+        let empty = fan_out(0, 4, |r| r);
+        assert_eq!(empty.len(), 1);
+        assert!(empty[0].is_empty());
     }
 
     #[test]

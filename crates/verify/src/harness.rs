@@ -6,19 +6,12 @@
 //! same report bytes, independent of host or thread count (the whole
 //! pipeline is single-threaded).
 
-use crate::replay::{verify_design_point, VerifyOptions, VerifyReport};
+use crate::replay::{mix, verify_design_point, VerifyOptions, VerifyReport};
 use crate::VerifyError;
 use socet_cells::DftCosts;
 use socet_core::{try_schedule, CoreTestData};
 use socet_socs::SocSpec;
 use std::fmt::Write as _;
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Prepares a spec's SOC (HSCAN + version ladder per logic core), picks a
 /// seeded design point, schedules it and replays it through the oracle.

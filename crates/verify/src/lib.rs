@@ -4,9 +4,9 @@
 //! [`DesignPoint`](socet_core::DesignPoint) transports test vectors
 //! through transparency paths with a given timing. This crate *proves*
 //! those claims on an actual netlist. It assembles the DFT-inserted chip
-//! as a gate-level transparency shell ([`shell`]), expands every
+//! as a gate-level transparency shell ([`Shell`]), expands every
 //! scheduled episode into a cycle-accurate drive program, simulates it,
-//! and asserts three invariants ([`replay`]):
+//! and asserts three invariants ([`verify_design_point`]):
 //!
 //! - **(a)** every justified vector is bit-exact at the CUT's input ports
 //!   at the scheduled arrival cycle;
@@ -15,8 +15,8 @@
 //! - **(c)** episodes packed concurrently never disturb each other's
 //!   transit values (reservation disjointness, replayed jointly).
 //!
-//! A randomized harness ([`harness`]) drives the oracle over seeded
-//! synthetic SOCs and greedily shrinks failures to minimal
+//! A randomized harness ([`run_synthetic_cases`]) drives the oracle over
+//! seeded synthetic SOCs and greedily shrinks failures to minimal
 //! counterexamples.
 
 mod harness;

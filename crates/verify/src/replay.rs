@@ -209,7 +209,9 @@ impl VerifyReport {
 // ---------------------------------------------------------------------------
 // Pseudo-random drive streams.
 
-fn mix(mut x: u64) -> u64 {
+/// The splitmix64 finalizer: a bijective 64-bit mix, shared by the drive
+/// streams and the randomized harness.
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -900,32 +902,6 @@ fn run_program(
                 .map(|(i, _)| i)
                 .collect();
             if !bad.is_empty() {
-                if std::env::var_os("SOCET_VERIFY_DEBUG").is_some() {
-                    eprintln!(
-                        "DEBUG failing check: owner {} ep {} dir {:?} route {} vec {} cycle {t}",
-                        c.owner, c.episode, c.dir, c.route_idx, c.vector
-                    );
-                    for &(cc, r, cy, e, o, ep2) in prog.loads.iter() {
-                        if cy.abs_diff(t) <= 6 {
-                            eprintln!(
-                                "  load core {cc} reg {r} cycle {cy} edge {e} owner {o} ep {ep2}"
-                            );
-                        }
-                    }
-                    for &(cc, p, cy, lo, hi, e, o, ep2) in prog.opens.iter() {
-                        if cy.abs_diff(t) <= 6 {
-                            eprintln!("  open core {cc} port {p} cycle {cy} bits {lo}..{hi} edge {e} owner {o} ep {ep2}");
-                        }
-                    }
-                    for &(cy, idx, d) in prog.events.iter() {
-                        if cy.abs_diff(t) <= 2 {
-                            eprintln!(
-                                "  event cycle {cy} input {idx} ({:?}) delta {d}",
-                                shell.input_roles[idx]
-                            );
-                        }
-                    }
-                }
                 let what = match c.dir {
                     Dir::Input => "justified vector missed CUT input (invariant a)",
                     Dir::Output => "response missed chip output (invariant b)",

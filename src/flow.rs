@@ -28,9 +28,8 @@
 //! ([`socet::obs`](crate::obs)): the pipeline opens a `prepare` span, each
 //! unique core a `prepare_core` span with the `hscan` / `versions` /
 //! `elaborate` / `atpg` / store spans nested inside, and the cache counters
-//! land in typed [`Counter`](socet_obs::Counter) slots.
-//! [`PrepareMetrics`](socet_core::PrepareMetrics) is a view derived from
-//! that recorder ([`PrepareMetrics::from_recorder`]); pass a
+//! land in typed [`Counter`] slots. [`PrepareMetrics`] is a view derived
+//! from that recorder ([`PrepareMetrics::from_recorder`]); pass a
 //! [`SharedRecorder`] through [`PrepareOptions::recorder`] to capture the
 //! full trace (`soctool prepare --trace out.json --profile out.folded`).
 
@@ -119,8 +118,7 @@ impl PreparedSoc {
     /// Merged ATPG-engine counters over every logic core's test
     /// generation. Counted **per physical instance**, like
     /// [`aggregate_coverage`](Self::aggregate_coverage) — render it
-    /// directly, or charge it to the thread's installed
-    /// [`Recorder`](socet_obs::Recorder) with
+    /// directly, or charge it to the thread's installed [`Recorder`] with
     /// [`publish`](socet_atpg::AtpgMetrics::publish).
     pub fn atpg_stats(&self) -> socet_atpg::AtpgMetrics {
         let mut m = socet_atpg::AtpgMetrics::new();
@@ -212,7 +210,7 @@ impl Error for PrepareError {
 #[non_exhaustive]
 pub struct PrepareOptions {
     /// Worker threads for the fan-out over unique cores; `0` picks
-    /// [`std::thread::available_parallelism`]. The output is bit-identical
+    /// [`socet_obs::available_workers`]. The output is bit-identical
     /// for every value.
     pub workers: usize,
     /// Directory of the on-disk artifact store; `None` disables it. The
@@ -558,8 +556,8 @@ pub fn prepare_soc_with(
 }
 
 /// The pipeline body. Runs with the caller's recorder installed as the
-/// thread's sink; parallel workers record into forks of it, adopted back
-/// in spawn order so the merged stream is deterministic.
+/// thread's sink; [`socet_obs::fan_out`] gives each worker a fork of it and
+/// adopts the forks in range order, so the merged stream is deterministic.
 fn prepare_soc_inner(
     soc: &Soc,
     costs: &DftCosts,
@@ -570,7 +568,7 @@ fn prepare_soc_inner(
     let cache_dir = opts.cache_dir.as_deref();
 
     let workers = if opts.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        socet_obs::available_workers()
     } else {
         opts.workers
     }
@@ -578,53 +576,18 @@ fn prepare_soc_inner(
     .max(1);
     socet_obs::add(Counter::Workers, workers as u64);
 
-    let mut results: Vec<Option<Result<CoreArtifact, GateError>>> = Vec::new();
-    results.resize_with(groups.len(), || None);
-
-    if workers <= 1 {
-        for (gi, g) in groups.iter().enumerate() {
-            let cache = cache_dir.map(|d| (d, g.fp));
-            results[gi] = Some(prepare_unique(g.core, costs, tpg, cache));
-        }
-    } else {
-        let chunk = groups.len().div_ceil(workers);
-        let indexed: Vec<(usize, &Group)> = groups.iter().enumerate().collect();
-        let shards = std::thread::scope(|s| {
-            let handles: Vec<_> = indexed
-                .chunks(chunk)
-                .map(|part| {
-                    // Forked on the parent thread so the worker's recorder
-                    // shares the parent's epoch and enabledness.
-                    let mut rec = socet_obs::fork_local();
-                    s.spawn(move || {
-                        let out: Vec<(usize, Result<CoreArtifact, GateError>)> = {
-                            let _sink = rec.install();
-                            part.iter()
-                                .map(|(gi, g)| {
-                                    let cache = cache_dir.map(|d| (d, g.fp));
-                                    (*gi, prepare_unique(g.core, costs, tpg, cache))
-                                })
-                                .collect()
-                        };
-                        (out, rec)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("prepare worker panicked"))
+    // Results come back in group order and worker recorders are adopted in
+    // the same order, so serial and parallel runs aggregate alike.
+    let results: Vec<Result<CoreArtifact, GateError>> =
+        socet_obs::fan_out(groups.len(), workers, |range| {
+            groups[range]
+                .iter()
+                .map(|g| prepare_unique(g.core, costs, tpg, cache_dir.map(|d| (d, g.fp))))
                 .collect::<Vec<_>>()
-        });
-        // Deterministic merge: shards in spawn order, groups slotted by
-        // index, worker recorders adopted into the caller's in the same
-        // order — the serial and parallel event streams aggregate alike.
-        for (out, rec) in shards {
-            socet_obs::adopt([rec]);
-            for (gi, r) in out {
-                results[gi] = Some(r);
-            }
-        }
-    }
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
     // Error semantics match the serial flow: the first instance in
     // declaration order whose group failed is the one reported.
@@ -636,7 +599,7 @@ fn prepare_soc_inner(
     }
     for (i, inst) in soc.cores().iter().enumerate() {
         let Some(gi) = by_instance[i] else { continue };
-        if let Some(Err(e)) = results[gi].as_ref() {
+        if let Err(e) = &results[gi] {
             return Err(PrepareError {
                 core: CoreInstanceId::from_index(i),
                 name: inst.name().to_owned(),
@@ -652,10 +615,7 @@ fn prepare_soc_inner(
     for gi in by_instance {
         match gi {
             Some(gi) => {
-                let artifact = results[gi]
-                    .as_ref()
-                    .and_then(|r| r.as_ref().ok())
-                    .expect("errors handled above");
+                let artifact = results[gi].as_ref().expect("errors handled above");
                 data.push(Some(artifact.data.clone()));
                 netlists.push(Some(artifact.netlist.clone()));
                 tests.push(Some(artifact.tests.clone()));
