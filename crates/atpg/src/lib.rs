@@ -25,8 +25,10 @@
 //!   It is differential: each cycle sweeps the good machine once, and each
 //!   64-fault block starts from it and propagates
 //!   ([`socet_gate::kernel::propagate`]) only from its fault sites and the
-//!   flip-flops whose state has diverged. [`SeqFaultSim::run_naive`] keeps
-//!   the full sweep per block and cycle as the oracle;
+//!   flip-flops whose state has diverged. Faults no output can observe
+//!   are never seeded, and detected ones are dropped.
+//!   [`SeqFaultSim::run_naive`] keeps the full sweep per block and cycle as
+//!   the oracle;
 //! * [`generate_tests`] — the ATPG driver: random-pattern phase, PODEM
 //!   top-off, fault dropping; produces a [`TestSet`] with
 //!   [`Coverage`] metrics.

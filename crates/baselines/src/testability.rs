@@ -43,9 +43,10 @@ pub fn hscan_only_coverage(
     per_core_tests: &[Option<TestSet>],
 ) -> Coverage {
     // Bonus: pin-accessible cores are fully testable through their scan
-    // chains. Their fault populations overlap the flat chip's, so credit
-    // the *additional* detected fraction conservatively: scale each
-    // accessible core's detected count by its share of undetected faults.
+    // chains. Each accessible core's ATPG detected count is added as is,
+    // and the total is capped at the chip's fault count. Their fault
+    // populations overlap the flat chip's, so this may count a fault the
+    // random campaign already detected twice; only the cap bounds that.
     let mut extra = 0usize;
     for cid in soc.logic_cores() {
         if !core_fully_at_pins(soc, cid) {

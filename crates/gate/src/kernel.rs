@@ -293,9 +293,21 @@ pub struct Events {
 impl Events {
     /// Builds the fanout lists of `nl`.
     pub fn new(nl: &GateNetlist) -> Self {
+        Events::within(nl, |_| true)
+    }
+
+    /// Builds the fanout lists of only the combinational gates `keep`
+    /// accepts: any other gate never becomes pending, so [`propagate`]
+    /// leaves its value alone and [`Events::cone`] omits it.
+    ///
+    /// When `keep` is closed under fanin (every operand of a kept gate is
+    /// kept), propagation still brings every kept signal up to date, since
+    /// no kept gate reads a signal left stale.
+    pub fn within(nl: &GateNetlist, keep: impl Fn(SignalId) -> bool) -> Self {
         let pos = nl.topo_positions();
+        let kept = || nl.topo_order().iter().copied().filter(|&s| keep(s));
         let mut start = vec![0u32; nl.gates().len() + 1];
-        for &s in nl.topo_order() {
+        for s in kept() {
             for op in nl.gate(s).operands() {
                 start[op.index() + 1] += 1;
             }
@@ -305,7 +317,7 @@ impl Events {
         }
         let mut fill = start.clone();
         let mut consumers = vec![0u32; start[start.len() - 1] as usize];
-        for &s in nl.topo_order() {
+        for s in kept() {
             for op in nl.gate(s).operands() {
                 consumers[fill[op.index()] as usize] = pos[s.index()];
                 fill[op.index()] += 1;
@@ -796,6 +808,103 @@ mod tests {
                 want.sort_by_key(|s| pos[s.index()]);
                 events.cone(&nl, SignalId::from_index(site), &mut cone);
                 assert_eq!(cone, want, "site {site} of {nl}");
+            }
+        }
+    }
+
+    /// The fanin closure of one to three random signals, crossing
+    /// flip-flops (a flip-flop's operand is its D), as a per-signal mask.
+    fn random_fanin_closure(rng: &mut Rng, nl: &GateNetlist) -> Vec<bool> {
+        let n = nl.gates().len();
+        let mut keep = vec![false; n];
+        let mut stack: Vec<SignalId> = (0..1 + rng.below(3))
+            .map(|_| SignalId::from_index(rng.below(n)))
+            .collect();
+        while let Some(s) = stack.pop() {
+            if !std::mem::replace(&mut keep[s.index()], true) {
+                stack.extend(nl.gate(s).operands());
+            }
+        }
+        keep
+    }
+
+    /// Over the fanout lists of a fanin-closed set, propagation keeps every
+    /// kept signal equal to a fresh sweep after random source changes and
+    /// fault switches, whatever it leaves in the others.
+    #[test]
+    fn propagate_within_a_fanin_closed_set_keeps_it_exact() {
+        let mut rng = Rng(13);
+        for _ in 0..300 {
+            let nl = random_netlist(&mut rng);
+            let n = nl.gates().len();
+            let keep = random_fanin_closure(&mut rng, &nl);
+            // One stuck-at fault per lane 1–7 at a random site.
+            let faults: Vec<(SignalId, u64, u64)> = (1..8)
+                .map(|lane| {
+                    let bit = 1u64 << lane;
+                    let (s1, s0) = [(bit, 0), (0, bit)][rng.below(2)];
+                    (SignalId::from_index(rng.below(n)), s1, s0)
+                })
+                .collect();
+            let inject = |active: u64| {
+                let faults = &faults;
+                move |s: SignalId, v: Tri64| {
+                    (faults.iter())
+                        .filter(|f| f.0 == s)
+                        .fold(v, |v, &(_, s1, s0)| v.force(s1 & active, s0 & active))
+                }
+            };
+            let mut active = rng.next();
+            let srcs = nl.comb_inputs();
+            let n_pi = nl.inputs().len();
+            let mut vals = vec![Tri64::X; srcs.len()];
+            let mut v = Vec::new();
+            sweep(&nl, &vals[..n_pi], &vals[n_pi..], &mut v, inject(active));
+            let mut events = Events::within(&nl, |s| keep[s.index()]);
+            for _ in 0..20 {
+                let mut changed = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    let i = rng.below(srcs.len());
+                    vals[i] = [rng.tri64(), !vals[i], Tri64::X][rng.below(3)];
+                    changed.push((srcs[i], vals[i]));
+                }
+                if rng.below(2) == 0 {
+                    let (site, s1, s0) = faults[rng.below(faults.len())];
+                    active ^= s1 | s0;
+                    let g = nl.gate(site);
+                    let before = match srcs.iter().position(|&x| x == site) {
+                        Some(i) => vals[i],
+                        None => eval(g.kind, g.operands(), |o| v[o.index()]),
+                    };
+                    changed.push((site, before));
+                }
+                propagate(&nl, &mut events, changed, &mut v, inject(active));
+                let mut fresh = Vec::new();
+                let (pi, ff) = vals.split_at(n_pi);
+                sweep(&nl, pi, ff, &mut fresh, inject(active));
+                for s in (0..n).filter(|&s| keep[s]) {
+                    assert_eq!(v[s], fresh[s], "signal {s} of {nl}");
+                }
+            }
+        }
+    }
+
+    /// `Events::within` gives each signal the plain cone restricted to the
+    /// kept set, when that set is fanin-closed.
+    #[test]
+    fn cone_within_is_the_plain_cone_restricted() {
+        let mut rng = Rng(17);
+        let (mut got, mut plain) = (Vec::new(), Vec::new());
+        for _ in 0..100 {
+            let nl = random_netlist(&mut rng);
+            let keep = random_fanin_closure(&mut rng, &nl);
+            let mut all = Events::new(&nl);
+            let mut within = Events::within(&nl, |s| keep[s.index()]);
+            for site in (0..nl.gates().len()).map(SignalId::from_index) {
+                all.cone(&nl, site, &mut plain);
+                plain.retain(|s| keep[s.index()]);
+                within.cone(&nl, site, &mut got);
+                assert_eq!(got, plain, "site {site} of {nl}");
             }
         }
     }

@@ -188,6 +188,11 @@ counters! {
     PodemImplications => "podem_implications", Add;
     /// Gates PODEM's implications evaluated.
     PodemGateEvals => "podem_gate_evals", Add;
+    /// Gates the sequential fault simulator's differential engine evaluated.
+    SeqGateEvals => "seq_gate_evals", Add;
+    /// Sequential-simulation faults never seeded: no primary output is
+    /// reachable from their site, even through flip-flops.
+    SeqFaultsUnobservable => "seq_faults_unobservable", Add;
 
     // Core-preparation pipeline (socet::flow).
     /// Core instances in the SOC (memory cores excluded).
