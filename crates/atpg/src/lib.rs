@@ -16,7 +16,10 @@
 //!   machines as two lanes of one kernel plane, event-driven after each
 //!   fault's first sweep ([`socet_gate::kernel::propagate`]), D-frontier
 //!   objectives and X-path pruning over the fault's fanout cone only, and
-//!   a backtrack bound; its work shows in [`PodemCounters`];
+//!   a backtrack bound. A fault whose site has at most twelve fanin
+//!   sources and never takes its activating value over all their
+//!   assignments is settled `Untestable` without a search. Its work and
+//!   outcomes show in [`PodemCounters`];
 //! * [`FaultSim`] — pattern-parallel combinational fault simulation with
 //!   fanout-cone pruning and fault-parallel threading, instrumented by
 //!   [`AtpgMetrics`];

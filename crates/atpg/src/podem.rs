@@ -15,16 +15,47 @@
 //! the detection test and the X-path check scan only the fault's fanout
 //! cone, computed once per fault: a fault effect cannot exist outside it.
 //! None of this changes a decision, so test sets are unchanged; on System
-//! 1's CPU core it cuts `generate_tests` from about 125 ms to about 14 ms
+//! 1's CPU core it cut `generate_tests` from about 125 ms to about 14 ms
 //! (EXPERIMENTS.md).
+//!
+//! Most of those 14 ms went to proving eight faults that can never be
+//! activated: the CPU's constant-0 XOR subtree roots, stuck at 0, each of
+//! which the search refuted over about 200 backtracks. So before it
+//! searches, [`Podem::run`] walks the site's fanin down to its sources
+//! (inputs and flip-flop Qs) and, if there are at most twelve, simulates
+//! the fanin over every assignment of them, one per lane of 64-lane
+//! words, through [`eval`]. A site that never takes the value opposite its
+//! stuck value is `Untestable` at once. No test is missed: every test is a
+//! full 0/1 assignment of the sources. System 1's PODEM then makes no
+//! backtrack, and its gate evaluations fall from 931 525 to 25 255. The
+//! check answers only `Untestable`, where the search would say the same or
+//! run out of backtracks, and vectors and their random fill come only from
+//! tests, so test sets are unchanged again.
 
 use crate::fault::Fault;
-use socet_gate::kernel::{propagate, sweep, Events};
+use socet_gate::kernel::{eval, propagate, sweep, Events, Logic};
 use socet_gate::{GateKind, GateNetlist, SignalId, Tri, Tri64};
 use socet_obs::Counter;
 
 /// The lane of the faulty machine; lane 0 is the good machine.
 const FAULTY: u64 = 0b10;
+
+/// The most fanin sources (inputs and flip-flop Qs) a fault site may have
+/// for [`Podem::run`] to simulate its fanin over every assignment: 2¹²
+/// assignments are 64 words of 64 lanes.
+const MAX_EXHAUSTIVE_SOURCES: usize = 12;
+
+/// Source *k* < 6 of an exhaustive simulation: lane *l* of the word holds
+/// bit *k* of *l*. Source *k* ≥ 6 is bit *k* − 6 of the block number,
+/// splatted across the word.
+const LANE_PATTERNS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
 
 /// The outcome of one PODEM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +81,16 @@ pub struct PodemCounters {
     /// Gates those implications evaluated, each fault's first full sweep
     /// included.
     pub gate_evals: u64,
+    /// Runs that found a test.
+    pub tests: u64,
+    /// Runs that proved the fault untestable, by search or by exhaustive
+    /// simulation of the site's fanin.
+    pub untestable: u64,
+    /// Runs that ran out of backtracks.
+    pub aborted: u64,
+    /// The untestable runs settled without a search: no assignment of the
+    /// site's fanin sources activates the fault.
+    pub unactivatable: u64,
 }
 
 impl PodemCounters {
@@ -59,6 +100,10 @@ impl PodemCounters {
         socet_obs::add(Counter::PodemBacktracks, self.backtracks);
         socet_obs::add(Counter::PodemImplications, self.implications);
         socet_obs::add(Counter::PodemGateEvals, self.gate_evals);
+        socet_obs::add(Counter::PodemTests, self.tests);
+        socet_obs::add(Counter::PodemUntestable, self.untestable);
+        socet_obs::add(Counter::PodemAborted, self.aborted);
+        socet_obs::add(Counter::PodemUnactivatable, self.unactivatable);
     }
 }
 
@@ -98,12 +143,18 @@ pub struct Podem<'a> {
     cone: Vec<SignalId>,
     /// The observable signals among the fault site and its cone.
     cone_outputs: Vec<SignalId>,
-    /// X-path scratch: whether each signal is reached.
-    reach: Vec<bool>,
+    /// Per-signal flags: during a search, whether the X-path check reached
+    /// the signal; before it, whether the fanin walk visited it.
+    mark: Vec<bool>,
     /// The assignment `values` was implied from, splatted across lanes.
     sources: Vec<Tri64>,
     /// Every signal's value: good machine in lane 0, faulty in lane 1.
+    /// Before a search, the fanin check's 64 assignments, one per lane.
     values: Vec<Tri64>,
+    /// The site's fanin gates and constants, every one after its operands,
+    /// and the inputs and flip-flop Qs the fanin stops at.
+    fanin: Vec<SignalId>,
+    fanin_sources: Vec<SignalId>,
     counters: PodemCounters,
 }
 
@@ -129,9 +180,11 @@ impl<'a> Podem<'a> {
             events: Events::new(nl),
             cone: Vec::new(),
             cone_outputs: Vec::new(),
-            reach: vec![false; n],
+            mark: vec![false; n],
             sources: Vec::new(),
             values: Vec::new(),
+            fanin: Vec::new(),
+            fanin_sources: Vec::new(),
             counters: PodemCounters::default(),
         }
     }
@@ -147,7 +200,105 @@ impl<'a> Podem<'a> {
     }
 
     /// Runs PODEM for `fault`.
+    ///
+    /// A fault whose site has at most a dozen fanin sources is first
+    /// checked by simulating that fanin over every assignment of them: if
+    /// the site never takes the value opposite its stuck value, no test can
+    /// activate the fault, and it is `Untestable` without a search.
     pub fn run(&mut self, fault: Fault) -> PodemOutcome {
+        let outcome = if self.unactivatable(fault) {
+            self.counters.unactivatable += 1;
+            PodemOutcome::Untestable
+        } else {
+            self.search(fault)
+        };
+        match outcome {
+            PodemOutcome::Test(_) => self.counters.tests += 1,
+            PodemOutcome::Untestable => self.counters.untestable += 1,
+            PodemOutcome::Aborted => self.counters.aborted += 1,
+        }
+        outcome
+    }
+
+    /// Whether the site of `fault` has at most [`MAX_EXHAUSTIVE_SOURCES`]
+    /// fanin sources and no assignment of them drives it to the value
+    /// opposite its stuck value. Every test assigns each source 0 or 1, so
+    /// such a fault has none.
+    fn unactivatable(&mut self, fault: Fault) -> bool {
+        if !self.walk_fanin(fault.signal) {
+            return false;
+        }
+        let m = self.fanin_sources.len();
+        let site = fault.signal.index();
+        // The search's value plane is free until `start` sweeps it. Every
+        // lane set here is definite, so each `Tri64` is a plain word of 64
+        // two-valued lanes.
+        self.values.resize(self.nl.gates().len(), Tri64::X);
+        let v = &mut self.values;
+        for block in 0..1usize << m.saturating_sub(LANE_PATTERNS.len()) {
+            for (k, s) in self.fanin_sources.iter().enumerate() {
+                let ones = match LANE_PATTERNS.get(k) {
+                    Some(&lanes) => lanes,
+                    None if block >> (k - LANE_PATTERNS.len()) & 1 != 0 => u64::MAX,
+                    None => 0,
+                };
+                v[s.index()] = Tri64::ZERO.force(ones, 0);
+            }
+            for &s in &self.fanin {
+                let g = self.nl.gate(s);
+                v[s.index()] = eval(g.kind, g.operands(), |o| v[o.index()]);
+            }
+            // With fewer than six sources, the spare lanes repeat real
+            // assignments, so every lane counts.
+            let activating = if fault.stuck_at_one {
+                v[site].zeros()
+            } else {
+                v[site].ones()
+            };
+            if activating != 0 {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Collects the fanin of `site` into `fanin` and `fanin_sources`;
+    /// returns `false`, leaving both partial, as soon as it finds more than
+    /// [`MAX_EXHAUSTIVE_SOURCES`] sources. A source site is its own only
+    /// source.
+    fn walk_fanin(&mut self, site: SignalId) -> bool {
+        self.mark.fill(false);
+        self.fanin.clear();
+        self.fanin_sources.clear();
+        // Post-order: a gate is listed when its second visit is popped,
+        // after every operand pushed above it. The fanin is acyclic, so an
+        // operand already visited is already listed.
+        let mut stack = vec![(site, false)];
+        while let Some((s, operands_done)) = stack.pop() {
+            if operands_done {
+                self.fanin.push(s);
+                continue;
+            }
+            if self.mark[s.index()] {
+                continue;
+            }
+            self.mark[s.index()] = true;
+            let g = self.nl.gate(s);
+            if matches!(g.kind, GateKind::Input | GateKind::Dff) {
+                self.fanin_sources.push(s);
+                if self.fanin_sources.len() > MAX_EXHAUSTIVE_SOURCES {
+                    return false;
+                }
+            } else {
+                stack.push((s, true));
+                stack.extend(g.operands().iter().map(|&o| (o, false)));
+            }
+        }
+        true
+    }
+
+    /// The PODEM search proper.
+    fn search(&mut self, fault: Fault) -> PodemOutcome {
         self.start(fault);
         let n_pi = self.pis.len();
         let mut assignment: Vec<Tri> = vec![Tri::X; n_pi];
@@ -198,8 +349,8 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Sets up `fault`: its fanout cone and the cone's outputs, a clear
-    /// X-path scratch, and the fault's first implication — a full sweep of
+    /// Sets up `fault`: its fanout cone and the cone's outputs, clear
+    /// X-path flags, and the fault's first implication — a full sweep of
     /// both machines with every input X.
     fn start(&mut self, fault: Fault) {
         let site = fault.signal;
@@ -210,7 +361,7 @@ impl<'a> Podem<'a> {
                 .chain(self.cone.iter().copied())
                 .filter(|s| self.observable[s.index()]),
         );
-        self.reach.fill(false);
+        self.mark.fill(false);
         self.sources.clear();
         self.sources.resize(self.pis.len(), Tri64::X);
         let (pi, ff) = self.sources.split_at(self.nl.inputs().len());
@@ -368,7 +519,7 @@ impl<'a> Podem<'a> {
     /// effect (or the still-X site), or an X signal with a reached operand.
     fn x_path_exists(&mut self, fault: Fault) -> bool {
         let site = fault.signal;
-        self.reach[site.index()] = self.effect_at(site) || self.is_x(site);
+        self.mark[site.index()] = self.effect_at(site) || self.is_x(site);
         for &s in &self.cone {
             let reached = self.effect_at(s)
                 || (self.is_x(s)
@@ -377,10 +528,10 @@ impl<'a> Podem<'a> {
                         .gate(s)
                         .operands()
                         .iter()
-                        .any(|op| self.reach[op.index()]));
-            self.reach[s.index()] = reached;
+                        .any(|op| self.mark[op.index()]));
+            self.mark[s.index()] = reached;
         }
-        self.cone_outputs.iter().any(|s| self.reach[s.index()])
+        self.cone_outputs.iter().any(|s| self.mark[s.index()])
     }
 
     /// Walks an objective back to an unassigned PI, tracking inversions.
@@ -555,6 +706,83 @@ mod tests {
         assert_eq!(podem.run(Fault::sa0(and_ab)), PodemOutcome::Untestable);
     }
 
+    /// The shape of the CPU core's random-logic blocks: an XOR tree over
+    /// 32 two-input leaves on 8 inputs whose (kind, operands) repeat with
+    /// period 16, so every leaf meets its twin and the root is constant 0.
+    #[test]
+    fn constant_xor_tree_root_is_settled_without_search() {
+        let mut b = GateNetlistBuilder::new("xor_tree");
+        let ins: Vec<SignalId> = (0..8).map(|i| b.input(&format!("i{i}"))).collect();
+        let kinds = [
+            GateKind::And2,
+            GateKind::Or2,
+            GateKind::Nand2,
+            GateKind::Nor2,
+        ];
+        let leaves: Vec<SignalId> = (0..32)
+            .map(|k| k % 16)
+            .map(|k| b.gate2(kinds[k % 4], ins[k / 4], ins[(k / 4 + 1 + k % 3) % 8]))
+            .collect();
+        let root = b.tree(GateKind::Xor2, &leaves);
+        b.output("root", root);
+        let nl = b.build().unwrap();
+        let mut podem = Podem::new(&nl, 1000);
+        assert_eq!(podem.run(Fault::sa0(root)), PodemOutcome::Untestable);
+        let c = podem.counters();
+        assert_eq!((c.decisions, c.implications, c.gate_evals), (0, 0, 0));
+        assert_eq!((c.untestable, c.unactivatable), (1, 1));
+        match podem.run(Fault::sa1(root)) {
+            PodemOutcome::Test(v) => verify_test(&nl, Fault::sa1(root), &v),
+            other => panic!("root s-a-1: {other:?}"),
+        }
+        assert_eq!(podem.counters().unactivatable, 1);
+    }
+
+    /// A constant site beyond the exhaustive-simulation cap is still proved
+    /// untestable, by the search: `t AND NOT t` over a 13-input AND tree.
+    #[test]
+    fn constant_site_with_many_sources_is_proved_by_search() {
+        let mut b = GateNetlistBuilder::new("wide");
+        let ins: Vec<SignalId> = (0..=MAX_EXHAUSTIVE_SOURCES)
+            .map(|i| b.input(&format!("i{i}")))
+            .collect();
+        let t = b.tree(GateKind::And2, &ins);
+        let nt = b.gate1(GateKind::Not, t);
+        let site = b.gate2(GateKind::And2, t, nt);
+        b.output("y", site);
+        let nl = b.build().unwrap();
+        let mut podem = Podem::new(&nl, 1000);
+        assert_eq!(podem.run(Fault::sa0(site)), PodemOutcome::Untestable);
+        let c = podem.counters();
+        assert!(c.decisions > 0 && c.backtracks > 0, "{c:?}");
+        assert_eq!((c.untestable, c.unactivatable), (1, 0));
+    }
+
+    /// The fanin check covers all 2¹² assignments and evaluates the
+    /// constants in the fanin itself: they are not in `topo_order`, and a
+    /// fresh generator has no earlier sweep to inherit them from. An AND of
+    /// twelve inputs and `NOT 0`, stuck at 0, is activated only by the last
+    /// assignment, all ones.
+    #[test]
+    fn fanin_check_sees_the_last_assignment_and_constants() {
+        let mut b = GateNetlistBuilder::new("wide_and");
+        let ins: Vec<SignalId> = (0..MAX_EXHAUSTIVE_SOURCES)
+            .map(|i| b.input(&format!("i{i}")))
+            .collect();
+        let all = b.tree(GateKind::And2, &ins);
+        let zero = b.const0();
+        let one = b.gate1(GateKind::Not, zero);
+        let site = b.gate2(GateKind::And2, all, one);
+        b.output("y", site);
+        let nl = b.build().unwrap();
+        let mut podem = Podem::new(&nl, 1000);
+        match podem.run(Fault::sa0(site)) {
+            PodemOutcome::Test(v) => verify_test(&nl, Fault::sa0(site), &v),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(podem.counters().unactivatable, 0);
+    }
+
     #[test]
     fn every_c17_fault_gets_a_verdict_and_tests_verify() {
         let nl = c17_like();
@@ -692,7 +920,7 @@ mod tests {
     #[test]
     fn verdicts_agree_with_exhaustive_simulation() {
         let mut rng = Rng(5);
-        let (mut tests, mut untestable) = (0, 0);
+        let (mut tests, mut untestable, mut unactivatable) = (0, 0, 0);
         for _ in 0..500 {
             let nl = random_netlist(&mut rng, 4);
             let psim = socet_gate::PackedSim::new(&nl);
@@ -746,10 +974,11 @@ mod tests {
                     }
                 }
             }
+            unactivatable += podem.counters().unactivatable;
         }
         assert!(
-            tests > 0 && untestable > 0,
-            "{tests} tests, {untestable} untestable"
+            tests > 0 && untestable > unactivatable && unactivatable > 0,
+            "{tests} tests, {untestable} untestable ({unactivatable} unactivatable)"
         );
     }
 }

@@ -387,10 +387,10 @@ impl<'a> Elaborator<'a> {
             seed ^= seed << 17;
             seed
         };
-        // Build the block as `w` XOR trees over distinct two-input leaf
-        // gates. A fault at any leaf or tree node propagates to the tree
-        // root unconditionally (XOR has no controlling value), and leaves
-        // with distinct (kind, operand-pair) combinations never cancel each
+        // Build the block as `w` XOR trees over two-input leaf gates. A
+        // fault at any leaf or tree node propagates to the tree root
+        // unconditionally (XOR has no controlling value), and leaves with
+        // distinct (kind, operand-pair) combinations never cancel each
         // other out — so the block stays almost fully testable, like real
         // synthesized control logic. Naive random gate soups or mixing
         // chains with reused side operands are 30–70% redundant and would
@@ -411,8 +411,15 @@ impl<'a> Elaborator<'a> {
             GateKind::Nand2,
             GateKind::Nor2,
         ];
-        // Enumerate distinct (kind, i<j operand pair) leaf combinations in a
-        // shuffled-by-seed but collision-free order.
+        // Walk the (kind, i<j operand pair) leaf combinations with an odd
+        // seeded stride. The walk is not collision-free: it repeats with
+        // period `combos / gcd(stride, combos)`, and the walk continues
+        // across trees. When the period is shorter than a tree, leaves
+        // repeat inside it, and an XOR subtree over an even number of
+        // periods is constant 0. The CPU's `decode` block (8 pool signals,
+        // 112 combinations, stride 77) has period 16 and 43 leaves per
+        // tree, so the 32-leaf subtree at the start of each of its 8 trees
+        // is constant (EXPERIMENTS.md).
         let pair_count = if n > 1 { n * (n - 1) / 2 } else { 1 };
         let combos = pair_count * leaf_kinds.len();
         let stride = (rng() as usize % combos) | 1;

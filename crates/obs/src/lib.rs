@@ -188,6 +188,15 @@ counters! {
     PodemImplications => "podem_implications", Add;
     /// Gates PODEM's implications evaluated.
     PodemGateEvals => "podem_gate_evals", Add;
+    /// PODEM runs that found a test.
+    PodemTests => "podem_tests", Add;
+    /// PODEM runs that proved their fault untestable.
+    PodemUntestable => "podem_untestable", Add;
+    /// PODEM runs that ran out of backtracks.
+    PodemAborted => "podem_aborted", Add;
+    /// Untestable PODEM runs settled by exhaustive simulation of the fault
+    /// site's fanin, without a search.
+    PodemUnactivatable => "podem_unactivatable", Add;
     /// Gates the sequential fault simulator's differential engine evaluated.
     SeqGateEvals => "seq_gate_evals", Add;
     /// Sequential-simulation faults never seeded: no primary output is

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use socet::atpg::TpgConfig;
 use socet::cells::DftCosts;
 use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
-use socet::obs::{names, Counter, SharedRecorder, SpanRec};
+use socet::obs::{names, Counter, Recorder, SharedRecorder, SpanRec};
 use socet::rtl::{Soc, SocBuilder};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -145,7 +145,10 @@ fn exporters_emit_wellformed_output() {
 
 /// System 1's prepare trace carries PODEM's work counters, and event-driven
 /// implication shows in them: fewer gate evaluations than one full sweep
-/// of the largest core per implication.
+/// of the largest core per implication. Its redundant faults include the
+/// eight constant-0 XOR-tree roots of the CPU's random logic, which the
+/// exhaustive fanin check settles, and every fault PODEM ran has exactly
+/// one outcome.
 #[test]
 fn system1_trace_counts_podem_work() {
     let soc = socet::socs::barcode_system();
@@ -156,9 +159,10 @@ fn system1_trace_counts_podem_work() {
     let rec = shared.take();
     for c in [
         Counter::PodemDecisions,
-        Counter::PodemBacktracks,
         Counter::PodemImplications,
         Counter::PodemGateEvals,
+        Counter::PodemTests,
+        Counter::PodemUntestable,
     ] {
         assert!(rec.counter(c) > 0, "{} is zero", c.name());
     }
@@ -175,7 +179,56 @@ fn system1_trace_counts_podem_work() {
         rec.counter(Counter::PodemGateEvals),
         rec.counter(Counter::PodemImplications)
     );
-    assert!(rec.to_json().contains("\"podem_decisions\""));
+    let unactivatable = rec.counter(Counter::PodemUnactivatable);
+    assert!(
+        (8..=rec.counter(Counter::PodemUntestable)).contains(&unactivatable),
+        "{unactivatable} unactivatable of {} untestable",
+        rec.counter(Counter::PodemUntestable)
+    );
+    // Each logic core is prepared once, so the per-instance coverage sums
+    // are per-run sums. Every untestable and aborted fault is one PODEM
+    // run; a test detects its own fault, and maybe others in passing.
+    assert_eq!(
+        rec.counter(Counter::Instances),
+        rec.counter(Counter::UniqueCores)
+    );
+    let cov = prepared.aggregate_coverage();
+    assert_eq!(rec.counter(Counter::PodemAborted), cov.aborted as u64);
+    assert_eq!(rec.counter(Counter::PodemUntestable), cov.untestable as u64);
+    assert!(rec.counter(Counter::PodemTests) <= rec.counter(Counter::FaultsDroppedPodem));
+    let ran = rec.counter(Counter::PodemTests)
+        + rec.counter(Counter::PodemUntestable)
+        + rec.counter(Counter::PodemAborted);
+    assert!(ran <= (cov.total as u64) - rec.counter(Counter::FaultsDroppedRandom));
+    let json = rec.to_json();
+    assert!(json.contains("\"podem_decisions\""));
+    assert!(json.contains("\"podem_unactivatable\""));
+}
+
+/// A search that must backtrack shows in the recorder: `a OR (a AND b)`
+/// is `a`, so the AND output s-a-0 and `b` stuck at either value are
+/// redundant, yet each is activatable, so PODEM exhausts its decisions
+/// before proving it.
+#[test]
+fn podem_backtracks_are_recorded() {
+    use socet::atpg::generate_tests;
+    use socet::gate::{GateKind, GateNetlistBuilder};
+    let mut b = GateNetlistBuilder::new("redundant");
+    let a = b.input("a");
+    let bb = b.input("b");
+    let and_ab = b.gate2(GateKind::And2, a, bb);
+    let y = b.gate2(GateKind::Or2, a, and_ab);
+    b.output("y", y);
+    let nl = b.build().unwrap();
+    let mut rec = Recorder::new();
+    let tests = {
+        let _sink = rec.install();
+        generate_tests(&nl, &TpgConfig::default())
+    };
+    assert_eq!(tests.coverage.untestable, 3);
+    assert!(rec.counter(Counter::PodemBacktracks) > 0);
+    assert_eq!(rec.counter(Counter::PodemUntestable), 3);
+    assert_eq!(rec.counter(Counter::PodemUnactivatable), 0);
 }
 
 /// A minimal JSON recognizer — enough to catch unbalanced structure,
