@@ -6,21 +6,25 @@
 //! points are the chip PIs and its only observable points the chip POs —
 //! embedded core ports disappear into internal nets.
 //!
-//! Memory cores are excluded (they are BIST-tested in the paper); nets to
-//! or from them dangle, and core inputs that end up driverless are tied to
-//! constant 0.
+//! The interconnect follows the chip's one rule, [`Soc::bit_driver`]:
+//! every core-input and PO bit takes the last net covering it. Memory cores
+//! are excluded (they are BIST-tested in the paper), so nets into them
+//! dangle, and a bit driven by a memory output, or by no net at all, is
+//! tied to constant 0. The replay shell of `socet-verify` resolves its
+//! interconnect through the same call.
 
 use socet_gate::{
     elaborate_with, ElabOptions, GateError, GateNetlist, GateNetlistBuilder, SignalId,
 };
-use socet_rtl::{Soc, SocEndpoint};
+use socet_rtl::{Soc, Terminal};
 use std::collections::HashMap;
 
 /// Flattens `soc` into a single gate netlist.
 ///
-/// Every logic core is elaborated and inlined; chip-level nets rewire each
-/// driven core-input bit to its driver (a chip PI bit or another core's
-/// output bit). Core input bits with no chip-level driver are tied low.
+/// Every logic core is elaborated and inlined; each core-input bit is
+/// rewired to its [`Soc::bit_driver`] (a chip PI bit or another core's
+/// output bit) and each PO bit is emitted from it, in pin order, bits
+/// ascending. Bits with no logic driver are tied low.
 /// Internal mux-select lines created by elaboration remain chip inputs —
 /// a documented optimism (see `DESIGN.md`), since the real chip would
 /// drive them from control logic.
@@ -125,63 +129,22 @@ pub fn flatten_soc(soc: &Soc) -> Result<GateNetlist, GateError> {
             }
         }
     }
-    // Wire the nets.
-    let mut driven: HashMap<(usize, usize, u16), SignalId> = HashMap::new();
-    let mut po_drivers: Vec<(String, SignalId)> = Vec::new();
-    for net in soc.nets() {
-        // Resolve source bits.
-        let src_bits: Option<Vec<SignalId>> = match net.src {
-            SocEndpoint::Pin { pin, range } => Some(
-                range
-                    .bits()
-                    .map(|bit| pin_bits[&(pin.index(), bit)])
-                    .collect(),
-            ),
-            SocEndpoint::CorePort { core, port, range } => {
-                if soc.core(core).is_memory() {
-                    None
-                } else {
-                    Some(
-                        range
-                            .bits()
-                            .map(|bit| out_bits[&(core.index(), port.index(), bit)])
-                            .collect(),
-                    )
-                }
-            }
-        };
-        let Some(src_bits) = src_bits else { continue };
-        match net.dst {
-            SocEndpoint::Pin { pin, range } => {
-                let name = soc.pin(pin).name().to_owned();
-                for (k, bit) in range.bits().enumerate() {
-                    po_drivers.push((format!("{name}[{bit}]"), src_bits[k]));
-                }
-            }
-            SocEndpoint::CorePort { core, port, range } => {
-                if soc.core(core).is_memory() {
-                    continue;
-                }
-                for (k, bit) in range.bits().enumerate() {
-                    driven.insert((core.index(), port.index(), bit), src_bits[k]);
-                }
-            }
-        }
-    }
-    // Rewire driven inputs; tie the rest low when the port is a data port
-    // connected to a memory core or simply unconnected.
+    // Wire the nets: every core-input bit and PO bit takes the driver
+    // `Soc::bit_driver` names; a memory source or no driver ties it low.
     let zero = b.const0();
+    let driver = |sink, bit| match soc.bit_driver(sink, bit) {
+        Some((Terminal::Pin(pin), sbit)) => pin_bits[&(pin.index(), sbit)],
+        Some((Terminal::Port(core, port), sbit)) if !soc.core(core).is_memory() => {
+            out_bits[&(core.index(), port.index(), sbit)]
+        }
+        _ => zero,
+    };
     for cid in soc.logic_cores() {
         let core = soc.core(cid).core();
         for p in core.input_ports() {
-            let width = core.port(p).width();
-            for bit in 0..width {
-                let key = (cid.index(), p.index(), bit);
-                let input_sig = in_bits[&key];
-                match driven.get(&key) {
-                    Some(&driver) => b.rewire_input(input_sig, driver),
-                    None => b.rewire_input(input_sig, zero),
-                }
+            for bit in 0..core.port(p).width() {
+                let input_sig = in_bits[&(cid.index(), p.index(), bit)];
+                b.rewire_input(input_sig, driver(Terminal::Port(cid, p), bit));
             }
         }
     }
@@ -194,8 +157,14 @@ pub fn flatten_soc(soc: &Soc) -> Result<GateNetlist, GateError> {
             b.rewire_input(input, one);
         }
     }
-    for (name, s) in po_drivers {
-        b.output(&name, s);
+    for pin in soc.primary_outputs() {
+        let p = soc.pin(pin);
+        for bit in 0..p.width() {
+            b.output(
+                &format!("{}[{bit}]", p.name()),
+                driver(Terminal::Pin(pin), bit),
+            );
+        }
     }
     b.build()
 }

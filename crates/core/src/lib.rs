@@ -9,7 +9,7 @@
 //! 1. builds the core connectivity graph ([`Ccg`]) whose edge costs are
 //!    transparency latencies (§5, Fig. 9);
 //! 2. identifies justification and propagation paths for every core under
-//!    test with a reservation-aware shortest-path [`Router`] — reused edges
+//!    test with a reservation-aware shortest-path router — reused edges
 //!    wait out the cycles they are reserved for, and ports that cannot be
 //!    reached get system-level test multiplexers (§5.1);
 //! 3. computes each core's test episode and the global test application
@@ -85,7 +85,7 @@ pub use parallel::{parallelize, ParallelSchedule};
 pub use pareto::{best_weighted, pareto_front};
 pub use plan::{CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux};
 pub use report::render_plan;
-pub use schedule::{schedule, schedule_with, try_schedule, RouteResult, Router, Scheduler};
+pub use schedule::{schedule, schedule_with, try_schedule, Scheduler};
 pub use tester::{tester_program, validate_program, DriveAction, TesterProgram};
 
 #[cfg(test)]

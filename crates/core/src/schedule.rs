@@ -29,7 +29,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// A routed path: its arrival time and the transparency pairs it crossed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteResult {
+pub(crate) struct RouteResult {
     /// Cycles from the start of the vector slot until the data is in place.
     pub arrival: u32,
     /// `(through-core, input, output)` of every transparency edge used.
@@ -61,7 +61,7 @@ struct RouterScratch {
 /// scheduler routes a core's inputs in declaration order, exactly like the
 /// paper routes `A(7 downto 0)` before `A(11 downto 8)`.
 #[derive(Debug)]
-pub struct Router<'a> {
+pub(crate) struct Router<'a> {
     ccg: &'a Ccg,
     scratch: RouterScratch,
     enforce: bool,
@@ -70,20 +70,6 @@ pub struct Router<'a> {
 }
 
 impl<'a> Router<'a> {
-    /// A router with no reservations.
-    pub fn new(ccg: &'a Ccg) -> Self {
-        Router::with_scratch(ccg, RouterScratch::default(), true)
-    }
-
-    /// A router that *ignores* resource conflicts — the ablation baseline
-    /// showing what goes wrong without the paper's edge reservations:
-    /// per-vector times come out optimistically low because concurrent
-    /// transfers through shared transparency logic are impossible in
-    /// hardware.
-    pub fn new_unconstrained(ccg: &'a Ccg) -> Self {
-        Router::with_scratch(ccg, RouterScratch::default(), false)
-    }
-
     /// A router recycling a previous router's buffers. Reservations are
     /// cleared (each core under test starts with an idle chip); the arrays
     /// keep their capacity.

@@ -53,6 +53,7 @@ pub use error::RtlError;
 pub use port::{Direction, Port, PortId, SignalClass};
 pub use soc::{
     ChipPin, ChipPinId, CoreInstance, CoreInstanceId, Soc, SocBuilder, SocEndpoint, SocNet,
+    Terminal,
 };
 pub use stats::CoreStats;
 

@@ -149,6 +149,24 @@ impl SocEndpoint {
             SocEndpoint::CorePort { range, .. } => *range,
         }
     }
+
+    /// The pin or core port the endpoint slices.
+    pub fn terminal(&self) -> Terminal {
+        match *self {
+            SocEndpoint::Pin { pin, .. } => Terminal::Pin(pin),
+            SocEndpoint::CorePort { core, port, .. } => Terminal::Port(core, port),
+        }
+    }
+}
+
+/// A whole chip-level net terminal: a chip pin, or one port of a core
+/// instance. [`SocEndpoint`] is a bit slice of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Terminal {
+    /// A chip pin.
+    Pin(ChipPinId),
+    /// A port of a core instance.
+    Port(CoreInstanceId, PortId),
 }
 
 impl fmt::Display for SocEndpoint {
@@ -307,6 +325,18 @@ impl Soc {
     pub fn nets_from(&self, core: CoreInstanceId, port: PortId) -> impl Iterator<Item = &SocNet> {
         self.nets.iter().filter(move |n| {
             matches!(n.src, SocEndpoint::CorePort { core: c, port: p, .. } if c == core && p == port)
+        })
+    }
+
+    /// The driver of bit `bit` of `sink` (a chip PO or a core input): the
+    /// source terminal and source bit of the **last** net covering that bit,
+    /// or `None` when no net does. This is the chip's one interconnect rule;
+    /// a later net overrides an earlier one bit by bit.
+    pub fn bit_driver(&self, sink: Terminal, bit: u16) -> Option<(Terminal, u16)> {
+        self.nets.iter().rev().find_map(|n| {
+            let dst = n.dst.range();
+            (n.dst.terminal() == sink && dst.contains_bit(bit))
+                .then(|| (n.src.terminal(), n.src.range().lsb() + (bit - dst.lsb())))
         })
     }
 
@@ -660,6 +690,90 @@ mod tests {
         assert_eq!(soc.flip_flop_count(), 16);
         assert_eq!(soc.find_core("u1"), Some(u1));
         assert_eq!(soc.find_pin("pi"), Some(pi));
+    }
+
+    /// `pi` fully drives `u1.i`; a later net then overrides `u1.i[5:2]`
+    /// with `u0.o[3:0]`. `pi[7:4]` drives `u0.i[3:0]`, so `u0.i[7:4]` is
+    /// undriven, and `u1.o[1:0]` drives `po[7:6]` only.
+    fn overlapping_soc() -> (Soc, [CoreInstanceId; 2], [ChipPinId; 2], [PortId; 2]) {
+        let buf = buf_core();
+        let (i, o) = (port_of(&buf, "i"), port_of(&buf, "o"));
+        let mut sb = SocBuilder::new("chip");
+        let pi = sb.input_pin("pi", 8).unwrap();
+        let po = sb.output_pin("po", 8).unwrap();
+        let u0 = sb.instantiate("u0", buf.clone()).unwrap();
+        let u1 = sb.instantiate("u1", buf).unwrap();
+        let port = |core, port, lsb, msb| SocEndpoint::CorePort {
+            core,
+            port,
+            range: BitRange::new(lsb, msb),
+        };
+        let pin = |pin, lsb, msb| SocEndpoint::Pin {
+            pin,
+            range: BitRange::new(lsb, msb),
+        };
+        sb.connect_pin_to_core(pi, u1, i).unwrap();
+        sb.connect(port(u0, o, 0, 3), port(u1, i, 2, 5)).unwrap();
+        sb.connect(pin(pi, 4, 7), port(u0, i, 0, 3)).unwrap();
+        sb.connect(port(u1, o, 0, 1), pin(po, 6, 7)).unwrap();
+        (sb.build().unwrap(), [u0, u1], [pi, po], [i, o])
+    }
+
+    #[test]
+    fn bit_driver_takes_the_last_covering_net() {
+        let (soc, [u0, u1], [pi, _], [i, o]) = overlapping_soc();
+        let sink = Terminal::Port(u1, i);
+        let drivers: Vec<_> = (0..8).map(|bit| soc.bit_driver(sink, bit)).collect();
+        let from_pi = |bit| Some((Terminal::Pin(pi), bit));
+        let from_u0 = |bit| Some((Terminal::Port(u0, o), bit));
+        assert_eq!(
+            drivers,
+            vec![
+                from_pi(0),
+                from_pi(1),
+                from_u0(0),
+                from_u0(1),
+                from_u0(2),
+                from_u0(3),
+                from_pi(6),
+                from_pi(7),
+            ]
+        );
+    }
+
+    #[test]
+    fn bit_driver_maps_slice_offsets() {
+        let (soc, [u0, u1], [pi, po], [i, o]) = overlapping_soc();
+        assert_eq!(
+            soc.bit_driver(Terminal::Port(u0, i), 0),
+            Some((Terminal::Pin(pi), 4))
+        );
+        assert_eq!(
+            soc.bit_driver(Terminal::Port(u0, i), 3),
+            Some((Terminal::Pin(pi), 7))
+        );
+        assert_eq!(
+            soc.bit_driver(Terminal::Pin(po), 6),
+            Some((Terminal::Port(u1, o), 0))
+        );
+        assert_eq!(
+            soc.bit_driver(Terminal::Pin(po), 7),
+            Some((Terminal::Port(u1, o), 1))
+        );
+    }
+
+    #[test]
+    fn undriven_bits_have_no_driver() {
+        let (soc, [u0, _], [pi, po], [i, o]) = overlapping_soc();
+        for bit in 4..8 {
+            assert_eq!(soc.bit_driver(Terminal::Port(u0, i), bit), None);
+        }
+        for bit in 0..6 {
+            assert_eq!(soc.bit_driver(Terminal::Pin(po), bit), None);
+        }
+        // Sources are never sinks.
+        assert_eq!(soc.bit_driver(Terminal::Pin(pi), 0), None);
+        assert_eq!(soc.bit_driver(Terminal::Port(u0, o), 0), None);
     }
 
     #[test]

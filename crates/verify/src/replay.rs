@@ -29,7 +29,8 @@ use socet_core::{
     parallelize, tester_program, validate_program, CoreEpisode, CoreTestData, DesignPoint,
     RouteHop, RouteItinerary,
 };
-use socet_rtl::{ChipPinId, CoreInstanceId, PortId, Soc, SocEndpoint};
+use socet_gate::CombSim;
+use socet_rtl::{CoreInstanceId, PortId, Soc, Terminal};
 use socet_transparency::RcgNode;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -55,8 +56,6 @@ pub struct VerifyOptions {
     pub seed: u64,
     /// Cap on replayed vectors per episode (`None` = replay all).
     pub max_vectors: Option<u64>,
-    /// Also verify the parallel packing (invariant c).
-    pub check_parallel: bool,
     /// Mis-scheduling injection hook for oracle self-tests.
     pub skew: Option<Skew>,
 }
@@ -66,7 +65,6 @@ impl Default for VerifyOptions {
         VerifyOptions {
             seed: 0x50CE7,
             max_vectors: None,
-            check_parallel: true,
             skew: None,
         }
     }
@@ -146,7 +144,7 @@ pub struct VerifyReport {
     pub flat_ffs: usize,
     /// Per-episode accounting, in plan order.
     pub episodes: Vec<EpisodeSummary>,
-    /// Parallel-phase accounting when enabled.
+    /// Parallel-phase accounting (`None` for a plan without episodes).
     pub parallel: Option<ParallelSummary>,
     /// Every violation found, in detection order.
     pub violations: Vec<Violation>,
@@ -304,11 +302,18 @@ struct Program {
     holds: Vec<(usize, usize, u64, u64, u64, usize)>,
     /// (core, port, cycle, lo, hi, edge, owner, episode).
     opens: Vec<OpenRec>,
-    next_owner: u64,
+    /// Owner → the episode it belongs to; owners are dense from 0.
+    owner_episode: Vec<usize>,
     horizon: u64,
 }
 
 impl Program {
+    /// Allocates a fresh owner (one route instance) of `episode`.
+    fn new_owner(&mut self, episode: usize) -> u64 {
+        self.owner_episode.push(episode);
+        self.owner_episode.len() as u64 - 1
+    }
+
     fn pulse(&mut self, cycle: u64, input: usize) {
         self.events.push((cycle, input, 1));
         self.events.push((cycle + 1, input, -1));
@@ -331,58 +336,23 @@ struct EpisodeStats {
 // ---------------------------------------------------------------------------
 // Template construction.
 
-fn endpoint_matches(
-    src: &SocEndpoint,
-    want_pin: Option<ChipPinId>,
-    want_core: Option<(CoreInstanceId, PortId)>,
-) -> bool {
-    match (src, want_pin, want_core) {
-        (SocEndpoint::Pin { pin, .. }, Some(w), _) => *pin == w,
-        (SocEndpoint::CorePort { core, port, .. }, _, Some((wc, wp))) => *core == wc && *port == wp,
-        _ => false,
-    }
-}
-
-/// Maps provenance entries across the chip nets into `(dst_core, dst_port)`
-/// (or a PO pin when `dst_pin` is given), honouring the shell's
-/// last-net-wins driver rule: a later net covering the same destination
-/// bits overrides — with `None` when it comes from a different source.
+/// Maps provenance entries across the chip nets from terminal `src` into
+/// terminal `sink`: a sink bit keeps its entry only when
+/// [`Soc::bit_driver`] names `src` as its driver; a bit driven from
+/// elsewhere, or not at all, is untracked.
 fn net_image(
     soc: &Soc,
-    src_pin: Option<ChipPinId>,
-    src_core: Option<(CoreInstanceId, PortId)>,
-    dst_pin: Option<ChipPinId>,
-    dst_core: Option<(CoreInstanceId, PortId)>,
+    src: Terminal,
+    sink: Terminal,
     width: u16,
     map: &[Option<Entry>],
 ) -> Vec<Option<Entry>> {
-    let mut out: Vec<Option<Entry>> = vec![None; usize::from(width)];
-    for net in soc.nets() {
-        let (dr, matches_dst) = match (&net.dst, dst_pin, dst_core) {
-            (SocEndpoint::Pin { pin, range }, Some(w), _) => (*range, *pin == w),
-            (SocEndpoint::CorePort { core, port, range }, _, Some((wc, wp))) => {
-                (*range, *core == wc && *port == wp)
-            }
-            _ => continue,
-        };
-        if !matches_dst {
-            continue;
-        }
-        let from_ours = endpoint_matches(&net.src, src_pin, src_core);
-        let sr = net.src.range();
-        for bit in dr.bits() {
-            if usize::from(bit) >= out.len() {
-                continue;
-            }
-            let sbit = sr.lsb() + (bit - dr.lsb());
-            out[usize::from(bit)] = if from_ours {
-                map.get(usize::from(sbit)).copied().flatten()
-            } else {
-                None
-            };
-        }
-    }
-    out
+    (0..width)
+        .map(|bit| match soc.bit_driver(sink, bit) {
+            Some((t, sbit)) if t == src => map.get(usize::from(sbit)).copied().flatten(),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Builds the vector-independent template of one route.
@@ -434,43 +404,23 @@ fn route_template(
     };
 
     // Walk the itinerary: net hop, transparency hop, net hop, ...
-    let mut cur_pin: Option<ChipPinId> = match dir {
-        Dir::Input => Some(pin),
-        Dir::Output => None,
-    };
-    let mut cur_core: Option<(CoreInstanceId, PortId)> = match dir {
-        Dir::Input => None,
-        Dir::Output => Some((ep.core, it.port)),
+    let mut cur = match dir {
+        Dir::Input => Terminal::Pin(pin),
+        Dir::Output => Terminal::Port(ep.core, it.port),
     };
     for hop in &it.hops {
         let in_width = soc.core(hop.core).core().port(hop.input).width();
-        map = net_image(
-            soc,
-            cur_pin,
-            cur_core,
-            None,
-            Some((hop.core, hop.input)),
-            in_width,
-            &map,
-        );
+        let sink = Terminal::Port(hop.core, hop.input);
+        map = net_image(soc, cur, sink, in_width, &map);
         map = hop_image(
             shell, soc, hop, &samples, &map, &mut acts, &mut loads, &mut opens,
         )?;
-        cur_pin = None;
-        cur_core = Some((hop.core, hop.output));
+        cur = Terminal::Port(hop.core, hop.output);
     }
     let (map, out_idx) = match dir {
         Dir::Input => {
             let w = soc.core(ep.core).core().port(it.port).width();
-            let map = net_image(
-                soc,
-                cur_pin,
-                cur_core,
-                None,
-                Some((ep.core, it.port)),
-                w,
-                &map,
-            );
+            let map = net_image(soc, cur, Terminal::Port(ep.core, it.port), w, &map);
             let idx = (0..w)
                 .map(|b| shell.obs_index.get(&(ep.core, it.port, b)).copied())
                 .collect();
@@ -478,7 +428,7 @@ fn route_template(
         }
         Dir::Output => {
             let w = soc.pin(pin).width();
-            let map = net_image(soc, None, cur_core, Some(pin), None, w, &map);
+            let map = net_image(soc, cur, Terminal::Pin(pin), w, &map);
             let idx = (0..w)
                 .map(|b| shell.po_index.get(&(pin, b)).copied())
                 .collect();
@@ -678,8 +628,7 @@ fn add_episode(
     for v in 0..vectors {
         let launch = offset + v * per;
         for t in &templates {
-            let owner = prog.next_owner;
-            prog.next_owner += 1;
+            let owner = prog.new_owner(plan_idx);
             for &(rel, input) in &t.acts {
                 prog.pulse(launch + rel, input);
             }
@@ -813,13 +762,6 @@ fn clobbered_owners(prog: &Program) -> HashMap<u64, (usize, usize, u64)> {
     out
 }
 
-fn owner_episode(prog: &Program, owner: u64) -> Option<usize> {
-    prog.checks
-        .iter()
-        .find(|c| c.owner == owner)
-        .map(|c| c.episode)
-}
-
 /// Runs the program on the shell, returning violations and the number of
 /// checks executed (clobbered owners are skipped and counted per episode).
 fn run_program(
@@ -839,9 +781,7 @@ fn run_program(
     let mut pairs: Vec<(u64, (usize, usize, u64))> = clobbered.into_iter().collect();
     pairs.sort_unstable();
     for (owner, (by_ep, core, cycle)) in pairs {
-        let Some(own_ep) = owner_episode(prog, owner) else {
-            continue;
-        };
+        let own_ep = prog.owner_episode[owner as usize];
         skip.insert(owner);
         if own_ep != by_ep {
             if reported.insert((own_ep.min(by_ep), own_ep.max(by_ep))) {
@@ -864,7 +804,7 @@ fn run_program(
     prog.events.sort_unstable();
     prog.checks.sort_by_key(|c| c.cycle);
 
-    let sim = shell.sim();
+    let sim = CombSim::new(&shell.netlist);
     let mut counts: Vec<i32> = vec![0; shell.input_roles.len()];
     let mut inputs: Vec<bool> = vec![false; shell.input_roles.len()];
     let mut state: Vec<bool> = vec![false; shell.netlist.flip_flop_count()];
@@ -1030,7 +970,7 @@ pub fn verify_design_point(
     }
 
     // Parallel phase: the packed windows replayed jointly (invariant c).
-    let parallel = if opts.check_parallel && !plan.episodes.is_empty() {
+    let parallel = if !plan.episodes.is_empty() {
         let par = parallelize(soc, plan);
         // Explicit pairwise resource disjointness of overlapping windows.
         type WindowResources = (u64, u64, HashSet<(u8, usize)>);

@@ -11,12 +11,15 @@
 //!   input is a priority mux chain over the edges writing it, gated by
 //!   per-edge *activation* inputs; with every activation low the register
 //!   holds — the paper's freezable core clock;
-//! * every core output port is a mux chain over the edges driving it
-//!   (default 0), then a final test-mode mux that substitutes the injected
-//!   CUT response when the core is under test;
-//! * chip nets wire pins and ports together with the same last-net-wins
-//!   rule `socet_baselines::flatten` uses, so the shell and the functional
-//!   flattening agree on interconnect semantics.
+//! * every core output port is the same kind of mux chain over the edges
+//!   driving it (default 0), then a final test-mode mux that substitutes
+//!   the injected CUT response when the core is under test;
+//! * chip nets wire pins and ports together through the chip's one
+//!   interconnect rule, [`Soc::bit_driver`]: each core-input and PO bit
+//!   reads the last net covering it. `socet_baselines::flatten_soc` makes
+//!   the same call, so the shell and the functional flattening agree by
+//!   construction; a memory source or an undriven bit reads constant 0 in
+//!   both.
 //!
 //! Every logic-core input-port bit is exported as an `obs_*` output (the
 //! oracle's window for invariant (a)) and every chip PO bit as a `po_*`
@@ -24,8 +27,8 @@
 
 use crate::VerifyError;
 use socet_core::{CoreTestData, DesignPoint};
-use socet_gate::{CombSim, GateNetlist, GateNetlistBuilder, SignalId};
-use socet_rtl::{ChipPinId, CoreInstanceId, PortId, RegisterId, Soc};
+use socet_gate::{GateNetlist, GateNetlistBuilder, SignalId};
+use socet_rtl::{ChipPinId, CoreInstanceId, PortId, RegisterId, Soc, Terminal};
 use socet_transparency::{level_support, Rcg, RcgNode, TransparencyPath};
 use std::collections::HashMap;
 
@@ -70,8 +73,6 @@ pub enum InputRole {
 /// of the selected version (whose `EdgeId`s the version's paths index), the
 /// paths themselves, and the used-edge set.
 pub struct CoreFabric {
-    /// The core instance.
-    pub core: CoreInstanceId,
     /// The support RCG of the selected level.
     pub rcg: Rcg,
     /// The selected version's transparency paths (identical to the plan's).
@@ -135,8 +136,6 @@ pub struct Shell {
     pub po_index: HashMap<(ChipPinId, u16), usize>,
     /// Per logic core (indexed by `CoreInstanceId::index`), its fabric.
     pub fabrics: HashMap<usize, CoreFabric>,
-    /// Registers instantiated, as `(core, register, width)`.
-    pub registers: Vec<(CoreInstanceId, RegisterId, u16)>,
 }
 
 impl Shell {
@@ -224,7 +223,6 @@ impl Shell {
             fabrics.insert(
                 cid.index(),
                 CoreFabric {
-                    core: cid,
                     rcg,
                     paths,
                     used_edges: used,
@@ -249,7 +247,11 @@ impl Shell {
 
         // 6. Register banks: deferred DFFs first (D chains may read other
         //    registers of the same core), then the hold/load mux chains.
-        let mut reg_q: HashMap<(usize, usize, u16), SignalId> = HashMap::new();
+        let mut wires = Wires {
+            act: act_sig,
+            ph: ph_sig,
+            reg_q: HashMap::new(),
+        };
         let mut registers = Vec::new();
         for cid in soc.logic_cores() {
             let fab = &fabrics[&cid.index()];
@@ -272,44 +274,17 @@ impl Shell {
                 let w = core.register(r).width();
                 for bit in 0..w {
                     let q = b.dff_deferred();
-                    reg_q.insert((cid.index(), r.index(), bit), q);
+                    wires.reg_q.insert((cid.index(), r.index(), bit), q);
                 }
-                registers.push((cid, r, w));
+                registers.push((cid.index(), r, w));
             }
         }
 
-        // A local closure cannot borrow the builder mutably twice, so edge
-        // sources are resolved through the maps directly.
-        type BitMap = HashMap<(usize, usize, u16), SignalId>;
-        let src_of =
-            |maps: (&BitMap, &BitMap), cidx: usize, node: RcgNode, bit: u16| -> Option<SignalId> {
-                let (ph, regq) = maps;
-                match node {
-                    RcgNode::In(p) => ph.get(&(cidx, p.index(), bit)).copied(),
-                    RcgNode::Reg(r) => regq.get(&(cidx, r.index(), bit)).copied(),
-                    RcgNode::Out(_) => None,
-                }
-            };
-
-        // 7. D chains: default hold, each used edge into the register adds a
-        //    priority mux (later edge index = outer mux = wins on ties).
-        for (cid, r, w) in &registers {
-            let fab = &fabrics[&cid.index()];
-            for bit in 0..*w {
-                let q = reg_q[&(cid.index(), r.index(), bit)];
-                let mut d = q;
-                for &e in &fab.used_edges {
-                    let edge = fab.rcg.edges()[e];
-                    if edge.to != RcgNode::Reg(*r) || !edge.to_range.contains_bit(bit) {
-                        continue;
-                    }
-                    let sbit = edge.from_range.lsb() + (bit - edge.to_range.lsb());
-                    let Some(src) = src_of((&ph_sig, &reg_q), cid.index(), edge.from, sbit) else {
-                        continue;
-                    };
-                    let act = act_sig[&(cid.index(), e)];
-                    d = b.mux(act, d, src);
-                }
+        // 7. D chains: default hold.
+        for &(ci, r, w) in &registers {
+            for bit in 0..w {
+                let q = wires.reg_q[&(ci, r.index(), bit)];
+                let d = wires.edge_chain(&mut b, &fabrics[&ci], ci, RcgNode::Reg(r), bit, q);
                 b.set_dff_input(q, d);
             }
         }
@@ -321,23 +296,12 @@ impl Shell {
             let core = inst.core();
             for port in core.output_ports() {
                 for bit in 0..core.port(port).width() {
+                    let zero = b.const0();
                     let sig = if inst.is_memory() {
-                        b.const0()
+                        zero
                     } else {
-                        let fab = &fabrics[&ci];
-                        let mut v = b.const0();
-                        for &e in &fab.used_edges {
-                            let edge = fab.rcg.edges()[e];
-                            if edge.to != RcgNode::Out(port) || !edge.to_range.contains_bit(bit) {
-                                continue;
-                            }
-                            let sbit = edge.from_range.lsb() + (bit - edge.to_range.lsb());
-                            let Some(src) = src_of((&ph_sig, &reg_q), ci, edge.from, sbit) else {
-                                continue;
-                            };
-                            let act = act_sig[&(ci, e)];
-                            v = b.mux(act, v, src);
-                        }
+                        let to = RcgNode::Out(port);
+                        let v = wires.edge_chain(&mut b, &fabrics[&ci], ci, to, bit, zero);
                         let inj = inj_sig[&(ci, port.index(), bit)];
                         b.mux(tm_sig[&ci], v, inj)
                     };
@@ -346,84 +310,38 @@ impl Shell {
             }
         }
 
-        // 9. Chip nets: resolve core-input placeholders and PO pins with
-        //    the same last-net-wins rule flatten_soc applies.
-        let resolve = |b: &mut GateNetlistBuilder,
-                       core_out: &HashMap<(usize, usize, u16), SignalId>,
-                       pin_sig: &HashMap<(usize, u16), SignalId>,
-                       src: &socet_rtl::SocEndpoint,
-                       sbit: u16|
-         -> Option<SignalId> {
-            match *src {
-                socet_rtl::SocEndpoint::Pin { pin, .. } => {
-                    pin_sig.get(&(pin.index(), sbit)).copied()
-                }
-                socet_rtl::SocEndpoint::CorePort { core, port, .. } => {
-                    core_out.get(&(core.index(), port.index(), sbit)).copied()
-                }
+        // 9. Chip nets: each core-input placeholder and PO tap reads the
+        //    driver `Soc::bit_driver` names (a memory output reads the
+        //    constant 0 of step 8); an undriven bit reads a fresh constant 0.
+        let driver = |b: &mut GateNetlistBuilder, sink, bit| match soc.bit_driver(sink, bit) {
+            Some((Terminal::Pin(pin), sbit)) => pin_sig[&(pin.index(), sbit)],
+            Some((Terminal::Port(core, port), sbit)) => {
+                core_out[&(core.index(), port.index(), sbit)]
             }
-            .or_else(|| Some(b.const0()))
+            None => b.const0(),
         };
         let mut obs_index = HashMap::new();
-        let mut obs_outs: Vec<(String, SignalId)> = Vec::new();
+        let mut outs: Vec<(String, SignalId)> = Vec::new();
         for cid in soc.logic_cores() {
             let core = soc.core(cid).core();
             for port in core.input_ports() {
                 for bit in 0..core.port(port).width() {
-                    let mut driver = b.const0();
-                    for net in soc.nets() {
-                        let socet_rtl::SocEndpoint::CorePort {
-                            core: dc,
-                            port: dp,
-                            range: dr,
-                        } = net.dst
-                        else {
-                            continue;
-                        };
-                        if dc != cid || dp != port || !dr.contains_bit(bit) {
-                            continue;
-                        }
-                        let sbit = net.src.range().lsb() + (bit - dr.lsb());
-                        if let Some(s) = resolve(&mut b, &core_out, &pin_sig, &net.src, sbit) {
-                            driver = s;
-                        }
-                    }
-                    let ph = ph_sig[&(cid.index(), port.index(), bit)];
-                    b.rewire_input(ph, driver);
-                    obs_index.insert((cid, port, bit), obs_outs.len());
-                    obs_outs.push((
-                        format!("obs_c{}_p{}_{}", cid.index(), port.index(), bit),
-                        driver,
-                    ));
+                    let d = driver(&mut b, Terminal::Port(cid, port), bit);
+                    b.rewire_input(wires.ph[&(cid.index(), port.index(), bit)], d);
+                    obs_index.insert((cid, port, bit), outs.len());
+                    outs.push((format!("obs_c{}_p{}_{}", cid.index(), port.index(), bit), d));
                 }
             }
         }
         let mut po_index = HashMap::new();
-        let mut po_outs: Vec<(String, SignalId)> = Vec::new();
         for pin in soc.primary_outputs() {
             for bit in 0..soc.pin(pin).width() {
-                let mut driver = b.const0();
-                for net in soc.nets() {
-                    let socet_rtl::SocEndpoint::Pin {
-                        pin: dpin,
-                        range: dr,
-                    } = net.dst
-                    else {
-                        continue;
-                    };
-                    if dpin != pin || !dr.contains_bit(bit) {
-                        continue;
-                    }
-                    let sbit = net.src.range().lsb() + (bit - dr.lsb());
-                    if let Some(s) = resolve(&mut b, &core_out, &pin_sig, &net.src, sbit) {
-                        driver = s;
-                    }
-                }
-                po_index.insert((pin, bit), obs_outs.len() + po_outs.len());
-                po_outs.push((format!("po_{}_{}", pin.index(), bit), driver));
+                let d = driver(&mut b, Terminal::Pin(pin), bit);
+                po_index.insert((pin, bit), outs.len());
+                outs.push((format!("po_{}_{}", pin.index(), bit), d));
             }
         }
-        for (name, s) in obs_outs.into_iter().chain(po_outs) {
+        for (name, s) in outs {
             b.output(&name, s);
         }
 
@@ -445,13 +363,54 @@ impl Shell {
             obs_index,
             po_index,
             fabrics,
-            registers,
         })
     }
+}
 
-    /// A fresh combinational simulator over the shell.
-    pub fn sim(&self) -> CombSim<'_> {
-        CombSim::new(&self.netlist)
+/// Bit-level signals keyed by `(core index, port or register index, bit)`.
+type BitMap = HashMap<(usize, usize, u16), SignalId>;
+
+/// The signals the RCG edge fabric reads and is gated by.
+struct Wires {
+    /// `(core index, edge index) → activation input`.
+    act: HashMap<(usize, usize), SignalId>,
+    /// Input-port placeholders.
+    ph: BitMap,
+    /// Register Q outputs.
+    reg_q: BitMap,
+}
+
+impl Wires {
+    /// The priority mux chain driving bit `bit` of node `to` of core `ci`:
+    /// `init` while every activation is low; each used edge writing the bit
+    /// adds a mux that passes the edge's source bit while the edge is
+    /// active. A later edge index is the outer mux, so it wins a tie.
+    fn edge_chain(
+        &self,
+        b: &mut GateNetlistBuilder,
+        fab: &CoreFabric,
+        ci: usize,
+        to: RcgNode,
+        bit: u16,
+        init: SignalId,
+    ) -> SignalId {
+        let mut v = init;
+        for &e in &fab.used_edges {
+            let edge = fab.rcg.edges()[e];
+            if edge.to != to || !edge.to_range.contains_bit(bit) {
+                continue;
+            }
+            let sbit = edge.from_range.lsb() + (bit - edge.to_range.lsb());
+            let src = match edge.from {
+                RcgNode::In(p) => self.ph.get(&(ci, p.index(), sbit)),
+                RcgNode::Reg(r) => self.reg_q.get(&(ci, r.index(), sbit)),
+                RcgNode::Out(_) => None,
+            };
+            if let Some(&src) = src {
+                v = b.mux(self.act[&(ci, e)], v, src);
+            }
+        }
+        v
     }
 }
 
@@ -483,4 +442,69 @@ fn relax_times(rcg: &Rcg, path: &TransparencyPath) -> HashMap<RcgNode, u32> {
         }
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use socet_baselines::flatten_soc;
+    use socet_cells::{AreaReport, DftCosts};
+    use socet_gate::CombSim;
+    use socet_rtl::{CoreBuilder, Direction, SocBuilder};
+    use std::sync::Arc;
+
+    /// A core input driven first by a logic core and then by a memory
+    /// reads the memory's constant 0 in both the shell and the functional
+    /// flattening: they resolve interconnect through one rule.
+    #[test]
+    fn shell_and_flattening_agree_on_a_memory_driven_input() {
+        let mut cb = CoreBuilder::new("buf");
+        let i = cb.port("i", Direction::In, 4).unwrap();
+        let o = cb.port("o", Direction::Out, 4).unwrap();
+        let r = cb.register("r", 4).unwrap();
+        cb.connect_port_to_reg(i, r).unwrap();
+        cb.connect_reg_to_port(r, o).unwrap();
+        let buf = Arc::new(cb.build().unwrap());
+        let mut sb = SocBuilder::new("chip");
+        let pi = sb.input_pin("pi", 4).unwrap();
+        let po = sb.output_pin("po", 4).unwrap();
+        let u0 = sb.instantiate("u0", buf.clone()).unwrap();
+        let ram = sb.instantiate_memory("ram", buf.clone()).unwrap();
+        let u1 = sb.instantiate("u1", buf).unwrap();
+        sb.connect_pin_to_core(pi, u0, i).unwrap();
+        sb.connect_pin_to_core(pi, ram, i).unwrap();
+        sb.connect_cores(u0, o, u1, i).unwrap();
+        sb.connect_cores(ram, o, u1, i).unwrap();
+        sb.connect_core_to_pin(u1, o, po).unwrap();
+        let soc = sb.build().unwrap();
+
+        // Flattening: with every input and flip-flop high, u0 loads the PI
+        // and u1 loads its tied-low input.
+        let flat = flatten_soc(&soc).unwrap();
+        let (_, next) = CombSim::new(&flat).run_with_state(
+            &vec![true; flat.inputs().len()],
+            &vec![true; flat.flip_flop_count()],
+        );
+        assert_eq!(next, [[true; 4], [false; 4]].concat());
+
+        // Shell: u1's input taps read 0 while u0's read the PI.
+        let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 1).unwrap();
+        let plan = DesignPoint {
+            choice: vec![0; soc.cores().len()],
+            chip_overhead: AreaReport::default(),
+            episodes: Vec::new(),
+            system_muxes: Vec::new(),
+            pair_usage: Vec::new(),
+            tested_nets: Vec::new(),
+        };
+        let shell = Shell::build(&soc, &data, &plan).unwrap();
+        let (outs, _) = CombSim::new(&shell.netlist).run_with_state(
+            &vec![true; shell.netlist.inputs().len()],
+            &vec![true; shell.netlist.flip_flop_count()],
+        );
+        for bit in 0..4 {
+            assert!(outs[shell.obs_index[&(u0, i, bit)]]);
+            assert!(!outs[shell.obs_index[&(u1, i, bit)]]);
+        }
+    }
 }

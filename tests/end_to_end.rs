@@ -6,9 +6,10 @@
 use socet::atpg::tpg::random_sequence;
 use socet::atpg::{fault_list, SeqFaultSim, TpgConfig};
 use socet::baselines::{flatten_soc, orig_coverage, FscanBscanReport, TestBusReport};
-use socet::cells::{CellLibrary, DftCosts};
+use socet::cells::{CellLibrary, DftCosts, Enc, StableHasher};
 use socet::core::{Explorer, Objective};
 use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
+use socet::gate::codec::encode_netlist;
 use socet::gate::Tri;
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, system2};
@@ -112,6 +113,24 @@ fn orig_coverage_matches_the_table3_counts() {
             "{}",
             soc.name()
         );
+    }
+}
+
+/// The flattened paper chips are pinned byte for byte (digest of their
+/// encoding), so a change to the chip-interconnect rule or to the inlining
+/// order cannot silently move Table 3's "Orig." row.
+#[test]
+fn flattened_paper_chips_are_byte_stable() {
+    for (soc, digest) in [
+        (barcode_system(), "039c9ee6c484afcdcd999627d51af99d"),
+        (system2(), "e629adf818fea601da7e802b314ca79c"),
+    ] {
+        let flat = flatten_soc(&soc).expect("flattening succeeds");
+        let mut e = Enc::new();
+        encode_netlist(&flat, &mut e);
+        let mut h = StableHasher::new();
+        h.write_bytes(e.bytes());
+        assert_eq!(h.finish().to_hex(), digest, "{}", soc.name());
     }
 }
 

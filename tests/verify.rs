@@ -46,6 +46,33 @@ fn system2_replays_clean_at_paper_design_point() {
     assert!(report.episodes.iter().all(|e| e.system_mux_routes == 0));
 }
 
+/// The per-episode `(checks, bits_checked, bits_untracked, hold_gaps)` of
+/// both paper design points, pinned. CPU's untracked bits and DISPLAY's
+/// hold-gaps are the oracle's declared blind spots: a change to the
+/// interconnect rule or the shell must not move them silently.
+#[test]
+fn paper_design_points_pin_their_replay_accounting() {
+    for (soc, want) in [
+        (
+            socet::socs::barcode_system(),
+            [(9, 48, 0, 0), (15, 51, 21, 0), (27, 174, 12, 12)],
+        ),
+        (
+            socet::socs::system2(),
+            [(12, 90, 0, 0), (15, 114, 0, 0), (12, 78, 0, 0)],
+        ),
+    ] {
+        let n = soc.cores().len();
+        let report = verify_soc(&soc, 3, &vec![0; n], &quick()).expect("oracle runs");
+        let got: Vec<_> = report
+            .episodes
+            .iter()
+            .map(|e| (e.checks, e.bits_checked, e.bits_untracked, e.hold_gaps))
+            .collect();
+        assert_eq!(got, want, "{}", report.soc);
+    }
+}
+
 #[test]
 fn non_default_design_points_replay_clean() {
     // Walk a few non-zero version choices on both systems: the shell is
