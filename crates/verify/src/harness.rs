@@ -184,8 +184,7 @@ pub fn run_synthetic_cases(seed: u64, cases: u64, opts: &VerifyOptions) -> Synth
         let outcome = match verify_spec(&spec, case_seed, opts) {
             Ok(report) if report.ok() => CaseOutcome::Pass {
                 cores: spec.cores.len(),
-                checks: report.episodes.iter().map(|e| e.checks).sum::<u64>()
-                    + report.parallel.as_ref().map_or(0, |p| p.checks),
+                checks: report.checks(),
             },
             Ok(_) => {
                 let (minimal, first_violation, shrink_steps) = shrink(&spec, case_seed, opts);

@@ -21,6 +21,23 @@
 //! The arrival-aligned tester program of [`socet_core::tester`] is
 //! cross-checked structurally (its `transit` must equal the itinerary
 //! arrival and [`validate_program`] must pass).
+//!
+//! Each episode's routes become vector-independent templates, built once
+//! per [`verify_design_point`] call. A drive program is those templates
+//! placed at offsets: at 0 for the serial phase (one program per episode),
+//! at each packed window's start for the joint phase. Every placed
+//! (vector, route) pair is one *owner*, and the program's load, hold and
+//! open journals name it. An owner is *clobbered* when another route loads
+//! a register strictly inside its hold span, or loads the same register
+//! (or opens the same output-port bits) in the same cycle through a
+//! higher-index mux leg. The first clobber found names the clobbering
+//! owner; the search order is fixed (holds in placement order, then
+//! same-cycle load groups, then same-cycle open groups, each group list in
+//! `(core, register or port, cycle)` order), so a failing report names the
+//! same core and cycle on every run. A clobber by another episode is an
+//! invariant-(c) violation. A clobber within the owner's own episode skips
+//! its check and is a *hold gap*, counted once, in the serial phase; the
+//! joint phase skips the same checks without counting them again.
 
 use crate::shell::{InputRole, Shell};
 use crate::VerifyError;
@@ -156,6 +173,13 @@ impl VerifyReport {
         self.violations.is_empty()
     }
 
+    /// Checks performed: every episode's serial checks plus the joint
+    /// replay's.
+    pub fn checks(&self) -> u64 {
+        self.episodes.iter().map(|e| e.checks).sum::<u64>()
+            + self.parallel.as_ref().map_or(0, |p| p.checks)
+    }
+
     /// Renders the deterministic text report.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -256,7 +280,34 @@ impl SrcStream {
     }
 }
 
-/// Everything about one route that is vector-independent; instantiated per
+/// A register load: register `reg` of core `core` latches through RCG
+/// edge `edge`, pulsed for one cycle on shell activation input `input`.
+/// `cycle` is launch-relative in a template and absolute in a program
+/// journal. The field order is the clobber analysis's sort order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Load {
+    core: usize,
+    reg: usize,
+    cycle: u64,
+    edge: usize,
+    input: usize,
+}
+
+/// An output-port open: RCG edge `edge` drives bits `lo..=hi` of port
+/// `port` of core `core`, pulsed for one cycle on `input`; `cycle` and the
+/// field order as for [`Load`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Open {
+    core: usize,
+    port: usize,
+    cycle: u64,
+    edge: usize,
+    lo: u16,
+    hi: u16,
+    input: usize,
+}
+
+/// Everything about one route that is vector-independent; placed per
 /// vector by shifting relative cycles by the launch cycle.
 struct RouteTemplate {
     dir: Dir,
@@ -264,21 +315,20 @@ struct RouteTemplate {
     arrival: u64,
     claimed: u64,
     src: SrcStream,
-    /// Destination bit → (source bit, first-latch rel cycle).
-    map: Vec<Option<Entry>>,
-    /// Destination bit → shell output index.
-    out_idx: Vec<Option<usize>>,
-    /// Single-cycle activation pulses: (rel cycle, shell input index).
-    acts: Vec<(u64, usize)>,
-    /// Register loads: (core idx, reg idx, rel cycle, edge idx).
-    loads: Vec<(usize, usize, u64, usize)>,
-    /// Output-port opens: (core idx, port idx, rel cycle, lo, hi, edge).
-    opens: Vec<(usize, usize, u64, u16, u16, usize)>,
+    /// Tracked destination bits: (shell output index, source bit, rel
+    /// cycle at which the source stream is sampled).
+    bits: Vec<(usize, u16, u64)>,
+    /// Destination bits the chip wiring does not transport.
+    untracked: u64,
+    loads: Vec<Load>,
+    /// (core idx, reg idx, rel cycle of its first load): the register holds
+    /// the route's data from then until the arrival cycle.
+    holds: Vec<(usize, usize, u64)>,
+    opens: Vec<Open>,
 }
 
 struct Check {
     cycle: u64,
-    episode: usize,
     owner: u64,
     dir: Dir,
     route_idx: usize,
@@ -286,22 +336,27 @@ struct Check {
     bits: Vec<(usize, bool)>,
 }
 
-/// One replay run's drive program: activation toggle events, checks, and
-/// the conflict-detection journals.
-type OpenRec = (usize, usize, u64, u16, u16, usize, u64, usize);
+/// Register `reg` of core `core` holds `owner`'s data over `(start, end)`,
+/// exclusive of both ends.
+struct Hold {
+    core: usize,
+    reg: usize,
+    start: u64,
+    end: u64,
+    owner: u64,
+}
 
+/// One replay run's drive program: activation toggle events, checks, and
+/// the conflict-detection journals, whose records carry their owner (one
+/// route instance).
 #[derive(Default)]
 struct Program {
     /// (cycle, input idx, +1/-1).
     events: Vec<(u64, usize, i32)>,
     checks: Vec<Check>,
-    /// (core, reg, cycle, edge, owner, episode).
-    loads: Vec<(usize, usize, u64, usize, u64, usize)>,
-    /// (core, reg, start, end, owner, episode) — value held over
-    /// `(start, end)` exclusive of both ends.
-    holds: Vec<(usize, usize, u64, u64, u64, usize)>,
-    /// (core, port, cycle, lo, hi, edge, owner, episode).
-    opens: Vec<OpenRec>,
+    loads: Vec<(Load, u64)>,
+    holds: Vec<Hold>,
+    opens: Vec<(Open, u64)>,
     /// Owner → the episode it belongs to; owners are dense from 0.
     owner_episode: Vec<usize>,
     horizon: u64,
@@ -325,12 +380,6 @@ impl Program {
         self.events.push((to, input, -1));
         self.horizon = self.horizon.max(to);
     }
-}
-
-struct EpisodeStats {
-    checks: u64,
-    bits_checked: u64,
-    bits_untracked: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -381,70 +430,59 @@ fn route_template(
     samples.sort_unstable();
     samples.dedup();
 
-    let mut acts = Vec::new();
+    // The route runs from the chip pin to the CUT port for an input, the
+    // other way round for an output.
+    let pin_end = (Terminal::Pin(pin), soc.pin(pin).width());
+    let port_w = soc.core(ep.core).core().port(it.port).width();
+    let port_end = (Terminal::Port(ep.core, it.port), port_w);
+    let ((mut cur, src_w), (sink, sink_w), src) = match dir {
+        Dir::Input => (pin_end, port_end, SrcStream::Pin(pin.index())),
+        Dir::Output => (
+            port_end,
+            pin_end,
+            SrcStream::Inj(ep.core.index(), it.port.index()),
+        ),
+    };
+    let out_idx = |b: u16| match dir {
+        Dir::Input => shell.obs_index.get(&(ep.core, it.port, b)).copied(),
+        Dir::Output => shell.po_index.get(&(pin, b)).copied(),
+    };
+
+    // Initial provenance: identity over the source word. Then walk the
+    // itinerary: net hop, transparency hop, net hop, ...
+    let mut map: Vec<Option<Entry>> = (0..src_w).map(|b| Some((b, None))).collect();
     let mut loads = Vec::new();
     let mut opens = Vec::new();
-
-    // Initial provenance: identity over the source word.
-    let (mut map, src): (Vec<Option<Entry>>, SrcStream) = match dir {
-        Dir::Input => {
-            let w = soc.pin(pin).width();
-            (
-                (0..w).map(|b| Some((b, None))).collect(),
-                SrcStream::Pin(pin.index()),
-            )
-        }
-        Dir::Output => {
-            let w = soc.core(ep.core).core().port(it.port).width();
-            (
-                (0..w).map(|b| Some((b, None))).collect(),
-                SrcStream::Inj(ep.core.index(), it.port.index()),
-            )
-        }
-    };
-
-    // Walk the itinerary: net hop, transparency hop, net hop, ...
-    let mut cur = match dir {
-        Dir::Input => Terminal::Pin(pin),
-        Dir::Output => Terminal::Port(ep.core, it.port),
-    };
     for hop in &it.hops {
         let in_width = soc.core(hop.core).core().port(hop.input).width();
-        let sink = Terminal::Port(hop.core, hop.input);
-        map = net_image(soc, cur, sink, in_width, &map);
-        map = hop_image(
-            shell, soc, hop, &samples, &map, &mut acts, &mut loads, &mut opens,
-        )?;
+        let hop_in = Terminal::Port(hop.core, hop.input);
+        map = net_image(soc, cur, hop_in, in_width, &map);
+        map = hop_image(shell, soc, hop, &samples, &map, &mut loads, &mut opens)?;
         cur = Terminal::Port(hop.core, hop.output);
     }
-    let (map, out_idx) = match dir {
-        Dir::Input => {
-            let w = soc.core(ep.core).core().port(it.port).width();
-            let map = net_image(soc, cur, Terminal::Port(ep.core, it.port), w, &map);
-            let idx = (0..w)
-                .map(|b| shell.obs_index.get(&(ep.core, it.port, b)).copied())
-                .collect();
-            (map, idx)
-        }
-        Dir::Output => {
-            let w = soc.pin(pin).width();
-            let map = net_image(soc, cur, Terminal::Pin(pin), w, &map);
-            let idx = (0..w)
-                .map(|b| shell.po_index.get(&(pin, b)).copied())
-                .collect();
-            (map, idx)
-        }
-    };
+    let map = net_image(soc, cur, sink, sink_w, &map);
+    let bits: Vec<(usize, u16, u64)> = (0..sink_w)
+        .zip(&map)
+        .filter_map(|(b, entry)| {
+            let (sbit, first_latch) = (*entry)?;
+            Some((out_idx(b)?, sbit, first_latch.unwrap_or(arrival)))
+        })
+        .collect();
+    // Each register is held from its first load until the arrival cycle.
+    let mut holds: Vec<(usize, usize, u64)> =
+        loads.iter().map(|l| (l.core, l.reg, l.cycle)).collect();
+    holds.sort_unstable();
+    holds.dedup_by_key(|&mut (c, r, _)| (c, r));
     Ok(RouteTemplate {
         dir,
         route_idx,
         arrival,
         claimed,
         src,
-        map,
-        out_idx,
-        acts,
+        untracked: (map.len() - bits.len()) as u64,
+        bits,
         loads,
+        holds,
         opens,
     })
 }
@@ -452,16 +490,14 @@ fn route_template(
 /// Applies one transparency hop to the provenance map and records its
 /// activation schedule (register loads as single-cycle pulses, output-port
 /// opens at every sample cycle the data might be read through).
-#[allow(clippy::too_many_arguments)]
 fn hop_image(
     shell: &Shell,
     soc: &Soc,
     hop: &RouteHop,
     samples: &[u64],
     incoming: &[Option<Entry>],
-    acts: &mut Vec<(u64, usize)>,
-    loads: &mut Vec<(usize, usize, u64, usize)>,
-    opens: &mut Vec<(usize, usize, u64, u16, u16, usize)>,
+    loads: &mut Vec<Load>,
+    opens: &mut Vec<Open>,
 ) -> Result<Vec<Option<Entry>>, VerifyError> {
     let ci = hop.core.index();
     let fab = shell
@@ -525,9 +561,13 @@ fn hop_image(
             }
             to_map[usize::from(bit)] = v;
         }
-        let input_idx = shell.act_index[&(hop.core, *e)];
-        acts.push((*rel, input_idx));
-        loads.push((ci, r.index(), *rel, *e));
+        loads.push(Load {
+            core: ci,
+            reg: r.index(),
+            cycle: *rel,
+            edge: *e,
+            input: shell.act_index[&(hop.core, *e)],
+        });
     }
 
     // Output map in edge-index order: with several edges simultaneously
@@ -549,18 +589,18 @@ fn hop_image(
             out[usize::from(bit)] = from_map.get(usize::from(sbit)).copied().flatten();
         }
         // Open the edge at every sample cycle at which its source is ready.
-        let input_idx = shell.act_index[&(hop.core, e)];
+        let input = shell.act_index[&(hop.core, e)];
         for &s in samples {
             if s >= start + tf {
-                acts.push((s, input_idx));
-                opens.push((
-                    ci,
-                    hop.output.index(),
-                    s,
-                    edge.to_range.lsb(),
-                    edge.to_range.msb(),
-                    e,
-                ));
+                opens.push(Open {
+                    core: ci,
+                    port: hop.output.index(),
+                    cycle: s,
+                    edge: e,
+                    lo: edge.to_range.lsb(),
+                    hi: edge.to_range.msb(),
+                    input,
+                });
             }
         }
     }
@@ -568,104 +608,98 @@ fn hop_image(
 }
 
 // ---------------------------------------------------------------------------
-// Per-episode program assembly.
+// Per-episode replays and their placement.
 
-#[allow(clippy::too_many_arguments)]
-fn add_episode(
+/// One episode's replay, built once and placed by both phases: its route
+/// templates and the number of vectors each is instantiated for.
+struct EpisodeReplay<'a> {
+    ep: &'a CoreEpisode,
+    vectors: u64,
+    templates: Vec<RouteTemplate>,
+}
+
+impl<'a> EpisodeReplay<'a> {
+    /// Builds the templates of every physically routed itinerary of `ep`
+    /// (plan index `plan_idx`), inputs first, applying the skew hook.
+    fn build(
+        shell: &Shell,
+        soc: &Soc,
+        plan_idx: usize,
+        ep: &'a CoreEpisode,
+        opts: &VerifyOptions,
+    ) -> Result<Self, VerifyError> {
+        let inputs = ep.input_routes.iter().enumerate();
+        let outputs = ep.output_routes.iter().enumerate();
+        let templates = inputs
+            .map(|(idx, it)| (Dir::Input, idx, it))
+            .chain(outputs.map(|(idx, it)| (Dir::Output, idx, it)))
+            .filter(|(.., it)| !it.is_system_mux())
+            .map(|(dir, idx, it)| {
+                let skew = opts
+                    .skew
+                    .filter(|sk| dir == Dir::Input && sk.episode == plan_idx && sk.route == idx);
+                let claimed =
+                    u64::from(it.arrival).saturating_add_signed(skew.map_or(0, |sk| sk.delta));
+                route_template(shell, soc, ep, dir, idx, it, claimed)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(EpisodeReplay {
+            ep,
+            vectors: opts
+                .max_vectors
+                .map_or(ep.hscan_vectors, |m| ep.hscan_vectors.min(m)),
+            templates,
+        })
+    }
+}
+
+/// Places `rep` (plan index `plan_idx`) into `prog` with its window
+/// starting at `offset`: the CUT's test-mode window, then one owner per
+/// vector and template with its activation pulses, journal records and
+/// check.
+fn place(
     prog: &mut Program,
     shell: &Shell,
-    soc: &Soc,
     plan_idx: usize,
-    ep: &CoreEpisode,
+    rep: &EpisodeReplay,
     offset: u64,
-    opts: &VerifyOptions,
-    stats: &mut EpisodeStats,
-) -> Result<(), VerifyError> {
-    let per = u64::from(ep.per_vector_cycles);
-    let vectors = opts
-        .max_vectors
-        .map_or(ep.hscan_vectors, |m| ep.hscan_vectors.min(m));
-    // CUT in test mode for its whole window.
-    let tm = shell.tm_index[&ep.core];
+    seed: u64,
+) {
+    let (ep, tm) = (rep.ep, shell.tm_index[&rep.ep.core]);
     prog.window(offset, offset + ep.test_time().max(1), tm);
-
-    let mut templates: Vec<RouteTemplate> = Vec::new();
-    for (idx, it) in ep.input_routes.iter().enumerate() {
-        if it.is_system_mux() {
-            continue;
-        }
-        let mut claimed = u64::from(it.arrival);
-        if let Some(sk) = opts.skew {
-            if sk.episode == plan_idx && sk.route == idx {
-                claimed = claimed.saturating_add_signed(sk.delta);
-            }
-        }
-        templates.push(route_template(
-            shell,
-            soc,
-            ep,
-            Dir::Input,
-            idx,
-            it,
-            claimed,
-        )?);
-    }
-    for (idx, it) in ep.output_routes.iter().enumerate() {
-        if it.is_system_mux() {
-            continue;
-        }
-        templates.push(route_template(
-            shell,
-            soc,
-            ep,
-            Dir::Output,
-            idx,
-            it,
-            u64::from(it.arrival),
-        )?);
-    }
-
-    for v in 0..vectors {
+    let per = u64::from(ep.per_vector_cycles);
+    for v in 0..rep.vectors {
         let launch = offset + v * per;
-        for t in &templates {
+        for t in &rep.templates {
             let owner = prog.new_owner(plan_idx);
-            for &(rel, input) in &t.acts {
-                prog.pulse(launch + rel, input);
+            for mut l in t.loads.iter().copied() {
+                l.cycle += launch;
+                prog.pulse(l.cycle, l.input);
+                prog.loads.push((l, owner));
             }
-            for &(c, r, rel, e) in &t.loads {
-                prog.loads.push((c, r, launch + rel, e, owner, plan_idx));
+            for &(core, reg, first) in &t.holds {
+                prog.holds.push(Hold {
+                    core,
+                    reg,
+                    start: launch + first,
+                    end: launch + t.arrival,
+                    owner,
+                });
             }
-            // Held from its first load until the route's last sample.
-            let mut first_load: HashMap<(usize, usize), u64> = HashMap::new();
-            for &(c, r, rel, _) in &t.loads {
-                let e = first_load.entry((c, r)).or_insert(u64::MAX);
-                *e = (*e).min(launch + rel);
+            for mut o in t.opens.iter().copied() {
+                o.cycle += launch;
+                prog.pulse(o.cycle, o.input);
+                prog.opens.push((o, owner));
             }
-            for ((c, r), s) in first_load {
-                prog.holds
-                    .push((c, r, s, launch + t.arrival, owner, plan_idx));
-            }
-            for &(c, p, rel, lo, hi, e) in &t.opens {
-                prog.opens
-                    .push((c, p, launch + rel, lo, hi, e, owner, plan_idx));
-            }
-            let mut bits = Vec::new();
-            for (bit, entry) in t.map.iter().enumerate() {
-                match (entry, t.out_idx[bit]) {
-                    (Some((sbit, fl)), Some(out)) => {
-                        let cycle = launch + fl.unwrap_or(t.arrival);
-                        bits.push((out, t.src.bit(opts.seed, cycle, *sbit)));
-                    }
-                    _ => stats.bits_untracked += 1,
-                }
-            }
-            stats.bits_checked += bits.len() as u64;
-            stats.checks += 1;
-            let check_cycle = launch + t.claimed;
-            prog.horizon = prog.horizon.max(check_cycle + 1);
+            let bits = t
+                .bits
+                .iter()
+                .map(|&(out, sbit, rel)| (out, t.src.bit(seed, launch + rel, sbit)))
+                .collect();
+            let cycle = launch + t.claimed;
+            prog.horizon = prog.horizon.max(cycle + 1);
             prog.checks.push(Check {
-                cycle: check_cycle,
-                episode: plan_idx,
+                cycle,
                 owner,
                 dir: t.dir,
                 route_idx: t.route_idx,
@@ -674,130 +708,104 @@ fn add_episode(
             });
         }
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Conflict analysis and simulation.
 
-/// Owners whose transported data another route overwrote before its
-/// consumption. Returns `(owner → clobbering episode)` pairs.
-type LoadsByReg = HashMap<(usize, usize), Vec<(u64, usize, u64, usize)>>;
-type LoadsByCycle = HashMap<(usize, usize, u64), Vec<(usize, u64, usize)>>;
-type OpensByKey = HashMap<(usize, usize, u64), Vec<(u16, u16, usize, u64, usize)>>;
-
-fn clobbered_owners(prog: &Program) -> HashMap<u64, (usize, usize, u64)> {
-    let mut out: HashMap<u64, (usize, usize, u64)> = HashMap::new();
-    // Register holds vs foreign loads.
-    let mut loads_by_reg: LoadsByReg = HashMap::new();
-    for &(c, r, cycle, e, owner, ep) in &prog.loads {
-        loads_by_reg
-            .entry((c, r))
-            .or_default()
-            .push((cycle, e, owner, ep));
-    }
-    for v in loads_by_reg.values_mut() {
-        v.sort_unstable();
-    }
-    for &(c, r, start, end, owner, _ep) in &prog.holds {
-        let Some(ls) = loads_by_reg.get(&(c, r)) else {
-            continue;
-        };
-        for &(cycle, _e, lowner, lep) in ls {
-            if cycle <= start {
-                continue;
-            }
-            if cycle >= end {
-                break;
-            }
-            if lowner != owner {
-                out.entry(owner).or_insert((lep, c, cycle));
-            }
+/// For every owner whose transported data another route overwrote before
+/// its consumption, the first clobber found: `(clobbering owner, core idx,
+/// cycle)`, indexed by owner. The search order is fixed: holds in
+/// placement order against their register's loads in cycle order, then
+/// same-cycle loads of a register, then same-cycle opens of a port, the
+/// groups in `(core, register or port, cycle)` order. Sorts the journals.
+fn clobbered_owners(prog: &mut Program) -> Vec<Option<(u64, usize, u64)>> {
+    let mut out = vec![None; prog.owner_episode.len()];
+    prog.loads.sort_unstable();
+    prog.opens.sort_unstable();
+    // Register holds vs foreign loads strictly inside the hold span.
+    for h in &prog.holds {
+        let key = (h.core, h.reg);
+        let from = prog
+            .loads
+            .partition_point(|(l, _)| ((l.core, l.reg), l.cycle) <= (key, h.start));
+        let foreign = prog.loads[from..]
+            .iter()
+            .take_while(|(l, _)| (l.core, l.reg) == key && l.cycle < h.end)
+            .find(|&&(_, owner)| owner != h.owner);
+        if let Some(&(l, by)) = foreign {
+            out[h.owner as usize].get_or_insert((by, l.core, l.cycle));
         }
     }
     // Simultaneous loads of the same register through different edges: the
     // higher-index mux leg wins, the lower one is shadowed.
-    let mut same_cycle: LoadsByCycle = HashMap::new();
-    for &(c, r, cycle, e, owner, ep) in &prog.loads {
-        same_cycle
-            .entry((c, r, cycle))
-            .or_default()
-            .push((e, owner, ep));
-    }
-    for ((c, _r, cycle), group) in &same_cycle {
-        if group.len() < 2 {
-            continue;
-        }
-        let max_edge = group.iter().map(|(e, ..)| *e).max().unwrap_or(0);
-        for &(e, owner, _) in group {
-            if e < max_edge {
-                let winner = group.iter().find(|(ge, ..)| *ge == max_edge).unwrap();
-                out.entry(owner).or_insert((winner.2, *c, *cycle));
-            }
+    for group in prog
+        .loads
+        .chunk_by(|(a, _), (b, _)| (a.core, a.reg, a.cycle) == (b.core, b.reg, b.cycle))
+    {
+        let max_edge = group[group.len() - 1].0.edge;
+        let won = group.partition_point(|(l, _)| l.edge < max_edge);
+        let winner = group[won].1;
+        for &(l, owner) in &group[..won] {
+            out[owner as usize].get_or_insert((winner, l.core, l.cycle));
         }
     }
     // Output-port opens: different edges, same port, same cycle, bit
-    // overlap — the lower-index edge's reader is shadowed.
-    let mut opens_by_key: OpensByKey = HashMap::new();
-    for &(c, p, cycle, lo, hi, e, owner, ep) in &prog.opens {
-        opens_by_key
-            .entry((c, p, cycle))
-            .or_default()
-            .push((lo, hi, e, owner, ep));
-    }
-    for ((c, _p, cycle), group) in &opens_by_key {
-        if group.len() < 2 {
-            continue;
-        }
-        for (i, &(lo1, hi1, e1, o1, _)) in group.iter().enumerate() {
-            for &(lo2, hi2, e2, o2, ep2) in group.iter().skip(i + 1) {
-                if o1 == o2 || e1 == e2 || lo1 > hi2 || lo2 > hi1 {
+    // overlap — the lower-index edge's reader is shadowed by the higher.
+    for group in prog
+        .opens
+        .chunk_by(|(a, _), (b, _)| (a.core, a.port, a.cycle) == (b.core, b.port, b.cycle))
+    {
+        for (i, &(lower, shadowed)) in group.iter().enumerate() {
+            for &(higher, by) in &group[i + 1..] {
+                if shadowed == by
+                    || lower.edge == higher.edge
+                    || lower.lo > higher.hi
+                    || higher.lo > lower.hi
+                {
                     continue;
                 }
-                let shadowed = if e1 < e2 { (o1, ep2) } else { (o2, ep2) };
-                out.entry(shadowed.0).or_insert((shadowed.1, *c, *cycle));
+                out[shadowed as usize].get_or_insert((by, lower.core, lower.cycle));
             }
         }
     }
     out
 }
 
-/// Runs the program on the shell, returning violations and the number of
-/// checks executed (clobbered owners are skipped and counted per episode).
+/// Runs the program on the shell, appending violations. Returns the number
+/// of checks executed and the number of hold gaps: owners clobbered by a
+/// route of their own episode, whose checks are skipped. An owner
+/// clobbered by another episode is an invariant-(c) violation.
 fn run_program(
     shell: &Shell,
     soc: &Soc,
     prog: &mut Program,
     opts: &VerifyOptions,
     phase: &'static str,
-    hold_gaps: &mut [u64],
     violations: &mut Vec<Violation>,
-) -> u64 {
+) -> (u64, u64) {
     let clobbered = clobbered_owners(prog);
-    // A clobber across episodes is a reservation conflict (invariant c);
-    // within an episode it is the freeze-model gap — skip those checks.
-    let mut skip: HashSet<u64> = HashSet::new();
+    let mut hold_gaps = 0u64;
     let mut reported: HashSet<(usize, usize)> = HashSet::new();
-    let mut pairs: Vec<(u64, (usize, usize, u64))> = clobbered.into_iter().collect();
-    pairs.sort_unstable();
-    for (owner, (by_ep, core, cycle)) in pairs {
-        let own_ep = prog.owner_episode[owner as usize];
-        skip.insert(owner);
-        if own_ep != by_ep {
-            if reported.insert((own_ep.min(by_ep), own_ep.max(by_ep))) {
-                violations.push(Violation {
-                    phase,
-                    episode: own_ep,
-                    cycle,
-                    detail: format!(
-                        "reservation conflict: episode {by_ep} overwrote transit data of \
-                         episode {own_ep} in core {} (invariant c)",
-                        soc.core(CoreInstanceId::from_index(core)).name()
-                    ),
-                });
-            }
-        } else {
-            hold_gaps[own_ep] += 1;
+    for (owner, clobber) in clobbered.iter().enumerate() {
+        let Some((by, core, cycle)) = *clobber else {
+            continue;
+        };
+        let own_ep = prog.owner_episode[owner];
+        let by_ep = prog.owner_episode[by as usize];
+        if own_ep == by_ep {
+            hold_gaps += 1;
+        } else if reported.insert((own_ep.min(by_ep), own_ep.max(by_ep))) {
+            violations.push(Violation {
+                phase,
+                episode: own_ep,
+                cycle,
+                detail: format!(
+                    "reservation conflict: episode {by_ep} overwrote transit data of \
+                     episode {own_ep} in core {} (invariant c)",
+                    soc.core(CoreInstanceId::from_index(core)).name()
+                ),
+            });
         }
     }
 
@@ -830,7 +838,7 @@ fn run_program(
         while ck < prog.checks.len() && prog.checks[ck].cycle == t {
             let c = &prog.checks[ck];
             ck += 1;
-            if skip.contains(&c.owner) {
+            if clobbered[c.owner as usize].is_some() {
                 continue;
             }
             executed += 1;
@@ -848,7 +856,7 @@ fn run_program(
                 };
                 violations.push(Violation {
                     phase,
-                    episode: c.episode,
+                    episode: prog.owner_episode[c.owner as usize],
                     cycle: t,
                     detail: format!(
                         "{what}: route {} vector {}: {}/{} bits differ",
@@ -862,7 +870,7 @@ fn run_program(
         }
         state = next;
     }
-    executed
+    (executed, hold_gaps)
 }
 
 // ---------------------------------------------------------------------------
@@ -880,7 +888,6 @@ pub fn verify_design_point(
     let flat = flatten_soc(soc).map_err(VerifyError::Netlist)?;
     let mut violations = Vec::new();
     let mut summaries = Vec::new();
-    let mut hold_gaps = vec![0u64; plan.episodes.len()];
 
     // Structural cross-checks against the tester-program expansion.
     for (i, ep) in plan.episodes.iter().enumerate() {
@@ -929,68 +936,64 @@ pub fn verify_design_point(
         }
     }
 
-    // Serial phase: every episode replayed in isolation.
-    for (i, ep) in plan.episodes.iter().enumerate() {
-        let mut stats = EpisodeStats {
-            checks: 0,
-            bits_checked: 0,
-            bits_untracked: 0,
-        };
+    let replays = plan
+        .episodes
+        .iter()
+        .enumerate()
+        .map(|(i, ep)| EpisodeReplay::build(&shell, soc, i, ep, opts))
+        .collect::<Result<Vec<_>, _>>()?;
+
+    // Serial phase: every episode replayed in isolation. Hold gaps are
+    // counted here only; the joint phase skips the same checks.
+    for (i, rep) in replays.iter().enumerate() {
         let mut prog = Program::default();
-        add_episode(&mut prog, &shell, soc, i, ep, 0, opts, &mut stats)?;
-        run_program(
-            &shell,
-            soc,
-            &mut prog,
-            opts,
-            "serial",
-            &mut hold_gaps,
-            &mut violations,
-        );
+        place(&mut prog, &shell, i, rep, 0, opts.seed);
+        let (_, hold_gaps) = run_program(&shell, soc, &mut prog, opts, "serial", &mut violations);
+        let ep = rep.ep;
         let sys_mux = ep
             .input_routes
             .iter()
             .chain(&ep.output_routes)
             .filter(|r| r.is_system_mux())
             .count();
+        let per_vector = |f: fn(&RouteTemplate) -> u64| -> u64 {
+            rep.vectors * rep.templates.iter().map(f).sum::<u64>()
+        };
         summaries.push(EpisodeSummary {
             core: soc.core(ep.core).name().to_owned(),
             vectors_total: ep.hscan_vectors,
-            vectors_replayed: opts
-                .max_vectors
-                .map_or(ep.hscan_vectors, |m| ep.hscan_vectors.min(m)),
+            vectors_replayed: rep.vectors,
             input_routes: ep.input_routes.len(),
             output_routes: ep.output_routes.len(),
             system_mux_routes: sys_mux,
-            checks: stats.checks,
-            bits_checked: stats.bits_checked,
-            bits_untracked: stats.bits_untracked,
-            hold_gaps: 0, // filled below from the shared counter
+            checks: per_vector(|_| 1),
+            bits_checked: per_vector(|t| t.bits.len() as u64),
+            bits_untracked: per_vector(|t| t.untracked),
+            hold_gaps,
         });
     }
 
     // Parallel phase: the packed windows replayed jointly (invariant c).
     let parallel = if !plan.episodes.is_empty() {
         let par = parallelize(soc, plan);
+        let episode_of = |core: CoreInstanceId| -> usize {
+            plan.episodes
+                .iter()
+                .position(|ep| ep.core == core)
+                .expect("window core has an episode")
+        };
         // Explicit pairwise resource disjointness of overlapping windows.
         type WindowResources = (u64, u64, HashSet<(u8, usize)>);
         let resources: Vec<WindowResources> = par
             .windows
             .iter()
             .map(|(core, s, e)| {
-                let ep = plan
-                    .episodes
-                    .iter()
-                    .find(|ep| ep.core == *core)
-                    .expect("window core has an episode");
-                let mut set: HashSet<(u8, usize)> = HashSet::new();
-                set.insert((0, ep.core.index()));
-                for c in &ep.transit_cores {
-                    set.insert((0, c.index()));
-                }
-                for p in &ep.pins {
-                    set.insert((1, p.index()));
-                }
+                let ep = &plan.episodes[episode_of(*core)];
+                let cores = std::iter::once(&ep.core).chain(&ep.transit_cores);
+                let set = cores
+                    .map(|c| (0, c.index()))
+                    .chain(ep.pins.iter().map(|p| (1, p.index())))
+                    .collect();
                 (*s, *e, set)
             })
             .collect();
@@ -1007,29 +1010,11 @@ pub fn verify_design_point(
             }
         }
         let mut prog = Program::default();
-        let mut stats = EpisodeStats {
-            checks: 0,
-            bits_checked: 0,
-            bits_untracked: 0,
-        };
         for (core, start, _end) in &par.windows {
-            let (i, ep) = plan
-                .episodes
-                .iter()
-                .enumerate()
-                .find(|(_, ep)| ep.core == *core)
-                .expect("window core has an episode");
-            add_episode(&mut prog, &shell, soc, i, ep, *start, opts, &mut stats)?;
+            let i = episode_of(*core);
+            place(&mut prog, &shell, i, &replays[i], *start, opts.seed);
         }
-        let checks = run_program(
-            &shell,
-            soc,
-            &mut prog,
-            opts,
-            "parallel",
-            &mut hold_gaps,
-            &mut violations,
-        );
+        let (checks, _) = run_program(&shell, soc, &mut prog, opts, "parallel", &mut violations);
         Some(ParallelSummary {
             windows: par.windows.len(),
             makespan: par.makespan,
@@ -1040,9 +1025,6 @@ pub fn verify_design_point(
         None
     };
 
-    for (i, s) in summaries.iter_mut().enumerate() {
-        s.hold_gaps = hold_gaps[i];
-    }
     Ok(VerifyReport {
         soc: soc.name().to_owned(),
         choice: plan.choice.clone(),
@@ -1054,4 +1036,110 @@ pub fn verify_design_point(
         parallel,
         violations,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A program whose owner `i` belongs to episode `episodes[i]`.
+    fn program(episodes: &[usize]) -> Program {
+        Program {
+            owner_episode: episodes.to_vec(),
+            ..Program::default()
+        }
+    }
+
+    fn open(core: usize, port: usize, cycle: u64, edge: usize) -> Open {
+        Open {
+            core,
+            port,
+            cycle,
+            edge,
+            lo: 0,
+            hi: 3,
+            input: edge,
+        }
+    }
+
+    fn load(core: usize, reg: usize, cycle: u64, edge: usize) -> Load {
+        Load {
+            core,
+            reg,
+            cycle,
+            edge,
+            input: edge,
+        }
+    }
+
+    #[test]
+    fn cross_episode_open_clash_names_the_winning_owner() {
+        // Owner 0 (episode 0) opens port 0 of core 0 through edge 5 and
+        // owner 1 (episode 1) through edge 2 in the same cycle: edge 5
+        // wins, so owner 1 is clobbered by owner 0, across episodes.
+        let mut prog = program(&[0, 1]);
+        prog.opens.push((open(0, 0, 7, 5), 0));
+        prog.opens.push((open(0, 0, 7, 2), 1));
+        let got = clobbered_owners(&mut prog);
+        assert_eq!(got, vec![None, Some((0, 0, 7))]);
+        let (by, ..) = got[1].expect("owner 1 is clobbered");
+        assert_eq!(prog.owner_episode[by as usize], 0);
+    }
+
+    #[test]
+    fn clobber_attribution_follows_core_port_cycle_order() {
+        // Owner 0 is shadowed in two opens groups by two other episodes:
+        // by owner 2 on core 2 port 0 at cycle 1, and by owner 1 on core 0
+        // port 1 at cycle 4. The first group in (core, port, cycle) order
+        // names the clobberer, on every call.
+        for _ in 0..32 {
+            let mut prog = program(&[0, 1, 2]);
+            prog.opens.extend([
+                (open(2, 0, 1, 0), 0),
+                (open(2, 0, 1, 4), 2),
+                (open(0, 1, 4, 1), 0),
+                (open(0, 1, 4, 3), 1),
+            ]);
+            let got = clobbered_owners(&mut prog);
+            assert_eq!(got, vec![Some((1, 0, 4)), None, None]);
+        }
+    }
+
+    #[test]
+    fn holds_see_foreign_loads_strictly_inside_their_span() {
+        // Owner 0 holds register 2 of core 1 over (3, 9). Loads at the span
+        // ends, its own loads and loads of other registers do not clobber
+        // it; owner 2's load at cycle 6 does.
+        let mut prog = program(&[0, 0, 0, 0]);
+        prog.holds.push(Hold {
+            core: 1,
+            reg: 2,
+            start: 3,
+            end: 9,
+            owner: 0,
+        });
+        prog.loads.extend([
+            (load(1, 2, 9, 0), 1),
+            (load(1, 2, 6, 0), 2),
+            (load(1, 2, 3, 0), 1),
+            (load(1, 3, 5, 0), 3),
+            (load(1, 2, 5, 0), 0),
+            (load(0, 2, 5, 0), 3),
+        ]);
+        let got = clobbered_owners(&mut prog);
+        assert_eq!(got, vec![Some((2, 1, 6)), None, None, None]);
+    }
+
+    #[test]
+    fn same_cycle_loads_shadow_all_but_the_highest_edge() {
+        let mut prog = program(&[0, 0, 1]);
+        prog.loads.extend([
+            (load(0, 1, 4, 7), 2),
+            (load(0, 1, 4, 2), 0),
+            (load(0, 1, 4, 5), 1),
+            (load(0, 1, 5, 1), 0),
+        ]);
+        let got = clobbered_owners(&mut prog);
+        assert_eq!(got, vec![Some((2, 0, 4)), Some((2, 0, 4)), None]);
+    }
 }

@@ -491,8 +491,7 @@ fn main() -> ExitCode {
                         Ok(report) => {
                             print!("{}", report.render());
                             all_ok &= report.ok();
-                            checks += report.episodes.iter().map(|e| e.checks).sum::<u64>()
-                                + report.parallel.as_ref().map_or(0, |p| p.checks);
+                            checks += report.checks();
                             bits += report.episodes.iter().map(|e| e.bits_checked).sum::<u64>();
                         }
                         Err(e) => {

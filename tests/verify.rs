@@ -55,7 +55,7 @@ fn paper_design_points_pin_their_replay_accounting() {
     for (soc, want) in [
         (
             socet::socs::barcode_system(),
-            [(9, 48, 0, 0), (15, 51, 21, 0), (27, 174, 12, 12)],
+            [(9, 48, 0, 0), (15, 51, 21, 0), (27, 174, 12, 6)],
         ),
         (
             socet::socs::system2(),
@@ -71,6 +71,50 @@ fn paper_design_points_pin_their_replay_accounting() {
             .collect();
         assert_eq!(got, want, "{}", report.soc);
     }
+}
+
+/// Hold gaps are counted once per route instance: the joint replay skips
+/// exactly the checks the serial phase files as hold gaps, so on every
+/// passing report the joint checks plus the hold gaps equal the episodes'
+/// checks.
+#[test]
+fn joint_checks_plus_hold_gaps_equal_episode_checks() {
+    let mut reports = Vec::new();
+    for soc in [socet::socs::barcode_system(), socet::socs::system2()] {
+        let n = soc.cores().len();
+        for c in 0..4usize {
+            let mut choice = vec![0; n];
+            choice[0] = c % 2;
+            choice[n - 1] = c % 3;
+            match verify_soc(&soc, 3, &choice, &quick()) {
+                Ok(report) => reports.push(report),
+                Err(socet::verify::VerifyError::Schedule(_)) => {}
+                Err(e) => panic!("choice {choice:?}: {e}"),
+            }
+        }
+    }
+    for seed in 1..=48u64 {
+        let spec = SocSpec::random(seed.wrapping_mul(0x9E37_79B9));
+        if let Ok(report) = verify_spec(&spec, seed, &quick()) {
+            reports.push(report);
+        }
+    }
+    let passing: Vec<_> = reports.iter().filter(|r| r.ok()).collect();
+    assert!(
+        passing.len() >= 40,
+        "only {} passing reports",
+        passing.len()
+    );
+    let mut gaps_seen = 0;
+    for r in passing {
+        let episode_checks: u64 = r.episodes.iter().map(|e| e.checks).sum();
+        let hold_gaps: u64 = r.episodes.iter().map(|e| e.hold_gaps).sum();
+        let joint = r.parallel.as_ref().map_or(0, |p| p.checks);
+        assert_eq!(joint + hold_gaps, episode_checks, "{}", r.render());
+        assert_eq!(r.checks(), episode_checks + joint);
+        gaps_seen += hold_gaps;
+    }
+    assert!(gaps_seen > 0, "no report exercised a hold gap");
 }
 
 #[test]
