@@ -28,8 +28,11 @@
 //!   It is differential: each cycle sweeps the good machine once, and each
 //!   64-fault block starts from it and propagates
 //!   ([`socet_gate::kernel::propagate`]) only from its fault sites and the
-//!   flip-flops whose state has diverged. Faults no output can observe
-//!   are never seeded, and detected ones are dropped.
+//!   flip-flops whose state has diverged. Detected faults are dropped.
+//!   Before simulating, one good-machine pass screens the faults: those
+//!   whose site no output can observe, whose site never leaves its stuck
+//!   value, or whose effect every path to an output loses at a gate held
+//!   by a campaign constant are proved undetectable and never simulated.
 //!   [`SeqFaultSim::run_naive`] keeps the full sweep per block and cycle as
 //!   the oracle;
 //! * [`generate_tests`] — the ATPG driver: random-pattern phase, PODEM

@@ -16,24 +16,37 @@
 //! divergence off the signals it touched, and restores them. Between cycles
 //! a block keeps only its diverged flip-flops.
 //!
-//! Work that cannot change a verdict is skipped, by two mechanisms:
+//! Work that cannot change a verdict is skipped, by three mechanisms:
 //!
-//! * **Observability pruning.** A signal is *live* when some primary output
-//!   is reachable from it, through gates and flip-flops. A fault on a
-//!   signal that is not live can never be detected, so it is never seeded;
-//!   the fanout lists ([`Events::within`]) hold live gates only, and a
-//!   diverged flip-flop is carried over only if its Q is live. The live
-//!   set is closed under fanin, so every live value stays exact.
+//! * **Screening.** Before any fault is simulated, one good-machine pass
+//!   over the campaign records the values each signal takes (X counts as
+//!   both). A fault is proved undetectable, and never simulated, when its
+//!   site is not *live* (no primary output is reachable from it, through
+//!   gates and flip-flops), when its site never leaves its stuck value
+//!   (the fault is never activated), or when no output lies in its
+//!   closure: the signals at which the faulty machine may differ from the
+//!   good one. The closure grows forward from the site through flip-flops
+//!   unconditionally and through a gate unless an operand outside the
+//!   closure, and so equal in both machines, is a campaign constant that
+//!   decides the gate: a 0 into an AND or NAND, a 1 into an OR or NOR, a
+//!   mux select that never picks the leg, or two equal mux legs. A
+//!   constant X decides nothing. The survivors are packed densely, in
+//!   fault-list order, into full 64-fault blocks.
+//! * **Observability pruning.** The fanout lists ([`Events::within`]) hold
+//!   live gates only, and a diverged flip-flop is carried over only if its
+//!   Q is live. The live set is closed under fanin, so every live value
+//!   stays exact.
 //! * **Fault dropping.** Once a lane's fault is detected its verdict is
 //!   final: its site is no longer seeded, and a diverged flip-flop hands on
 //!   the good machine's value in that lane. Lanes are independent, so no
 //!   other lane's value changes.
 //!
-//! On Table 3's runs this evaluates 4.0% (System 1) and 4.7% (System 2) of
-//! the gates a full sweep per block and cycle does (7.1% and 15.2% without
-//! the two mechanisms). [`SeqFaultSim::run_naive`] keeps that full sweep,
-//! with neither mechanism, as the oracle the tests pin the differential
-//! engine against.
+//! On Table 3's runs screening leaves 114 of System 1's 4 314 faults and
+//! 467 of System 2's 3 192, and the engine evaluates 6 640 and 28 531
+//! gates, 0.05% and 0.41% of what a full sweep per block and cycle does
+//! (4.0% and 4.7% with the other two mechanisms alone).
+//! [`SeqFaultSim::run_naive`] keeps that full sweep, with no mechanism, as
+//! the oracle the tests pin the differential engine against.
 //!
 //! Fault blocks are mutually independent, so [`SeqFaultSim::run_from`]
 //! additionally partitions them into contiguous ranges across scoped
@@ -42,7 +55,7 @@
 
 use crate::fault::Fault;
 use socet_gate::kernel::{propagate, sweep, Events};
-use socet_gate::{GateNetlist, SignalId, Tri, Tri64};
+use socet_gate::{Gate, GateKind, GateNetlist, SignalId, Tri, Tri64};
 use socet_obs::Counter;
 use std::collections::VecDeque;
 
@@ -105,14 +118,22 @@ impl<'a> SeqFaultSim<'a> {
     /// [`Tri::Zero`] to model a chip that starts from reset.
     pub fn run_from(&self, faults: &[Fault], vectors: &[Vec<Tri>], init: Tri) -> Vec<bool> {
         let taps = Taps::new(self.nl);
-        let blocks: Vec<&[Fault]> = faults.chunks(64).collect();
+        // Only the faults that may reach an output are simulated, packed
+        // densely in fault-list order; every other verdict is `false`.
+        let kept = Screen::new(self.nl, &taps, vectors, init).observable(faults);
+        let packed: Vec<Fault> = kept.iter().map(|&i| faults[i]).collect();
+        let blocks: Vec<&[Fault]> = packed.chunks(64).collect();
         // Fault-block partitioning: contiguous runs of independent 64-fault
         // blocks per worker; the detected lanes concatenate in block order.
         let lanes = socet_obs::fan_out(blocks.len(), self.workers, |range| {
             self.run_blocks(&blocks[range], vectors, init, &taps)
         })
         .concat();
-        detection_map(faults.len(), &lanes)
+        let mut detected = vec![false; faults.len()];
+        for (i, hit) in kept.into_iter().zip(detection_map(packed.len(), &lanes)) {
+            detected[i] = hit;
+        }
+        detected
     }
 
     /// The full-sweep oracle for [`SeqFaultSim::run_from`]: serially, each
@@ -185,10 +206,9 @@ impl<'a> SeqFaultSim<'a> {
     }
 
     /// The differential engine behind [`SeqFaultSim::run_from`] for a
-    /// contiguous run of blocks; `result[b]` holds the detected lanes of
-    /// `blocks[b]`. Prunes unobservable faults and drops detected ones (see
-    /// the module docs), and records the gates it evaluated and the faults
-    /// it pruned.
+    /// contiguous run of blocks of screened faults; `result[b]` holds the
+    /// detected lanes of `blocks[b]`. Skips dead gates and drops detected
+    /// faults (see the module docs), and records the gates it evaluated.
     fn run_blocks(
         &self,
         blocks: &[&[Fault]],
@@ -203,15 +223,6 @@ impl<'a> SeqFaultSim<'a> {
         // The live set is closed under fanin, so propagating over live
         // gates alone keeps every live signal exact.
         let mut events = Events::within(nl, |s| taps.live[s.index()]);
-        // Per block, the lanes whose fault site is live.
-        let observable: Vec<u64> = blocks
-            .iter()
-            .map(|block| {
-                (block.iter().enumerate())
-                    .filter(|(_, f)| taps.live[f.signal.index()])
-                    .fold(0, |m, (k, _)| m | 1 << k)
-            })
-            .collect();
         // The faulty plane, equal to the good machine's between blocks, and
         // the good machine's values in one lane, to compare and restore.
         let mut v = Vec::with_capacity(n);
@@ -236,7 +247,7 @@ impl<'a> SeqFaultSim<'a> {
             g.clear();
             g.extend(v.iter().map(|x| x.lane(0)));
             for (b, block) in blocks.iter().enumerate() {
-                let mut seeded = observable[b] & !lanes[b];
+                let mut seeded = u64::MAX >> (64 - block.len()) & !lanes[b];
                 if seeded == 0 && diverged[b] == 0 {
                     continue;
                 }
@@ -293,7 +304,7 @@ impl<'a> SeqFaultSim<'a> {
                     if fv == gv {
                         continue;
                     }
-                    for &q in taps.readers(s) {
+                    for &q in taps.ff_readers.of(s) {
                         queue.push_back((q, fv));
                     }
                 }
@@ -304,11 +315,7 @@ impl<'a> SeqFaultSim<'a> {
                 masks.clear();
             }
         }
-        let unobservable: usize = (blocks.iter().zip(&observable))
-            .map(|(block, m)| block.len() - m.count_ones() as usize)
-            .sum();
         socet_obs::add(Counter::SeqGateEvals, evals as u64);
-        socet_obs::add(Counter::SeqFaultsUnobservable, unobservable as u64);
         lanes
     }
 }
@@ -325,10 +332,8 @@ struct Taps {
     live: Vec<bool>,
     /// The D signal of each flip-flop, in [`GateNetlist::flip_flops`] order.
     d: Vec<SignalId>,
-    /// `reader[start[s]..start[s + 1]]`: the Q of each live flip-flop whose
-    /// D is signal `s`.
-    start: Vec<u32>,
-    reader: Vec<SignalId>,
+    /// Per signal `s`: the Q of each live flip-flop whose D is `s`.
+    ff_readers: Fanout,
 }
 
 impl Taps {
@@ -349,34 +354,198 @@ impl Taps {
         }
         let ffs = nl.flip_flops();
         let d: Vec<SignalId> = ffs.iter().map(|q| nl.gate(*q).operands()[0]).collect();
-        let live_ffs: Vec<(SignalId, SignalId)> = (ffs.iter().copied().zip(d.iter().copied()))
-            .filter(|(q, _)| live[q.index()])
+        let live_ffs: Vec<(SignalId, SignalId)> = (d.iter().copied().zip(ffs.iter().copied()))
+            .filter(|(_, q)| live[q.index()])
             .collect();
+        Taps {
+            output,
+            ff_readers: Fanout::new(n, &live_ffs),
+            live,
+            d,
+        }
+    }
+}
+
+/// Per signal, the signals that read it: `reader[start[s]..start[s + 1]]`.
+#[derive(Debug)]
+struct Fanout {
+    start: Vec<u32>,
+    reader: Vec<SignalId>,
+}
+
+impl Fanout {
+    /// The fanout of `n` signals with one `(operand, reader)` edge each.
+    fn new(n: usize, edges: &[(SignalId, SignalId)]) -> Self {
         let mut start = vec![0u32; n + 1];
-        for (_, s) in &live_ffs {
+        for (s, _) in edges {
             start[s.index() + 1] += 1;
         }
         for i in 1..start.len() {
             start[i] += start[i - 1];
         }
         let mut fill = start.clone();
-        let mut reader = vec![SignalId::from_index(0); live_ffs.len()];
-        for (q, s) in &live_ffs {
-            reader[fill[s.index()] as usize] = *q;
+        let mut reader = vec![SignalId::from_index(0); edges.len()];
+        for (s, r) in edges {
+            reader[fill[s.index()] as usize] = *r;
             fill[s.index()] += 1;
         }
-        Taps {
-            output,
-            live,
-            d,
-            start,
-            reader,
+        Fanout { start, reader }
+    }
+
+    /// The readers of `s`.
+    fn of(&self, s: SignalId) -> &[SignalId] {
+        &self.reader[self.start[s.index()] as usize..self.start[s.index() + 1] as usize]
+    }
+}
+
+/// The values a signal takes over a campaign, as bits: [`CAN0`] when it is
+/// 0 or X in some cycle, [`CAN1`] when it is 1 or X. Exactly one bit set
+/// means the signal holds that definite value in every cycle.
+const CAN0: u8 = 1;
+const CAN1: u8 = 2;
+
+fn can(t: Tri) -> u8 {
+    match t {
+        Tri::Zero => CAN0,
+        Tri::One => CAN1,
+        Tri::X => CAN0 | CAN1,
+    }
+}
+
+/// Proves faults undetectable from one good-machine pass over a campaign,
+/// before any is simulated (see the module docs).
+struct Screen<'a> {
+    nl: &'a GateNetlist,
+    taps: &'a Taps,
+    /// Per signal: the values it takes, as [`CAN0`] | [`CAN1`] bits.
+    took: Vec<u8>,
+    /// Per signal `s`: every live gate or flip-flop with `s` as an operand.
+    readers: Fanout,
+    /// Per site: whether its closure reaches an output, once computed.
+    reaches: Vec<Option<bool>>,
+    /// The current closure: the signals stamped with `epoch`.
+    mark: Vec<u32>,
+    epoch: u32,
+    stack: Vec<SignalId>,
+}
+
+impl<'a> Screen<'a> {
+    fn new(nl: &'a GateNetlist, taps: &'a Taps, vectors: &[Vec<Tri>], init: Tri) -> Self {
+        let n = nl.gates().len();
+        let mut took = vec![0u8; n];
+        let mut good = Good::new(nl, init);
+        let mut v = Vec::with_capacity(n);
+        for vector in vectors {
+            good.step(nl, &taps.d, vector, &mut v);
+            for (t, x) in took.iter_mut().zip(&v) {
+                *t |= can(x.lane(0));
+            }
+        }
+        let edges: Vec<(SignalId, SignalId)> = (0..n)
+            .map(SignalId::from_index)
+            .filter(|r| taps.live[r.index()])
+            .flat_map(|r| nl.gate(r).operands().iter().map(move |&s| (s, r)))
+            .collect();
+        Screen {
+            nl,
+            taps,
+            took,
+            readers: Fanout::new(n, &edges),
+            reaches: vec![None; n],
+            mark: vec![0; n],
+            epoch: 0,
+            stack: Vec::new(),
         }
     }
 
-    /// The Q of each live flip-flop whose D is `s`.
-    fn readers(&self, s: SignalId) -> &[SignalId] {
-        &self.reader[self.start[s.index()] as usize..self.start[s.index() + 1] as usize]
+    /// The indices of the `faults` an output may observe. Each other fault
+    /// is counted in the first category that proves it undetectable:
+    /// unobservable, inactive or blocked.
+    fn observable(mut self, faults: &[Fault]) -> Vec<usize> {
+        let mut kept = Vec::new();
+        let (mut unobservable, mut inactive, mut blocked) = (0, 0, 0);
+        for (i, f) in faults.iter().enumerate() {
+            let s = f.signal;
+            let activating = if f.stuck_at_one { CAN0 } else { CAN1 };
+            if !self.taps.live[s.index()] {
+                unobservable += 1;
+            } else if self.took[s.index()] & activating == 0 {
+                inactive += 1;
+            } else if !self.reaches_output(s) {
+                blocked += 1;
+            } else {
+                kept.push(i);
+            }
+        }
+        socet_obs::add(Counter::SeqFaultsUnobservable, unobservable);
+        socet_obs::add(Counter::SeqFaultsInactive, inactive);
+        socet_obs::add(Counter::SeqFaultsBlocked, blocked);
+        kept
+    }
+
+    /// Whether an output is in the closure of `site`: every signal at which
+    /// a fault there may make the faulty machine differ from the good one.
+    /// Computed once per site.
+    fn reaches_output(&mut self, site: SignalId) -> bool {
+        if let Some(reaches) = self.reaches[site.index()] {
+            return reaches;
+        }
+        let Screen {
+            nl,
+            taps,
+            took,
+            readers,
+            mark,
+            epoch,
+            stack,
+            ..
+        } = self;
+        *epoch += 1;
+        let inside = |mark: &[u32], s: SignalId| mark[s.index()] == *epoch;
+        mark[site.index()] = *epoch;
+        stack.clear();
+        stack.push(site);
+        let mut reaches = false;
+        // A reader is re-checked whenever one of its operands joins, so one
+        // pass reaches the fixpoint: joining only ever unblocks.
+        while let Some(s) = stack.pop() {
+            if taps.output[s.index()] {
+                reaches = true;
+                break;
+            }
+            for &r in readers.of(s) {
+                if !inside(mark, r) && passes(nl.gate(r), took, |o| inside(mark, o)) {
+                    mark[r.index()] = *epoch;
+                    stack.push(r);
+                }
+            }
+        }
+        self.reaches[site.index()] = Some(reaches);
+        reaches
+    }
+}
+
+/// Whether a difference on the operands of `g` that are `inside` the
+/// closure may reach its output. It may not when an operand outside the
+/// closure, and so equal in both machines, holds `g`'s output by a
+/// definite campaign constant (`took`): 0 into an AND or NAND, 1 into an
+/// OR or NOR, a select that never picks the leg, or two equal legs that
+/// leave the select nothing to choose. A constant X decides nothing. A
+/// flip-flop passes its D unconditionally.
+fn passes(g: &Gate, took: &[u8], inside: impl Fn(SignalId) -> bool) -> bool {
+    let fixed = |s: SignalId, at: u8| !inside(s) && took[s.index()] == at;
+    let ops = g.operands();
+    match g.kind {
+        GateKind::And2 | GateKind::Nand2 => !ops.iter().any(|&o| fixed(o, CAN0)),
+        GateKind::Or2 | GateKind::Nor2 => !ops.iter().any(|&o| fixed(o, CAN1)),
+        GateKind::Mux2 => {
+            let (sel, a0, a1) = (ops[0], ops[1], ops[2]);
+            let legs_agree = [CAN0, CAN1].iter().any(|&c| fixed(a0, c) && fixed(a1, c));
+            (inside(a0) && !fixed(sel, CAN1))
+                || (inside(a1) && !fixed(sel, CAN0))
+                || (inside(sel) && !legs_agree)
+        }
+        _ => true,
     }
 }
 
@@ -689,5 +858,182 @@ mod tests {
             }
         }
         assert!(detected > 0);
+    }
+
+    /// Every stuck-at fault of `nl`, both polarities per signal.
+    fn all_faults(nl: &GateNetlist) -> Vec<Fault> {
+        (0..nl.gates().len())
+            .map(SignalId::from_index)
+            .flat_map(|s| [Fault::sa0(s), Fault::sa1(s)])
+            .collect()
+    }
+
+    /// `vectors[c][i]` is `columns[i][c]`: one row per input.
+    fn columns(columns: &[&[u8]]) -> Vec<Vec<Tri>> {
+        (0..columns[0].len())
+            .map(|c| (columns.iter().map(|col| Tri::from_bool(col[c] == 1))).collect())
+            .collect()
+    }
+
+    /// `run_from`'s detection map, checked against `run_naive` for one
+    /// and three workers, and the faults it recorded as
+    /// `[seq_faults_inactive, seq_faults_blocked]` in the serial run.
+    fn screened(nl: &GateNetlist, vectors: &[Vec<Tri>], init: Tri) -> (Vec<bool>, [u64; 2]) {
+        let faults = all_faults(nl);
+        let want = SeqFaultSim::new(nl).run_naive(&faults, vectors, init);
+        let mut rec = socet_obs::Recorder::new();
+        let det = {
+            let _on = rec.install();
+            SeqFaultSim::new(nl)
+                .with_workers(1)
+                .run_from(&faults, vectors, init)
+        };
+        assert_eq!(det, want, "init {init:?}");
+        let parallel = SeqFaultSim::new(nl).with_workers(3);
+        assert_eq!(parallel.run_from(&faults, vectors, init), want);
+        let counts = [Counter::SeqFaultsInactive, Counter::SeqFaultsBlocked];
+        (det, counts.map(|c| rec.counter(c)))
+    }
+
+    /// The number of faults `det` reports detected.
+    fn hits(det: &[bool]) -> usize {
+        det.iter().filter(|&&d| d).count()
+    }
+
+    /// `y = a AND e` with `e` held at 0 and `z = a OR f` with `f` held at
+    /// 1: no value of `a` reaches an output, so both of its faults are
+    /// blocked. `e` stuck at 1 and `f` stuck at 0 are not: `a` varies.
+    #[test]
+    fn constant_side_inputs_block_and_and_or() {
+        let mut b = GateNetlistBuilder::new("side");
+        let [a, e, f] = ["a", "e", "f"].map(|n| b.input(n));
+        let y = b.gate2(GateKind::And2, a, e);
+        let z = b.gate2(GateKind::Or2, a, f);
+        b.output("y", y);
+        b.output("z", z);
+        let nl = b.build().unwrap();
+        let vectors = columns(&[&[0, 1, 0, 1], &[0; 4], &[1; 4]]);
+        let (det, [inactive, blocked]) = screened(&nl, &vectors, Tri::X);
+        // Inactive: e/0, f/1, y/0, z/1. Blocked: a/0, a/1.
+        assert_eq!((inactive, blocked), (4, 2));
+        // e/1, f/0, y/1 and z/0 are all detected.
+        assert_eq!(hits(&det), 4);
+        assert!(!det[a.index() * 2] && !det[a.index() * 2 + 1]);
+    }
+
+    /// `m1 = s ? a1 : a0` with `s` held at 0 never shows `a1`; `m2 = p ?
+    /// k1 : k0` with both legs held at 1 never shows `p`.
+    #[test]
+    fn constant_mux_selects_and_equal_legs_block() {
+        let mut b = GateNetlistBuilder::new("mux");
+        let [s, a0, a1, p, k0, k1] = ["s", "a0", "a1", "p", "k0", "k1"].map(|n| b.input(n));
+        let m1 = b.mux(s, a0, a1);
+        let m2 = b.mux(p, k0, k1);
+        b.output("m1", m1);
+        b.output("m2", m2);
+        let nl = b.build().unwrap();
+        let vectors = columns(&[
+            &[0; 4],
+            &[0, 1, 1, 0],
+            &[1, 0, 1, 0],
+            &[0, 1, 0, 1],
+            &[1; 4],
+            &[1; 4],
+        ]);
+        let (det, [inactive, blocked]) = screened(&nl, &vectors, Tri::X);
+        // Inactive: s/0, k0/1, k1/1, m2/1. Blocked: a1/0, a1/1, p/0, p/1.
+        assert_eq!((inactive, blocked), (4, 4));
+        // Detected: s/1, a0/0, a0/1, k0/0, k1/0, m1/0, m1/1, m2/0.
+        assert_eq!(hits(&det), 8);
+    }
+
+    /// `y = e AND NOT NOT e` with `e` held at 0: `e`'s other path makes
+    /// the side input of `y` change with the fault, so `e` stuck at 1 is
+    /// detected and must not be pruned, although `y` is first reached
+    /// while its side input still looks constant.
+    #[test]
+    fn a_fault_that_reaches_its_own_side_input_is_kept() {
+        let mut b = GateNetlistBuilder::new("reconverge");
+        let e = b.input("e");
+        let n1 = b.gate1(GateKind::Not, e);
+        let n2 = b.gate1(GateKind::Not, n1);
+        let y = b.gate2(GateKind::And2, e, n2);
+        b.output("y", y);
+        let nl = b.build().unwrap();
+        let vectors = columns(&[&[0; 3]]);
+        let (det, [inactive, blocked]) = screened(&nl, &vectors, Tri::X);
+        // Inactive: e/0, n1/1, n2/0, y/0. Blocked: n1/0 and n2/1, whose
+        // effects meet `e`, outside their closure, at `y`.
+        assert_eq!((inactive, blocked), (4, 2));
+        assert!(det[e.index() * 2 + 1], "e stuck at 1");
+        assert_eq!(hits(&det), 2);
+    }
+
+    /// `y = a AND q` and `z = b OR q`, where `q = DFF(q)` holds its
+    /// initial value forever. Powered up X, `q` is a constant X, which
+    /// decides neither gate, so nothing is blocked; from 0 it blocks `a`
+    /// at the AND, from 1 `b` at the OR.
+    #[test]
+    fn a_constant_x_blocks_nothing() {
+        let mut b = GateNetlistBuilder::new("hold");
+        let [a, c] = ["a", "b"].map(|n| b.input(n));
+        let q = b.dff_deferred();
+        b.set_dff_input(q, q);
+        let y = b.gate2(GateKind::And2, a, q);
+        let z = b.gate2(GateKind::Or2, c, q);
+        b.output("y", y);
+        b.output("z", z);
+        let nl = b.build().unwrap();
+        let vectors = columns(&[&[0, 1, 0, 1], &[1, 0, 1, 0]]);
+        // From X only y/1 and z/0 are detected; every fault is simulated.
+        let (det, counts) = screened(&nl, &vectors, Tri::X);
+        assert_eq!((hits(&det), counts), (2, [0, 0]));
+        // From 0: q/0 and y/0 inactive, a/0 and a/1 blocked.
+        let (det, counts) = screened(&nl, &vectors, Tri::Zero);
+        assert_eq!((hits(&det), counts), (6, [2, 2]));
+        // From 1: q/1 and z/1 inactive, b/0 and b/1 blocked.
+        let (det, counts) = screened(&nl, &vectors, Tri::One);
+        assert_eq!((hits(&det), counts), (6, [2, 2]));
+    }
+
+    /// Random netlists under campaigns that hold some inputs at one value
+    /// (0, 1 or X): the screen prunes faults, and the detection map stays
+    /// the full-sweep oracle's for every init, serially and partitioned.
+    #[test]
+    fn screening_with_held_inputs_matches_the_naive_oracle() {
+        let mut rng = Rng(0xb10c);
+        let mut rec = socet_obs::Recorder::new();
+        for _ in 0..240 {
+            let nl = random_netlist(&mut rng, 8);
+            let faults = all_faults(&nl);
+            let held: Vec<Option<Tri>> = (0..nl.inputs().len())
+                .map(|_| match rng.below(6) {
+                    0 => Some(Tri::X),
+                    1 | 2 => Some(Tri::from_bool(rng.below(2) == 1)),
+                    _ => None,
+                })
+                .collect();
+            let vectors: Vec<Vec<Tri>> = (0..1 + rng.below(12))
+                .map(|_| {
+                    (held.iter())
+                        .map(|h| h.unwrap_or_else(|| Tri::from_bool(rng.below(2) == 1)))
+                        .collect()
+                })
+                .collect();
+            for init in [Tri::X, Tri::Zero, Tri::One] {
+                let want = SeqFaultSim::new(&nl).run_naive(&faults, &vectors, init);
+                for workers in [1, 3] {
+                    let got = {
+                        let _on = rec.install();
+                        SeqFaultSim::new(&nl)
+                            .with_workers(workers)
+                            .run_from(&faults, &vectors, init)
+                    };
+                    assert_eq!(got, want, "init {init:?}, {workers} workers: {nl}");
+                }
+            }
+        }
+        assert!(rec.counter(Counter::SeqFaultsBlocked) > 0);
+        assert!(rec.counter(Counter::SeqFaultsInactive) > 0);
     }
 }

@@ -91,6 +91,8 @@ pub mod names {
     pub const SWEEP: &str = "sweep";
     /// One §5.2 iterative-improvement run (`Explorer::optimize`).
     pub const OPTIMIZE: &str = "optimize";
+    /// Memory-BIST planning of a whole chip (`socet-bist::plan_memory_bist`).
+    pub const BIST: &str = "bist";
 }
 
 /// How a counter folds across workers in [`Recorder::merge_child`].
@@ -202,6 +204,13 @@ counters! {
     /// Sequential-simulation faults never seeded: no primary output is
     /// reachable from their site, even through flip-flops.
     SeqFaultsUnobservable => "seq_faults_unobservable", Add;
+    /// Sequential-simulation faults never simulated because the good
+    /// machine never drives their site off its stuck value (nor to X).
+    SeqFaultsInactive => "seq_faults_inactive", Add;
+    /// Sequential-simulation faults never simulated because every path
+    /// from their site to an output passes a gate that a campaign-constant
+    /// input holds at its controlling value.
+    SeqFaultsBlocked => "seq_faults_blocked", Add;
 
     // Core-preparation pipeline (socet::flow).
     /// Core instances in the SOC (memory cores excluded).

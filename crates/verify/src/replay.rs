@@ -714,13 +714,24 @@ fn place(
 // Conflict analysis and simulation.
 
 /// For every owner whose transported data another route overwrote before
-/// its consumption, the first clobber found: `(clobbering owner, core idx,
-/// cycle)`, indexed by owner. The search order is fixed: holds in
-/// placement order against their register's loads in cycle order, then
-/// same-cycle loads of a register, then same-cycle opens of a port, the
-/// groups in `(core, register or port, cycle)` order. Sorts the journals.
+/// its consumption, one clobber: `(clobbering owner, core idx, cycle)`,
+/// indexed by owner. A clobber by another episode is kept over one by the
+/// owner's own episode, so a hold gap never hides an invariant-(c)
+/// violation; otherwise the first found is kept. The search order is
+/// fixed: holds in placement order against their register's loads in
+/// cycle order, then same-cycle loads of a register, then same-cycle opens
+/// of a port, the groups in `(core, register or port, cycle)` order. Sorts
+/// the journals.
 fn clobbered_owners(prog: &mut Program) -> Vec<Option<(u64, usize, u64)>> {
     let mut out = vec![None; prog.owner_episode.len()];
+    let episode = &prog.owner_episode;
+    let mut file = |owner: u64, clobber: (u64, usize, u64)| {
+        let kept: &mut Option<(u64, usize, u64)> = &mut out[owner as usize];
+        let foreign = |by: u64| episode[by as usize] != episode[owner as usize];
+        if kept.is_none_or(|(by, ..)| !foreign(by) && foreign(clobber.0)) {
+            *kept = Some(clobber);
+        }
+    };
     prog.loads.sort_unstable();
     prog.opens.sort_unstable();
     // Register holds vs foreign loads strictly inside the hold span.
@@ -734,7 +745,7 @@ fn clobbered_owners(prog: &mut Program) -> Vec<Option<(u64, usize, u64)>> {
             .take_while(|(l, _)| (l.core, l.reg) == key && l.cycle < h.end)
             .find(|&&(_, owner)| owner != h.owner);
         if let Some(&(l, by)) = foreign {
-            out[h.owner as usize].get_or_insert((by, l.core, l.cycle));
+            file(h.owner, (by, l.core, l.cycle));
         }
     }
     // Simultaneous loads of the same register through different edges: the
@@ -747,7 +758,7 @@ fn clobbered_owners(prog: &mut Program) -> Vec<Option<(u64, usize, u64)>> {
         let won = group.partition_point(|(l, _)| l.edge < max_edge);
         let winner = group[won].1;
         for &(l, owner) in &group[..won] {
-            out[owner as usize].get_or_insert((winner, l.core, l.cycle));
+            file(owner, (winner, l.core, l.cycle));
         }
     }
     // Output-port opens: different edges, same port, same cycle, bit
@@ -765,7 +776,7 @@ fn clobbered_owners(prog: &mut Program) -> Vec<Option<(u64, usize, u64)>> {
                 {
                     continue;
                 }
-                out[shadowed as usize].get_or_insert((by, lower.core, lower.cycle));
+                file(shadowed, (by, lower.core, lower.cycle));
             }
         }
     }
@@ -1128,6 +1139,43 @@ mod tests {
         ]);
         let got = clobbered_owners(&mut prog);
         assert_eq!(got, vec![Some((2, 1, 6)), None, None, None]);
+    }
+
+    #[test]
+    fn a_foreign_clobber_outranks_an_earlier_one_of_the_own_episode() {
+        // Owner 0 (episode 0) holds register 0 of core 0 over (2, 9), which
+        // owner 1 (also episode 0) reloads at cycle 5: a hold gap, found
+        // first. Owner 2 (episode 1) also shadows owner 0 on port 1 of
+        // core 3 at cycle 7: that clash crosses episodes, so it is kept.
+        let mut prog = program(&[0, 0, 1]);
+        prog.holds.push(Hold {
+            core: 0,
+            reg: 0,
+            start: 2,
+            end: 9,
+            owner: 0,
+        });
+        prog.loads.push((load(0, 0, 5, 0), 1));
+        prog.opens
+            .extend([(open(3, 1, 7, 0), 0), (open(3, 1, 7, 4), 2)]);
+        let got = clobbered_owners(&mut prog);
+        assert_eq!(got, vec![Some((2, 3, 7)), None, None]);
+        // A second clobber of the own episode does not replace the first.
+        let mut prog = program(&[0, 0, 0]);
+        prog.holds.push(Hold {
+            core: 0,
+            reg: 0,
+            start: 2,
+            end: 9,
+            owner: 0,
+        });
+        prog.loads.push((load(0, 0, 5, 0), 1));
+        prog.opens
+            .extend([(open(3, 1, 7, 0), 0), (open(3, 1, 7, 4), 2)]);
+        assert_eq!(
+            clobbered_owners(&mut prog),
+            vec![Some((1, 0, 5)), None, None]
+        );
     }
 
     #[test]

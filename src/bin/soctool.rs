@@ -21,7 +21,7 @@
 //! `--cache-dir PATH` (on-disk artifact store) and `--workers N`
 //! (`0` = auto).
 //!
-//! `report`, `sweep`, `atpg` and `prepare` accept `--trace PATH`
+//! `report`, `sweep`, `atpg`, `prepare` and `bist` accept `--trace PATH`
 //! (machine-readable JSON trace of the run's spans and counters, PODEM's
 //! decision, backtrack, implication and gate-evaluation counts included)
 //! and `--profile PATH` (collapsed-stack profile for flamegraph tooling) —
@@ -67,7 +67,7 @@ fn usage() -> ExitCode {
            atpg    <system> [--stats] [--trace PATH] [--profile PATH]\n\
            prepare <system> [--stats] [--cache-dir PATH] [--workers N]\n\
                    [--trace PATH] [--profile PATH]\n\
-           bist    <system>\n\
+           bist    <system> [--trace PATH] [--profile PATH]\n\
            verify  <system> [--seed N] [--cases K] [--stats]\n\
          systems: system1 | system2 | synthetic:<cores>\n\
                   (verify also accepts `synthetic` = randomized harness)\n\
@@ -168,7 +168,7 @@ fn command_spec(cmd: &str) -> Option<(usize, &'static [&'static str])> {
                 "--profile",
             ],
         )),
-        "bist" => Some((2, &[])),
+        "bist" => Some((2, &["--trace", "--profile"])),
         "verify" => Some((2, &["--stats", "--seed", "--cases"])),
         _ => None,
     }
@@ -523,7 +523,12 @@ fn main() -> ExitCode {
             }
         }
         "bist" => {
-            let plans = plan_memory_bist(&soc);
+            let mut rec = Recorder::new();
+            let plans = {
+                let _on = rec.install();
+                let _span = socet::obs::span(socet::obs::names::BIST);
+                plan_memory_bist(&soc)
+            };
             if plans.is_empty() {
                 println!("no memory cores in {}", soc.name());
             }
@@ -536,6 +541,9 @@ fn main() -> ExitCode {
                     p.overhead_cells(&lib),
                     p.test_cycles()
                 );
+            }
+            if !export_trace(&rec, trace.as_ref(), profile.as_ref()) {
+                return ExitCode::FAILURE;
             }
         }
         _ => return usage(),

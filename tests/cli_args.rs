@@ -126,3 +126,25 @@ fn valid_invocations_still_work() {
     assert!(json.contains("\"podem_decisions\""), "{json}");
     assert!(!std::fs::read_to_string(&profile).unwrap().is_empty());
 }
+
+#[test]
+fn bist_exports_a_trace_and_a_profile() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let (trace, profile) = (
+        dir.join("bist-system1.json"),
+        dir.join("bist-system1.folded"),
+    );
+    let out = soctool(&[
+        "bist",
+        "system1",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--profile",
+        profile.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "soctool bist --trace failed");
+    let json = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(json.contains("\"name\": \"bist\""), "{json}");
+    let folded = std::fs::read_to_string(&profile).expect("profile written");
+    assert!(folded.starts_with("bist "), "{folded}");
+}
