@@ -50,7 +50,6 @@ fn put_metrics(m: &AtpgMetrics, e: &mut Enc) {
         m.faults_dropped_random,
         m.faults_dropped_podem,
         m.fill_mask_events,
-        m.parallel_shards,
     ] {
         e.put_u64(v);
     }
@@ -65,7 +64,6 @@ fn get_metrics(d: &mut Dec) -> Result<AtpgMetrics, CodecError> {
         faults_dropped_random: d.get_u64()?,
         faults_dropped_podem: d.get_u64()?,
         fill_mask_events: d.get_u64()?,
-        parallel_shards: d.get_u64()?,
     })
 }
 

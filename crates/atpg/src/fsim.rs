@@ -1,20 +1,16 @@
 //! Pattern-parallel combinational fault simulation on the full-scan view,
-//! accelerated by fanout-cone pruning and fault-parallel threading.
+//! accelerated by fanout-cone pruning.
 //!
 //! The seed's simulator re-evaluated the *entire* netlist for every live
 //! fault × 64-pattern block — O(patterns × faults × gates). This engine
-//! applies the two classic fault-simulation accelerations:
-//!
-//! * **cone pruning** (HOPE-style single-fault propagation): each fault's
-//!   levelized transitive fanout is computed once at construction; per
-//!   fault only the cone's gates are re-evaluated against the cached
-//!   good-value baseline, and only observable points *inside* the cone are
-//!   compared. A fault whose cone reaches no observable point is skipped
-//!   outright.
-//! * **fault partitioning** (PROOFS-style fault parallelism): the live
-//!   fault list of each block is split across scoped threads; every fault's
-//!   verdict is an independent pure function of the shared baseline, so
-//!   results are bit-identical for any worker count.
+//! applies **cone pruning** (HOPE-style single-fault propagation): each
+//! fault's levelized transitive fanout is computed once at construction;
+//! per fault only the cone's gates are re-evaluated against the cached
+//! good-value baseline, and only observable points *inside* the cone are
+//! compared. A fault whose cone reaches no observable point is skipped
+//! outright. The engine runs on the calling thread: its counters travel in
+//! every test-set artifact, so they must not depend on the host's CPU
+//! count.
 //!
 //! The seed's full-netlist path survives as [`FaultSim::detected_naive`] /
 //! [`FaultSim::accumulate_naive`], the oracle the property tests pin the
@@ -24,11 +20,6 @@ use crate::fault::Fault;
 use crate::metrics::AtpgMetrics;
 use socet_gate::kernel::{eval, sweep, Events};
 use socet_gate::{GateNetlist, PackedSim, SignalId};
-use socet_obs::names;
-
-/// Minimum live faults in a block before the engine fans out over threads;
-/// below this the spawn cost outweighs the work.
-const MIN_PARALLEL_FAULTS: usize = 192;
 
 /// The precomputed fanout cone of one signal: the combinational gates a
 /// fault on the signal can disturb, in topological order, plus the subset
@@ -41,7 +32,7 @@ struct Cone {
     observable: Vec<SignalId>,
 }
 
-/// Reusable per-worker evaluation scratch: an epoch-stamped sparse overlay
+/// Reusable evaluation scratch: an epoch-stamped sparse overlay
 /// over the good-value baseline, so beginning a new fault costs O(1)
 /// instead of clearing (or copying) a netlist-sized buffer.
 #[derive(Debug, Clone)]
@@ -122,8 +113,6 @@ pub struct FaultSim<'a> {
     n_ff: usize,
     /// Per-signal fanout cones, indexed by `SignalId::index`.
     cones: Vec<Cone>,
-    /// Worker cap for fault partitioning (1 forces serial evaluation).
-    workers: usize,
     comb_gates: u64,
     // Per-call scratch, reused across blocks and calls.
     pi_buf: Vec<u64>,
@@ -142,7 +131,6 @@ impl<'a> FaultSim<'a> {
             n_pi: nl.inputs().len(),
             n_ff: nl.flip_flop_count(),
             cones: build_cones(nl),
-            workers: socet_obs::available_workers(),
             comb_gates: nl.topo_order().len() as u64,
             pi_buf: Vec::new(),
             ff_buf: Vec::new(),
@@ -151,14 +139,6 @@ impl<'a> FaultSim<'a> {
             metrics: AtpgMetrics::new(),
             nl,
         }
-    }
-
-    /// Caps the number of worker threads fault partitioning may use; `0`
-    /// and `1` both force serial evaluation. Detection results are
-    /// bit-identical for every setting — this only trades wall time.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Width of a pattern: real inputs plus flip-flop pseudo-inputs.
@@ -237,7 +217,7 @@ impl<'a> FaultSim<'a> {
     }
 
     /// Evaluates one ≤64-pattern block: good baseline once, then each live
-    /// fault's cone, partitioned across threads when the block is large.
+    /// fault's cone.
     fn masks_for_block(
         &mut self,
         faults: &[Fault],
@@ -256,58 +236,22 @@ impl<'a> FaultSim<'a> {
             |_, v| v,
         );
         self.metrics.blocks_simulated += 1;
-        let used: u64 = if block.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << block.len()) - 1
-        };
+        let used = used_lanes(block.len());
         masks.fill(0);
-        let live: Vec<u32> = (0..faults.len() as u32)
-            .filter(|&fi| !skip[fi as usize])
-            .collect();
-        if live.is_empty() {
-            return;
-        }
-        self.metrics.full_gate_evals_equiv += live.len() as u64 * self.comb_gates;
-
-        let nl = self.nl;
-        let cones = &self.cones;
-        let good = &self.good;
-        let workers = self
-            .workers
-            .min(live.len().div_ceil(MIN_PARALLEL_FAULTS / 2));
-        if workers > 1 && live.len() >= MIN_PARALLEL_FAULTS {
-            let shards = socet_obs::fan_out(live.len(), workers, |range| {
-                let _span = socet_obs::span(names::FSIM_SHARD);
-                let mut m = AtpgMetrics::new();
-                let mut scratch = ConeScratch::new(nl.gates().len());
-                let out: Vec<(u32, u64)> = live[range]
-                    .iter()
-                    .map(|&fi| {
-                        let f = faults[fi as usize];
-                        let mask = fault_mask(nl, cones, good, &mut scratch, f, used, &mut m);
-                        (fi, mask)
-                    })
-                    .collect();
-                (out, m)
-            });
-            // Shards are disjoint index sets. Counters stay in
-            // `AtpgMetrics` (published once per run by the driver) so the
-            // trace never double-counts.
-            self.metrics.parallel_shards += shards.len() as u64;
-            for (out, m) in shards {
-                for (fi, mask) in out {
-                    masks[fi as usize] = mask;
-                }
-                self.metrics.merge(&m);
+        for (fi, &fault) in faults.iter().enumerate() {
+            if skip[fi] {
+                continue;
             }
-        } else {
-            let scratch = &mut self.scratch;
-            let metrics = &mut self.metrics;
-            for &fi in &live {
-                masks[fi as usize] =
-                    fault_mask(nl, cones, good, scratch, faults[fi as usize], used, metrics);
-            }
+            self.metrics.full_gate_evals_equiv += self.comb_gates;
+            masks[fi] = fault_mask(
+                self.nl,
+                &self.cones,
+                &self.good,
+                &mut self.scratch,
+                fault,
+                used,
+                &mut self.metrics,
+            );
         }
     }
 
@@ -318,7 +262,7 @@ impl<'a> FaultSim<'a> {
     /// # Panics
     ///
     /// Panics on pattern width mismatch.
-    pub fn detected_naive(&self, faults: &[Fault], patterns: &[Vec<bool>]) -> Vec<bool> {
+    pub fn detected_naive(&mut self, faults: &[Fault], patterns: &[Vec<bool>]) -> Vec<bool> {
         let mut det = vec![false; faults.len()];
         self.accumulate_naive(faults, patterns, &mut det);
         det
@@ -331,23 +275,20 @@ impl<'a> FaultSim<'a> {
     /// # Panics
     ///
     /// Panics on pattern width mismatch or `det.len() != faults.len()`.
-    pub fn accumulate_naive(&self, faults: &[Fault], patterns: &[Vec<bool>], det: &mut [bool]) {
+    pub fn accumulate_naive(&mut self, faults: &[Fault], patterns: &[Vec<bool>], det: &mut [bool]) {
         assert_eq!(det.len(), faults.len(), "detection map length");
         let sim = PackedSim::new(self.nl);
         let pos = self.nl.comb_outputs();
         for block in patterns.chunks(64) {
-            let (pi, ff) = self.pack_owned(block);
-            let used: u64 = if block.len() == 64 {
-                u64::MAX
-            } else {
-                (1u64 << block.len()) - 1
-            };
-            let good = sim.eval(&pi, &ff, None);
+            self.pack(block);
+            let (pi, ff) = (&self.pi_buf, &self.ff_buf);
+            let used = used_lanes(block.len());
+            let good = sim.eval(pi, ff, None);
             for (fi, fault) in faults.iter().enumerate() {
                 if det[fi] {
                     continue;
                 }
-                let bad = sim.eval(&pi, &ff, Some((fault.signal, fault.stuck_at_one)));
+                let bad = sim.eval(pi, ff, Some((fault.signal, fault.stuck_at_one)));
                 let hit = pos
                     .iter()
                     .any(|s| (good[s.index()] ^ bad[s.index()]) & used != 0);
@@ -377,24 +318,14 @@ impl<'a> FaultSim<'a> {
             }
         }
     }
+}
 
-    /// Owned-buffer packing for the naive (`&self`) oracle path.
-    fn pack_owned(&self, block: &[Vec<bool>]) -> (Vec<u64>, Vec<u64>) {
-        let mut pi = vec![0u64; self.n_pi];
-        let mut ff = vec![0u64; self.n_ff];
-        for (k, pat) in block.iter().enumerate() {
-            assert_eq!(pat.len(), self.pattern_width(), "pattern width");
-            for (i, &bit) in pat.iter().enumerate() {
-                if bit {
-                    if i < self.n_pi {
-                        pi[i] |= 1 << k;
-                    } else {
-                        ff[i - self.n_pi] |= 1 << k;
-                    }
-                }
-            }
-        }
-        (pi, ff)
+/// The lane mask of a block of `n` ≤ 64 patterns.
+fn used_lanes(n: usize) -> u64 {
+    if n == 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
@@ -593,20 +524,6 @@ mod tests {
         let cone = sim.detected(&faults, &patterns);
         let naive = sim.detected_naive(&faults, &patterns);
         assert_eq!(cone, naive);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results() {
-        let nl = adder4();
-        let faults = fault_list(&nl);
-        let patterns = lcg_patterns(8, 70, 0xabcd);
-        let serial = FaultSim::new(&nl)
-            .with_workers(1)
-            .detected(&faults, &patterns);
-        let parallel = FaultSim::new(&nl)
-            .with_workers(8)
-            .detected(&faults, &patterns);
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub struct AtpgMetrics {
     /// resimulation (the seed silently counted these as detected; now they
     /// trip a `debug_assert!` and are reported honestly).
     pub fill_mask_events: u64,
-    /// Worker threads spawned by parallel fault partitioning.
-    pub parallel_shards: u64,
 }
 
 impl AtpgMetrics {
@@ -50,7 +48,7 @@ impl AtpgMetrics {
         AtpgMetrics::default()
     }
 
-    /// Folds `other` into `self` — used to aggregate per-worker and
+    /// Folds `other` into `self` — used to aggregate per-pass and
     /// per-core counters.
     pub fn merge(&mut self, other: &AtpgMetrics) {
         self.blocks_simulated += other.blocks_simulated;
@@ -60,7 +58,6 @@ impl AtpgMetrics {
         self.faults_dropped_random += other.faults_dropped_random;
         self.faults_dropped_podem += other.faults_dropped_podem;
         self.fill_mask_events += other.fill_mask_events;
-        self.parallel_shards += other.parallel_shards;
     }
 
     /// The view of one recorder's ATPG counters — the derivation the
@@ -74,7 +71,6 @@ impl AtpgMetrics {
             faults_dropped_random: rec.counter(Counter::FaultsDroppedRandom),
             faults_dropped_podem: rec.counter(Counter::FaultsDroppedPodem),
             fill_mask_events: rec.counter(Counter::FillMaskEvents),
-            parallel_shards: rec.counter(Counter::ParallelShards),
         }
     }
 
@@ -91,7 +87,6 @@ impl AtpgMetrics {
         socet_obs::add(Counter::FaultsDroppedRandom, self.faults_dropped_random);
         socet_obs::add(Counter::FaultsDroppedPodem, self.faults_dropped_podem);
         socet_obs::add(Counter::FillMaskEvents, self.fill_mask_events);
-        socet_obs::add(Counter::ParallelShards, self.parallel_shards);
     }
 
     /// Fraction of the full-netlist work the cone engine actually did, in
@@ -126,8 +121,7 @@ impl fmt::Display for AtpgMetrics {
             "  faults dropped         : {} random phase, {} podem phase",
             self.faults_dropped_random, self.faults_dropped_podem
         )?;
-        writeln!(f, "  fill-mask events       : {}", self.fill_mask_events)?;
-        write!(f, "  parallel shards        : {}", self.parallel_shards)
+        write!(f, "  fill-mask events       : {}", self.fill_mask_events)
     }
 }
 
@@ -145,7 +139,6 @@ mod tests {
             faults_dropped_random: 5,
             faults_dropped_podem: 6,
             fill_mask_events: 7,
-            parallel_shards: 8,
         };
         let b = a;
         a.merge(&b);
@@ -156,7 +149,6 @@ mod tests {
         assert_eq!(a.faults_dropped_random, 10);
         assert_eq!(a.faults_dropped_podem, 12);
         assert_eq!(a.fill_mask_events, 14);
-        assert_eq!(a.parallel_shards, 16);
     }
 
     #[test]
@@ -169,7 +161,6 @@ mod tests {
             faults_dropped_random: 5,
             faults_dropped_podem: 6,
             fill_mask_events: 7,
-            parallel_shards: 8,
         };
         // publish() reaches the installed thread-local sink.
         let mut tls = Recorder::new();
@@ -200,7 +191,6 @@ mod tests {
             "unobservable",
             "faults dropped",
             "fill-mask",
-            "parallel shards",
         ] {
             assert!(s.contains(needle), "missing {needle} in {s}");
         }

@@ -177,7 +177,7 @@ pub fn generate_tests(nl: &GateNetlist, config: &TpgConfig) -> TestSet {
     stats.faults_dropped_podem = (coverage.detected - dropped_random) as u64;
     stats.fill_mask_events = fill_mask_events;
     // One publication per run keeps the installed recorder's counters in
-    // lock-step with `stats` (shard workers above carry spans only).
+    // lock-step with `stats`.
     stats.publish();
     TestSet {
         patterns,

@@ -73,8 +73,6 @@ pub mod names {
     pub const ATPG_RANDOM: &str = "atpg_random";
     /// PODEM top-off phase of the ATPG driver.
     pub const ATPG_PODEM: &str = "atpg_podem";
-    /// One fault-partition shard of the parallel fault simulator.
-    pub const FSIM_SHARD: &str = "fsim_shard";
     /// Artifact-store read (including decode).
     pub const STORE_LOAD: &str = "store_load";
     /// Artifact-store write (including encode).
@@ -180,8 +178,6 @@ counters! {
     FaultsDroppedPodem => "faults_dropped_podem", Add;
     /// PODEM-proven tests that failed resimulation (honest accounting).
     FillMaskEvents => "fill_mask_events", Add;
-    /// Worker threads spawned by parallel fault partitioning.
-    ParallelShards => "parallel_shards", Add;
     /// PODEM primary-input decisions (backtraced objectives).
     PodemDecisions => "podem_decisions", Add;
     /// PODEM decisions flipped to their other value.

@@ -38,6 +38,14 @@ impl RcgNode {
     pub fn is_output(self) -> bool {
         matches!(self, RcgNode::Out(_))
     }
+
+    /// The node of `core`'s port `p`.
+    pub(crate) fn port(core: &Core, p: PortId) -> RcgNode {
+        match core.port(p).direction() {
+            Direction::In => RcgNode::In(p),
+            Direction::Out => RcgNode::Out(p),
+        }
+    }
 }
 
 impl fmt::Display for RcgNode {
@@ -427,10 +435,7 @@ impl fmt::Display for Rcg {
 fn rtl_to_rcg(core: &Core, node: RtlNode) -> Option<RcgNode> {
     match node {
         RtlNode::Reg(r) => Some(RcgNode::Reg(r)),
-        RtlNode::Port(p) => match core.port(p).direction() {
-            Direction::In => Some(RcgNode::In(p)),
-            Direction::Out => Some(RcgNode::Out(p)),
-        },
+        RtlNode::Port(p) => Some(RcgNode::port(core, p)),
         RtlNode::Fu(_) => None,
     }
 }

@@ -21,7 +21,7 @@ use crate::rcg::{EdgeId, Rcg, RcgEdgeKind, RcgNode};
 use crate::search::{backward_search, forward_search, PathFound, SearchError};
 use socet_cells::{AreaReport, CellKind, CellLibrary, DftCosts};
 use socet_hscan::HscanResult;
-use socet_rtl::{BitRange, ConnectionId, Core, PortId, SignalClass};
+use socet_rtl::{BitRange, ConnectionId, Core, Direction, PortId, SignalClass};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -247,20 +247,10 @@ fn synthesize_level(
     let mut used: HashSet<EdgeId> = HashSet::new();
     let mut items: HashSet<ChargeItem> = HashSet::new();
 
-    for i in core.input_ports() {
-        let found = propagate_input(core, &mut rcg, i, level, &used, &mut items)?;
-        if let Some(found) = found {
-            record(
-                &rcg, core, &found, true, i, &mut used, &mut items, &mut paths,
-            );
-        }
-    }
-    for o in core.output_ports() {
-        let found = justify_output(core, &mut rcg, o, level, &used, &mut items)?;
-        if let Some(found) = found {
-            record(
-                &rcg, core, &found, false, o, &mut used, &mut items, &mut paths,
-            );
+    for anchor in core.input_ports().into_iter().chain(core.output_ports()) {
+        if let Some(found) = solve_port(core, &mut rcg, anchor, level, &used, &mut items)? {
+            let dir = core.port(anchor).direction();
+            record(&rcg, &found, dir, anchor, &mut used, &mut items, &mut paths);
         }
     }
     Ok((rcg, paths, items))
@@ -290,12 +280,14 @@ pub fn level_support(
     Ok((rcg, paths))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Files one solved search: its edges become used, the hardware it needs
+/// is charged, and its port-to-port transfer joins the level's paths. The
+/// search ran forward from an input anchor or backward from an output one,
+/// so `dir` says which side of the path the anchor is on.
 fn record(
     rcg: &Rcg,
-    core: &Core,
     found: &PathFound,
-    forward: bool,
+    dir: Direction,
     anchor: PortId,
     used: &mut HashSet<EdgeId>,
     items: &mut HashSet<ChargeItem>,
@@ -327,22 +319,16 @@ fn record(
             RcgNode::Reg(_) => None,
         })
         .collect();
-    let path = if forward {
-        TransparencyPath {
-            inputs: vec![anchor],
-            outputs: term_ports,
-            latency: found.latency,
-            edges: found.edges.clone(),
-        }
-    } else {
-        TransparencyPath {
-            inputs: term_ports,
-            outputs: vec![anchor],
-            latency: found.latency,
-            edges: found.edges.clone(),
-        }
+    let (inputs, outputs) = match dir {
+        Direction::In => (vec![anchor], term_ports),
+        Direction::Out => (term_ports, vec![anchor]),
     };
-    let _ = core;
+    let path = TransparencyPath {
+        inputs,
+        outputs,
+        latency: found.latency,
+        edges: found.edges.clone(),
+    };
     // Propagation and justification often find the same physical transfer
     // (e.g. a straight pipeline); keep one copy.
     if !paths.contains(&path) {
@@ -350,83 +336,53 @@ fn record(
     }
 }
 
-/// Searches for a justification of output `o` under the level's rules,
-/// inserting a transparency mux when nothing exists (any level) or when a
-/// data pair is still slower than one cycle (level 3).
-fn justify_output(
+/// Searches for a propagation of input `anchor`, or a justification of
+/// output `anchor`, under the level's rules, inserting a transparency mux
+/// when nothing exists (any level) or when a data pair is still slower
+/// than one cycle (level 3).
+fn solve_port(
     core: &Core,
     rcg: &mut Rcg,
-    o: PortId,
+    anchor: PortId,
     level: u8,
     used: &HashSet<EdgeId>,
     items: &mut HashSet<ChargeItem>,
 ) -> Result<Option<PathFound>, SearchError> {
-    let node = RcgNode::Out(o);
-    let mut best = phased_search(rcg, node, level, used, SearchKind::Backward);
-    let is_data = core.port(o).class() == SignalClass::Data;
-    let needs_mux = match &best {
-        Some(f) => level == 3 && is_data && f.latency > 1,
-        None => true,
-    };
-    if needs_mux {
-        let from_input = pick_input_for(core, o)?;
-        let reg = rcg
-            .edges_into(node)
-            .map(|e| rcg.edge(e).from)
-            .find(|n| n.is_reg());
-        let width = mux_width(core, from_input, o);
-        let mux_to = reg.unwrap_or(node);
-        rcg.add_transparency_mux(
-            RcgNode::In(from_input),
-            mux_to,
-            BitRange::full(width),
-            BitRange::full(width),
-        );
-        items.insert(ChargeItem::TransMux { anchor: o, width });
-        let with_mux = phased_search(rcg, node, level, used, SearchKind::Backward);
-        if let Some(f) = with_mux {
-            if best.as_ref().is_none_or(|b| f.latency < b.latency) {
-                best = Some(f);
-            }
-        }
-    }
-    Ok(best)
-}
-
-/// Searches for a propagation of input `i`, mirroring [`justify_output`].
-fn propagate_input(
-    core: &Core,
-    rcg: &mut Rcg,
-    i: PortId,
-    level: u8,
-    used: &HashSet<EdgeId>,
-    items: &mut HashSet<ChargeItem>,
-) -> Result<Option<PathFound>, SearchError> {
-    let node = RcgNode::In(i);
-    let mut best = phased_search(rcg, node, level, used, SearchKind::Forward);
-    let is_data = core.port(i).class() == SignalClass::Data;
+    let dir = core.port(anchor).direction();
+    let node = RcgNode::port(core, anchor);
+    let mut best = phased_search(rcg, node, level, used, dir);
+    let is_data = core.port(anchor).class() == SignalClass::Data;
     let needs_mux = match &best {
         Some(f) => level == 3 && is_data && f.latency > 1,
         None => true,
     };
     if needs_mux {
         // "Any register reachable from the input in one cycle is connected
-        // to an output with a test multiplexer", preferring unused outputs.
-        let reachable_reg = rcg
-            .edges_from(node)
-            .map(|e| rcg.edge(e).to)
-            .find(|n| n.is_reg());
-        let to_output = pick_output_for(core, i)?;
-        let width = mux_width(core, i, to_output);
-        let mux_from = reachable_reg.unwrap_or(node);
-        rcg.add_transparency_mux(
-            mux_from,
-            RcgNode::Out(to_output),
-            BitRange::full(width),
-            BitRange::full(width),
-        );
-        items.insert(ChargeItem::TransMux { anchor: i, width });
-        let with_mux = phased_search(rcg, node, level, used, SearchKind::Forward);
+        // to an output with a test multiplexer", preferring unused outputs;
+        // an output is justified the mirror way, from an input into the
+        // register that loads it.
+        let far = pick_partner(core, anchor)?;
+        let width = mux_width(core, anchor, far);
+        let far_node = RcgNode::port(core, far);
+        let (from, to) = match dir {
+            Direction::In => {
+                let reg = rcg
+                    .edges_from(node)
+                    .map(|e| rcg.edge(e).to)
+                    .find(|n| n.is_reg());
+                (reg.unwrap_or(node), far_node)
+            }
+            Direction::Out => {
+                let reg = rcg
+                    .edges_into(node)
+                    .map(|e| rcg.edge(e).from)
+                    .find(|n| n.is_reg());
+                (far_node, reg.unwrap_or(node))
+            }
+        };
+        rcg.add_transparency_mux(from, to, BitRange::full(width), BitRange::full(width));
+        items.insert(ChargeItem::TransMux { anchor, width });
+        let with_mux = phased_search(rcg, node, level, used, dir);
         if let Some(f) = with_mux {
             if best.as_ref().is_none_or(|b| f.latency < b.latency) {
                 best = Some(f);
@@ -436,13 +392,8 @@ fn propagate_input(
     Ok(best)
 }
 
-#[derive(Clone, Copy)]
-enum SearchKind {
-    Forward,
-    Backward,
-}
-
-/// The paper's phase schedule:
+/// The paper's phase schedule, searching forward from an input node
+/// (`Direction::In`) or backward from an output node (`Direction::Out`):
 ///
 /// * level 1: HSCAN-disjoint → HSCAN-reuse → any-disjoint → any-reuse,
 ///   first success wins (HSCAN reuse is free, so it beats buying logic);
@@ -453,14 +404,14 @@ fn phased_search(
     node: RcgNode,
     level: u8,
     used: &HashSet<EdgeId>,
-    kind: SearchKind,
+    dir: Direction,
 ) -> Option<PathFound> {
     let empty = HashSet::new();
     let hscan_only = |e: EdgeId| rcg.edge(e).kind.is_hscan();
     let any = |_: EdgeId| true;
-    let run = |allowed: &dyn Fn(EdgeId) -> bool, banned: &HashSet<EdgeId>| match kind {
-        SearchKind::Forward => forward_search(rcg, node, allowed, banned),
-        SearchKind::Backward => backward_search(rcg, node, allowed, banned),
+    let run = |allowed: &dyn Fn(EdgeId) -> bool, banned: &HashSet<EdgeId>| match dir {
+        Direction::In => forward_search(rcg, node, allowed, banned),
+        Direction::Out => backward_search(rcg, node, allowed, banned),
     };
     if level == 1 {
         run(&hscan_only, used)
@@ -477,45 +428,35 @@ fn phased_search(
     }
 }
 
-fn pick_input_for(core: &Core, o: PortId) -> Result<PortId, SearchError> {
-    let want = core.port(o).width();
-    let inputs = core.input_ports();
-    // Prefer a data input wide enough; then the widest data input; then
-    // anything.
-    inputs
+/// The far port of `anchor`'s transparency mux, on the other side of the
+/// core: a data port at least as wide as `anchor`; then the widest data
+/// port; then any port.
+fn pick_partner(core: &Core, anchor: PortId) -> Result<PortId, SearchError> {
+    let want = core.port(anchor).width();
+    let dir = core.port(anchor).direction();
+    let candidates = match dir {
+        Direction::In => core.output_ports(),
+        Direction::Out => core.input_ports(),
+    };
+    let is_data = |p: &PortId| core.port(*p).class() == SignalClass::Data;
+    candidates
         .iter()
         .copied()
-        .find(|i| core.port(*i).class() == SignalClass::Data && core.port(*i).width() >= want)
+        .find(|p| is_data(p) && core.port(*p).width() >= want)
         .or_else(|| {
-            inputs
+            candidates
                 .iter()
                 .copied()
-                .filter(|i| core.port(*i).class() == SignalClass::Data)
-                .max_by_key(|i| core.port(*i).width())
+                .filter(is_data)
+                .max_by_key(|p| core.port(*p).width())
         })
-        .or_else(|| inputs.first().copied())
-        .ok_or_else(|| SearchError::NoInputPorts {
-            core: core.name().to_string(),
-        })
-}
-
-fn pick_output_for(core: &Core, i: PortId) -> Result<PortId, SearchError> {
-    let want = core.port(i).width();
-    let outputs = core.output_ports();
-    outputs
-        .iter()
-        .copied()
-        .find(|o| core.port(*o).class() == SignalClass::Data && core.port(*o).width() >= want)
-        .or_else(|| {
-            outputs
-                .iter()
-                .copied()
-                .filter(|o| core.port(*o).class() == SignalClass::Data)
-                .max_by_key(|o| core.port(*o).width())
-        })
-        .or_else(|| outputs.first().copied())
-        .ok_or_else(|| SearchError::NoOutputPorts {
-            core: core.name().to_string(),
+        .or_else(|| candidates.first().copied())
+        .ok_or_else(|| {
+            let core = core.name().to_string();
+            match dir {
+                Direction::In => SearchError::NoOutputPorts { core },
+                Direction::Out => SearchError::NoInputPorts { core },
+            }
         })
 }
 

@@ -15,7 +15,7 @@
 //! `report` and `sweep` accept `--stats` to print the evaluation engine's
 //! counters (CCG builds vs. incremental patches, Dijkstra relaxations,
 //! route-cache hits, stage wall-times); `atpg --stats` prints the fault
-//! simulator's counters (cone pruning, fault dropping, parallel shards);
+//! simulator's counters (cone pruning, fault dropping);
 //! `prepare --stats` prints the preparation pipeline's counters (memo and
 //! disk-cache hits, stage wall-times). `prepare` also accepts
 //! `--cache-dir PATH` (on-disk artifact store) and `--workers N`

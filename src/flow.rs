@@ -262,7 +262,7 @@ struct CoreArtifact {
 /// invalidation rule; there is no other one.
 pub fn artifact_fingerprint(core: &Core, costs: &DftCosts, tpg: &TpgConfig) -> Fingerprint {
     let mut h = StableHasher::new();
-    h.write_str("socet-artifact-v1");
+    h.write_str("socet-artifact-v2");
     core.fingerprint_into(&mut h);
     costs.fingerprint_into(&mut h);
     tpg.fingerprint_into(&mut h);

@@ -92,11 +92,6 @@ fn trace_shape_matches_the_pipeline_structure() {
                 p,
                 [names::PREPARE, names::PREPARE_CORE, names::ATPG, s.name]
             ),
-            names::FSIM_SHARD => assert_eq!(
-                p[..3],
-                [names::PREPARE, names::PREPARE_CORE, names::ATPG],
-                "fault-sim shards live under the atpg span: {p:?}"
-            ),
             name if expect_under_core.contains(&name) => {
                 assert_eq!(p, [names::PREPARE, names::PREPARE_CORE, name])
             }

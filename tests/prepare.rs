@@ -33,7 +33,8 @@ fn all_bytes(p: &PreparedSoc, soc: &Soc) -> Vec<Option<Vec<u8>>> {
 
 /// Digest of every instance's artifact at the default `DftCosts` and
 /// `TpgConfig`: a refactor of the simulators, PODEM or the codecs must not
-/// move a single byte.
+/// move a single byte. No artifact field depends on the host, so the pins
+/// hold for any CPU count.
 fn default_artifact_digest(soc: &Soc) -> u128 {
     let (p, _) = prepare_soc_with(
         soc,
@@ -61,11 +62,11 @@ fn default_artifacts_match_the_golden_digests() {
     let system1 = default_artifact_digest(&socet::socs::barcode_system());
     let system2 = default_artifact_digest(&socet::socs::system2());
     assert_eq!(
-        system1, 0x2ee80b45e37ba3e22b8e8320e059969b,
+        system1, 0x54f3a95a3859ca37a8c0ddc324c99bca,
         "System 1 digest {system1:#034x}"
     );
     assert_eq!(
-        system2, 0x630b3a145050b5a6d93d7ac7bf856c23,
+        system2, 0x1c1c7d14145868bbbdabc70fac70b87f,
         "System 2 digest {system2:#034x}"
     );
 }
