@@ -109,11 +109,6 @@ impl StableHasher {
         self.write_u64(v as u64);
     }
 
-    /// Feeds a boolean as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(u8::from(v));
-    }
-
     /// Feeds a length-prefixed string (prefixing prevents concatenation
     /// ambiguity between adjacent fields).
     pub fn write_str(&mut self, s: &str) {

@@ -28,6 +28,16 @@ pub enum CcgNode {
     CoreOut(CoreInstanceId, PortId),
 }
 
+impl CcgNode {
+    /// The node of `core`'s `port`, which points `direction`.
+    pub(crate) fn port(core: CoreInstanceId, port: PortId, direction: Direction) -> Self {
+        match direction {
+            Direction::In => CcgNode::CoreIn(core, port),
+            Direction::Out => CcgNode::CoreOut(core, port),
+        }
+    }
+}
+
 impl fmt::Display for CcgNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -302,11 +312,7 @@ impl Ccg {
                     return None;
                 }
                 let dir = soc.core(core).core().port(port).direction();
-                let node = match dir {
-                    Direction::In => CcgNode::CoreIn(core, port),
-                    Direction::Out => CcgNode::CoreOut(core, port),
-                };
-                Some(self.intern(node))
+                Some(self.intern(CcgNode::port(core, port, dir)))
             }
         }
     }

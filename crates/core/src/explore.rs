@@ -8,10 +8,9 @@
 //! the sweep walks the choice space in an order where neighbouring points
 //! differ in few cores, so almost every evaluation is an incremental CCG
 //! patch; the §5.2 loop additionally memoizes evaluated points (the
-//! strict/lateral passes probe the same candidates repeatedly). Sweeps
-//! fan out over [`socet_obs::fan_out`] when the host has more than one
-//! CPU, splitting the lexicographic index range into contiguous chunks so
-//! the output order stays deterministic.
+//! strict/lateral passes probe the same candidates repeatedly). Every
+//! entry point shares the explorer's one warm engine, so its counters
+//! describe the search alone, whatever the host's CPU count.
 
 use crate::error::ScheduleError;
 use crate::metrics::Metrics;
@@ -70,8 +69,8 @@ pub struct Explorer<'a> {
     /// route cache survive across `evaluate`/`optimize`/`sweep` calls.
     engine: Mutex<Option<Scheduler<'a>>>,
     /// Explorer-wide recorder, installed as the thread's sink around every
-    /// entry point: every engine's events (including all sweep workers')
-    /// land here, in deterministic order. Locked before `engine`.
+    /// entry point: every evaluation's events land here, in deterministic
+    /// order. Locked before `engine`.
     rec: Mutex<Recorder>,
 }
 
@@ -88,21 +87,10 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Uses a custom cell library for area accounting.
-    pub fn with_library(mut self, lib: CellLibrary) -> Self {
-        self.lib = lib;
-        self
-    }
-
-    /// A fresh evaluation engine over this explorer's SOC.
-    fn scheduler(&self) -> Scheduler<'a> {
-        Scheduler::new(self.soc, self.data, &self.costs)
-    }
-
     /// Runs `f` on the explorer's warm engine (created on first use).
     fn with_engine<R>(&self, f: impl FnOnce(&mut Scheduler<'a>) -> R) -> R {
         let mut guard = self.engine.lock().expect("engine lock");
-        f(guard.get_or_insert_with(|| self.scheduler()))
+        f(guard.get_or_insert_with(|| Scheduler::new(self.soc, self.data, &self.costs)))
     }
 
     /// Runs `f` with the explorer-wide recorder installed as the thread's
@@ -115,8 +103,7 @@ impl<'a> Explorer<'a> {
     }
 
     /// Engine counters aggregated over every evaluation this explorer has
-    /// run (including all sweep workers), as the [`Metrics`] view over the
-    /// explorer-wide recorder.
+    /// run, as the [`Metrics`] view over the explorer-wide recorder.
     pub fn metrics(&self) -> Metrics {
         Metrics::from_recorder(&self.rec.lock().expect("recorder lock"))
     }
@@ -180,55 +167,25 @@ impl<'a> Explorer<'a> {
 
     /// Non-panicking [`Explorer::sweep`].
     ///
-    /// The sweep runs on every available CPU: the lexicographic index
-    /// range is split into contiguous chunks by [`socet_obs::fan_out`],
-    /// each with its own incremental [`Scheduler`]; chunks are
-    /// concatenated in range order, so the result is identical to the
-    /// sequential sweep.
+    /// Every point is evaluated on the explorer's warm engine, whose route
+    /// cache then serves a later `optimize`.
     pub fn try_sweep(&self) -> Result<Vec<DesignPoint>, ScheduleError> {
-        self.sweep_with(socet_obs::available_workers())
-    }
-
-    fn sweep_with(&self, workers: usize) -> Result<Vec<DesignPoint>, ScheduleError> {
         let logic = self.soc.logic_cores();
-        let radios: Vec<usize> = logic
-            .iter()
-            .map(|c| {
-                self.data[c.index()]
-                    .as_ref()
-                    .map(|d| d.versions.len())
-                    .unwrap_or(1)
-            })
-            .collect();
-        let total: usize = radios.iter().product();
-        let ncores = self.soc.cores().len();
-        let choice_of = |mut k: usize| {
-            let mut choice = vec![0usize; ncores];
-            for (ci, c) in logic.iter().enumerate() {
-                choice[c.index()] = k % radios[ci];
-                k /= radios[ci];
-            }
-            choice
-        };
+        let radices: Vec<usize> = logic.iter().map(|&c| self.ladder_len(c)).collect();
+        let total: usize = radices.iter().product();
+        let mut choice = vec![0usize; self.soc.cores().len()];
         self.recorded(Some(names::SWEEP), || {
-            if workers.min(total) <= 1 {
-                // The warm engine keeps its route cache for a later
-                // `optimize`.
-                return self.with_engine(|sched| {
-                    (0..total).map(|k| sched.evaluate(&choice_of(k))).collect()
-                });
-            }
-            let chunks = socet_obs::fan_out(total, workers, |range| {
-                let mut sched = self.scheduler();
-                range
-                    .map(|k| sched.evaluate(&choice_of(k)))
-                    .collect::<Result<Vec<_>, _>>()
-            });
-            let mut points = Vec::with_capacity(total);
-            for chunk in chunks {
-                points.extend(chunk?);
-            }
-            Ok(points)
+            self.with_engine(|sched| {
+                (0..total)
+                    .map(|mut k| {
+                        for (c, radix) in logic.iter().zip(&radices) {
+                            choice[c.index()] = k % radix;
+                            k /= radix;
+                        }
+                        sched.evaluate(&choice)
+                    })
+                    .collect()
+            })
         })
     }
 
@@ -500,40 +457,29 @@ mod tests {
         ex.sweep();
         let m = ex.metrics();
         assert_eq!(m.evaluations, 27);
-        // On one engine, 26 of the 27 points patch incrementally; with
-        // more workers each chunk pays one full build.
-        assert!(m.ccg_full_builds >= 1);
-        assert!(m.ccg_full_builds + m.ccg_incremental_patches >= 27, "{m}");
+        // One engine: one full build, then a patch per stepped core —
+        // core 0 steps 26 times, core 1 eight times, core 2 twice.
+        assert_eq!(m.ccg_full_builds, 1, "{m}");
+        assert_eq!(m.ccg_incremental_patches, 36, "{m}");
         assert!(m.route_attempts > 0);
     }
 
     #[test]
-    fn sweep_is_identical_for_any_worker_count() {
+    fn sweep_nests_every_evaluation_under_one_span() {
         let (soc, data) = three_core_soc();
-        let mut reference = None;
-        // 12 workers over 27 points leave 9 ranges of 3: fewer ranges than
-        // workers.
-        for workers in [1, 2, 3, 5, 12] {
-            let ex = Explorer::new(&soc, &data, DftCosts::default());
-            let points = format!("{:?}", ex.sweep_with(workers).unwrap());
-            let reference = reference.get_or_insert_with(|| points.clone());
-            assert_eq!(&points, reference, "{workers} workers");
-            assert_eq!(ex.metrics().evaluations, 27, "{workers} workers");
-            // Every evaluation, on whichever worker, hangs under the one
-            // sweep span.
-            let rec = ex.take_recorder();
-            assert_eq!(rec.span_count(names::SWEEP), 1, "{workers} workers");
-            let sweep = rec.spans().iter().position(|s| s.name == names::SWEEP);
-            let evaluations: Vec<_> = rec
-                .spans()
-                .iter()
-                .filter(|s| s.name == names::EVALUATE)
-                .collect();
-            assert_eq!(evaluations.len(), 27, "{workers} workers");
-            for span in evaluations {
-                let parent = span.parent.map(|p| p as usize);
-                assert_eq!(parent, sweep, "{workers} workers");
-            }
+        let ex = Explorer::new(&soc, &data, DftCosts::default());
+        ex.sweep();
+        let rec = ex.take_recorder();
+        assert_eq!(rec.span_count(names::SWEEP), 1);
+        let sweep = rec.spans().iter().position(|s| s.name == names::SWEEP);
+        let evaluations: Vec<_> = rec
+            .spans()
+            .iter()
+            .filter(|s| s.name == names::EVALUATE)
+            .collect();
+        assert_eq!(evaluations.len(), 27);
+        for span in evaluations {
+            assert_eq!(span.parent.map(|p| p as usize), sweep);
         }
     }
 

@@ -23,7 +23,7 @@ use crate::error::ScheduleError;
 use crate::plan::{CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux};
 use socet_cells::{AreaReport, CellKind, DftCosts};
 use socet_obs::{names, Counter};
-use socet_rtl::{CoreInstanceId, PortId, Soc};
+use socet_rtl::{CoreInstanceId, Direction, PortId, Soc};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -57,9 +57,9 @@ struct RouterScratch {
 }
 
 /// Reservation-aware router over one CCG. Reservations accumulate across
-/// routes, so the order of [`Router::route_to_input`] calls matters — the
-/// scheduler routes a core's inputs in declaration order, exactly like the
-/// paper routes `A(7 downto 0)` before `A(11 downto 8)`.
+/// routes, so the order of [`Router::route`] calls matters — the scheduler
+/// routes a core's inputs, then its outputs, each in declaration order,
+/// exactly like the paper routes `A(7 downto 0)` before `A(11 downto 8)`.
 #[derive(Debug)]
 pub(crate) struct Router<'a> {
     ccg: &'a Ccg,
@@ -90,27 +90,22 @@ impl<'a> Router<'a> {
         (self.scratch, self.relaxations, self.attempts)
     }
 
-    /// Routes test data from any chip PI to `target` (a `CoreIn` node),
-    /// avoiding the transparency of `exclude` (the core under test), and
-    /// reserves the resources the chosen path occupies.
-    pub fn route_to_input(
+    /// Routes test data for one port of a core under test: from any chip
+    /// PI into `node` (a `CoreIn` node, `Direction::In`) or from `node` (a
+    /// `CoreOut` node, `Direction::Out`) to any chip PO. The path avoids
+    /// the transparency of `exclude` (the core under test) and reserves
+    /// the resources it occupies.
+    pub fn route(
         &mut self,
-        target: usize,
+        node: usize,
+        direction: Direction,
         exclude: CoreInstanceId,
     ) -> Option<RouteResult> {
         let ccg = self.ccg;
-        self.dijkstra(ccg.pi_nodes(), |n| n == target, exclude)
-    }
-
-    /// Routes a response from `source` (a `CoreOut` node) to any chip PO,
-    /// with the same exclusion and reservation behaviour.
-    pub fn route_from_output(
-        &mut self,
-        source: usize,
-        exclude: CoreInstanceId,
-    ) -> Option<RouteResult> {
-        let ccg = self.ccg;
-        self.dijkstra(&[source], |n| ccg.po_nodes().contains(&n), exclude)
+        match direction {
+            Direction::In => self.dijkstra(ccg.pi_nodes(), |n| n == node, exclude),
+            Direction::Out => self.dijkstra(&[node], |n| ccg.po_nodes().contains(&n), exclude),
+        }
     }
 
     fn dijkstra(
@@ -513,20 +508,22 @@ impl<'a> Scheduler<'a> {
             tested_nets: Vec::new(),
         };
 
-        for p in core.input_ports() {
+        // Inputs before outputs: reservations accumulate across routes.
+        let ports = core.input_ports().into_iter().map(|p| (p, Direction::In));
+        let ports = ports.chain(core.output_ports().into_iter().map(|p| (p, Direction::Out)));
+        for (p, direction) in ports {
             let node = ccg
-                .find(CcgNode::CoreIn(cid, p))
+                .find(CcgNode::port(cid, p, direction))
                 .ok_or(ScheduleError::PortNotInCcg { core: cid, port: p })?;
-            match router.route_to_input(node, cid) {
+            let itinerary = match router.route(node, direction, cid) {
                 Some(route) => {
                     outcome.absorb_route(&route);
-                    outcome.episode.input_arrivals.push((p, route.arrival));
-                    outcome.episode.input_routes.push(RouteItinerary {
+                    RouteItinerary {
                         port: p,
                         arrival: route.arrival,
                         pin: route.pin,
                         hops: route.hops,
-                    });
+                    }
                 }
                 None => {
                     socet_obs::add(Counter::SystemMuxFallbacks, 1);
@@ -535,55 +532,25 @@ impl<'a> Scheduler<'a> {
                         SystemMux {
                             core: cid,
                             port: p,
-                            controls_input: true,
+                            controls_input: direction == Direction::In,
                             width: core.port(p).width(),
                         },
                     );
-                    outcome.episode.input_arrivals.push((p, 0));
-                    outcome.episode.input_routes.push(RouteItinerary {
+                    RouteItinerary {
                         port: p,
                         arrival: 0,
                         pin: None,
                         hops: Vec::new(),
-                    });
+                    }
                 }
-            }
-        }
-        for p in core.output_ports() {
-            let node = ccg
-                .find(CcgNode::CoreOut(cid, p))
-                .ok_or(ScheduleError::PortNotInCcg { core: cid, port: p })?;
-            match router.route_from_output(node, cid) {
-                Some(route) => {
-                    outcome.absorb_route(&route);
-                    outcome.episode.output_arrivals.push((p, route.arrival));
-                    outcome.episode.output_routes.push(RouteItinerary {
-                        port: p,
-                        arrival: route.arrival,
-                        pin: route.pin,
-                        hops: route.hops,
-                    });
-                }
-                None => {
-                    socet_obs::add(Counter::SystemMuxFallbacks, 1);
-                    push_mux(
-                        &mut outcome.muxes,
-                        SystemMux {
-                            core: cid,
-                            port: p,
-                            controls_input: false,
-                            width: core.port(p).width(),
-                        },
-                    );
-                    outcome.episode.output_arrivals.push((p, 0));
-                    outcome.episode.output_routes.push(RouteItinerary {
-                        port: p,
-                        arrival: 0,
-                        pin: None,
-                        hops: Vec::new(),
-                    });
-                }
-            }
+            };
+            let ep = &mut outcome.episode;
+            let (arrivals, routes) = match direction {
+                Direction::In => (&mut ep.input_arrivals, &mut ep.input_routes),
+                Direction::Out => (&mut ep.output_arrivals, &mut ep.output_routes),
+            };
+            arrivals.push((p, itinerary.arrival));
+            routes.push(itinerary);
         }
 
         let (scratch, relaxations, attempts) = router.dismantle();

@@ -481,13 +481,6 @@ impl GateNetlistBuilder {
         map
     }
 
-    /// The primary inputs registered so far (name, signal). Flattening uses
-    /// this to find elaboration-internal control inputs that must be tied
-    /// off.
-    pub fn pending_inputs(&self) -> &[(String, SignalId)] {
-        &self.inputs
-    }
-
     /// Converts the Input gate `input` into a buffer driven by `driver`,
     /// removing it from the primary-input list. Used when flattening an SOC:
     /// a core input fed by a chip-level net stops being externally

@@ -10,10 +10,10 @@
 //! * typed **counters** ([`Counter`]) accumulated in a fixed array, each
 //!   with an explicit cross-worker [`MergePolicy`];
 //! * one deterministic thread fan-out, [`fan_out`], shared by the
-//!   preparation pipeline, the fault simulators and the design-space
-//!   sweep: each worker records into a fork of the caller's sink, and the
-//!   forks are folded back **in range order**, so counter totals and the
-//!   span tree are the same for any worker count;
+//!   preparation pipeline and the sequential fault simulator: each worker
+//!   records into a fork of the caller's sink, and the forks are folded
+//!   back **in range order**, so counter totals and the span tree are the
+//!   same for any worker count;
 //! * a thread-local sink ([`Recorder::install`]) so deep call sites —
 //!   gate elaboration, HSCAN insertion, version synthesis, the ATPG
 //!   driver — record through the free functions [`span`] and [`add`]
@@ -634,7 +634,8 @@ impl Drop for Span {
 }
 
 /// Worker threads the host offers ([`std::thread::available_parallelism`],
-/// 1 when unknown) — the default width of every [`fan_out`] in the flow.
+/// 1 when unknown) — the default width of the preparation pipeline's and
+/// the sequential fault simulator's [`fan_out`].
 pub fn available_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

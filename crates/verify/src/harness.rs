@@ -62,7 +62,8 @@ pub enum CaseOutcome {
     Pass {
         /// Logic-core count of the generated SOC.
         cores: usize,
-        /// Total checks executed.
+        /// The case's [`VerifyReport::checks`]: scheduled serial checks
+        /// plus executed joint ones.
         checks: u64,
     },
     /// The oracle found violations; `minimal` is the greedily shrunk spec

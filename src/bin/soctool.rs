@@ -491,6 +491,9 @@ fn main() -> ExitCode {
                         Ok(report) => {
                             print!("{}", report.render());
                             all_ok &= report.ok();
+                            // Scheduled serial plus executed joint checks
+                            // (see `VerifyReport::checks`); the bits are the
+                            // episodes' scheduled bits only.
                             checks += report.checks();
                             bits += report.episodes.iter().map(|e| e.bits_checked).sum::<u64>();
                         }

@@ -127,6 +127,59 @@ fn valid_invocations_still_work() {
     assert!(!std::fs::read_to_string(&profile).unwrap().is_empty());
 }
 
+/// The engine counter lines of `soctool sweep <system> --stats`, without
+/// the host-dependent `stage times` line.
+fn sweep_counters(system: &str) -> Vec<String> {
+    let out = soctool(&["sweep", system, "--stats"]);
+    assert!(
+        out.status.success(),
+        "soctool sweep {system} --stats failed"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stats = stdout
+        .split_once("evaluation engine stats:\n")
+        .expect("stats block")
+        .1;
+    stats
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("stage times"))
+        .map(|l| l.trim().to_owned())
+        .collect()
+}
+
+#[test]
+fn sweep_counters_describe_the_search_not_the_host() {
+    let expected = [
+        (
+            "system1",
+            [
+                "evaluations            : 27",
+                "ccg builds             : 1 full, 36 incremental patches",
+                "ccg edges rebuilt      : 179",
+                "route attempts         : 189",
+                "route cache hits       : 54",
+                "dijkstra relaxations   : 1180",
+                "system-mux fallbacks   : 36",
+            ],
+        ),
+        (
+            "system2",
+            [
+                "evaluations            : 27",
+                "ccg builds             : 1 full, 36 incremental patches",
+                "ccg edges rebuilt      : 98",
+                "route attempts         : 117",
+                "route cache hits       : 54",
+                "dijkstra relaxations   : 654",
+                "system-mux fallbacks   : 0",
+            ],
+        ),
+    ];
+    for (system, lines) in expected {
+        assert_eq!(sweep_counters(system), lines, "{system}");
+    }
+}
+
 #[test]
 fn bist_exports_a_trace_and_a_profile() {
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
