@@ -48,10 +48,9 @@
 //! [`SeqFaultSim::run_naive`] keeps that full sweep, with no mechanism, as
 //! the oracle the tests pin the differential engine against.
 //!
-//! Fault blocks are mutually independent, so [`SeqFaultSim::run_from`]
-//! additionally partitions them into contiguous ranges across scoped
-//! threads, each stepping its own good machine; results are bit-identical
-//! for any worker count.
+//! [`SeqFaultSim::run_from`] runs on the calling thread: one good machine
+//! steps once per cycle for every block, so its results and counters
+//! depend on the netlist and the campaign alone.
 
 use crate::fault::Fault;
 use socet_gate::kernel::{propagate, sweep, Events};
@@ -81,24 +80,19 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct SeqFaultSim<'a> {
     nl: &'a GateNetlist,
-    /// Worker cap for block partitioning (1 forces serial evaluation).
-    workers: usize,
 }
 
 impl<'a> SeqFaultSim<'a> {
     /// Creates a simulator over `nl`.
     pub fn new(nl: &'a GateNetlist) -> Self {
-        SeqFaultSim {
-            nl,
-            workers: socet_obs::available_workers(),
-        }
+        SeqFaultSim { nl }
     }
 
-    /// Caps the number of worker threads block partitioning may use; `0`
-    /// and `1` both force serial evaluation. Results are bit-identical for
-    /// every setting.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+    /// Does nothing: the simulator always runs on the calling thread.
+    /// Kept only because the benchmark harness (`perfbench`) still calls
+    /// it; the perfbench-editing change of ROADMAP item 9 deletes it.
+    #[deprecated(note = "the simulator is serial; this is a no-op")]
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -123,12 +117,7 @@ impl<'a> SeqFaultSim<'a> {
         let kept = Screen::new(self.nl, &taps, vectors, init).observable(faults);
         let packed: Vec<Fault> = kept.iter().map(|&i| faults[i]).collect();
         let blocks: Vec<&[Fault]> = packed.chunks(64).collect();
-        // Fault-block partitioning: contiguous runs of independent 64-fault
-        // blocks per worker; the detected lanes concatenate in block order.
-        let lanes = socet_obs::fan_out(blocks.len(), self.workers, |range| {
-            self.run_blocks(&blocks[range], vectors, init, &taps)
-        })
-        .concat();
+        let lanes = self.run_blocks(&blocks, vectors, init, &taps);
         let mut detected = vec![false; faults.len()];
         for (i, hit) in kept.into_iter().zip(detection_map(packed.len(), &lanes)) {
             detected[i] = hit;
@@ -205,10 +194,10 @@ impl<'a> SeqFaultSim<'a> {
         detected_lanes
     }
 
-    /// The differential engine behind [`SeqFaultSim::run_from`] for a
-    /// contiguous run of blocks of screened faults; `result[b]` holds the
-    /// detected lanes of `blocks[b]`. Skips dead gates and drops detected
-    /// faults (see the module docs), and records the gates it evaluated.
+    /// The differential engine behind [`SeqFaultSim::run_from`] over the
+    /// blocks of screened faults; `result[b]` holds the detected lanes of
+    /// `blocks[b]`. Skips dead gates and drops detected faults (see the
+    /// module docs), and records the gates it evaluated.
     fn run_blocks(
         &self,
         blocks: &[&[Fault]],
@@ -720,7 +709,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_results() {
+    fn wide_block_run_with_x_cycles_matches_the_naive_oracle() {
         let mut b = GateNetlistBuilder::new("wide");
         let mut outs = Vec::new();
         for i in 0..40 {
@@ -734,9 +723,11 @@ mod tests {
         let nl = b.build().unwrap();
         let faults = fault_list(&nl);
         let vectors = vec![vec![Tri::One; 40], vec![Tri::X; 40], vec![Tri::Zero; 40]];
-        let serial = SeqFaultSim::new(&nl).with_workers(1).run(&faults, &vectors);
-        let parallel = SeqFaultSim::new(&nl).with_workers(6).run(&faults, &vectors);
-        assert_eq!(serial, parallel);
+        let sim = SeqFaultSim::new(&nl);
+        assert_eq!(
+            sim.run(&faults, &vectors),
+            sim.run_naive(&faults, &vectors, Tri::X)
+        );
     }
 
     /// The detection map, `seq_gate_evals` and `seq_faults_unobservable`
@@ -814,7 +805,7 @@ mod tests {
 
     /// The differential engine gives the full-sweep oracle's detection map
     /// on random sequential netlists (flip-flop feedback, constants, muxes
-    /// whose select can be X) for every init, serially and partitioned.
+    /// whose select can be X) for every init.
     /// Both polarities of every signal sit side by side in one block, so
     /// sites cover inputs, flip-flop Qs, constants and gates; extra random
     /// faults add blocks and leave the last one partial.
@@ -849,12 +840,8 @@ mod tests {
             for init in [Tri::X, Tri::Zero, Tri::One] {
                 let want = SeqFaultSim::new(&nl).run_naive(&faults, &vectors, init);
                 detected += want.iter().filter(|&&d| d).count();
-                for workers in [1, 3] {
-                    let got = SeqFaultSim::new(&nl)
-                        .with_workers(workers)
-                        .run_from(&faults, &vectors, init);
-                    assert_eq!(got, want, "init {init:?}, {workers} workers: {nl}");
-                }
+                let got = SeqFaultSim::new(&nl).run_from(&faults, &vectors, init);
+                assert_eq!(got, want, "init {init:?}: {nl}");
             }
         }
         assert!(detected > 0);
@@ -875,22 +862,17 @@ mod tests {
             .collect()
     }
 
-    /// `run_from`'s detection map, checked against `run_naive` for one
-    /// and three workers, and the faults it recorded as
-    /// `[seq_faults_inactive, seq_faults_blocked]` in the serial run.
+    /// `run_from`'s detection map, checked against `run_naive`, and the
+    /// faults it recorded as `[seq_faults_inactive, seq_faults_blocked]`.
     fn screened(nl: &GateNetlist, vectors: &[Vec<Tri>], init: Tri) -> (Vec<bool>, [u64; 2]) {
         let faults = all_faults(nl);
         let want = SeqFaultSim::new(nl).run_naive(&faults, vectors, init);
         let mut rec = socet_obs::Recorder::new();
         let det = {
             let _on = rec.install();
-            SeqFaultSim::new(nl)
-                .with_workers(1)
-                .run_from(&faults, vectors, init)
+            SeqFaultSim::new(nl).run_from(&faults, vectors, init)
         };
         assert_eq!(det, want, "init {init:?}");
-        let parallel = SeqFaultSim::new(nl).with_workers(3);
-        assert_eq!(parallel.run_from(&faults, vectors, init), want);
         let counts = [Counter::SeqFaultsInactive, Counter::SeqFaultsBlocked];
         (det, counts.map(|c| rec.counter(c)))
     }
@@ -998,7 +980,7 @@ mod tests {
 
     /// Random netlists under campaigns that hold some inputs at one value
     /// (0, 1 or X): the screen prunes faults, and the detection map stays
-    /// the full-sweep oracle's for every init, serially and partitioned.
+    /// the full-sweep oracle's for every init.
     #[test]
     fn screening_with_held_inputs_matches_the_naive_oracle() {
         let mut rng = Rng(0xb10c);
@@ -1022,15 +1004,11 @@ mod tests {
                 .collect();
             for init in [Tri::X, Tri::Zero, Tri::One] {
                 let want = SeqFaultSim::new(&nl).run_naive(&faults, &vectors, init);
-                for workers in [1, 3] {
-                    let got = {
-                        let _on = rec.install();
-                        SeqFaultSim::new(&nl)
-                            .with_workers(workers)
-                            .run_from(&faults, &vectors, init)
-                    };
-                    assert_eq!(got, want, "init {init:?}, {workers} workers: {nl}");
-                }
+                let got = {
+                    let _on = rec.install();
+                    SeqFaultSim::new(&nl).run_from(&faults, &vectors, init)
+                };
+                assert_eq!(got, want, "init {init:?}: {nl}");
             }
         }
         assert!(rec.counter(Counter::SeqFaultsBlocked) > 0);

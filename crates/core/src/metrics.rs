@@ -27,9 +27,9 @@ use std::time::Duration;
 /// each artifact came from — computed fresh, shared through the in-process
 /// memo, or loaded from the on-disk store.
 ///
-/// Stage times are summed across workers, so under parallel preparation
-/// they exceed the wall-clock `total_time` — that gap *is* the parallel
-/// speedup.
+/// Unique cores are prepared one after another on one thread, so the
+/// stage times add up to at most the wall-clock `total_time`; the rest is
+/// the pipeline's own overhead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrepareMetrics {
     /// Core instances in the SOC (memory cores included).
@@ -44,15 +44,13 @@ pub struct PrepareMetrics {
     pub disk_misses: u64,
     /// Artifacts written to the on-disk store this run.
     pub disk_writes: u64,
-    /// Worker threads used for the unique-core fan-out.
-    pub workers: u64,
-    /// Wall time in HSCAN insertion, summed across workers.
+    /// Wall time in HSCAN insertion.
     pub hscan_time: Duration,
-    /// Wall time in transparency-version synthesis, summed across workers.
+    /// Wall time in transparency-version synthesis.
     pub versions_time: Duration,
-    /// Wall time in gate-level elaboration, summed across workers.
+    /// Wall time in gate-level elaboration.
     pub elaborate_time: Duration,
-    /// Wall time in combinational ATPG, summed across workers.
+    /// Wall time in combinational ATPG.
     pub atpg_time: Duration,
     /// Wall time in artifact store I/O (read + decode + encode + write).
     pub io_time: Duration,
@@ -78,7 +76,6 @@ impl PrepareMetrics {
             disk_hits: rec.counter(Counter::DiskHits),
             disk_misses: rec.counter(Counter::DiskMisses),
             disk_writes: rec.counter(Counter::DiskWrites),
-            workers: rec.counter(Counter::Workers),
             hscan_time: rec.span_total(names::HSCAN),
             versions_time: rec.span_total(names::VERSIONS),
             elaborate_time: rec.span_total(names::ELABORATE),
@@ -94,8 +91,8 @@ impl fmt::Display for PrepareMetrics {
         writeln!(f, "prepare pipeline stats:")?;
         writeln!(
             f,
-            "  instances              : {} ({} unique cores, {} workers)",
-            self.instances, self.unique_cores, self.workers
+            "  instances              : {} ({} unique cores)",
+            self.instances, self.unique_cores
         )?;
         writeln!(f, "  memo hits              : {}", self.memo_hits)?;
         writeln!(
@@ -228,7 +225,6 @@ mod tests {
         rec.record(Counter::RouteAttempts, 7);
         rec.record(Counter::Instances, 4);
         rec.record(Counter::UniqueCores, 2);
-        rec.record(Counter::Workers, 8);
         let b = rec.begin(names::BUILD);
         rec.end(b);
         let h = rec.begin(names::HSCAN);
@@ -241,7 +237,6 @@ mod tests {
         let p = PrepareMetrics::from_recorder(&rec);
         assert_eq!(p.instances, 4);
         assert_eq!(p.unique_cores, 2);
-        assert_eq!(p.workers, 8);
         assert_eq!(p.hscan_time, rec.span_total(names::HSCAN));
     }
 
@@ -267,7 +262,6 @@ mod tests {
             unique_cores: 2,
             memo_hits: 4,
             disk_hits: 2,
-            workers: 8,
             ..PrepareMetrics::default()
         };
         // The CI cache-smoke step greps for "<n> disk hits" with n > 0.

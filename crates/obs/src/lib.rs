@@ -7,13 +7,8 @@
 //! * hierarchical **spans** — name, wall time, parent — recorded into a
 //!   bounded buffer ([`SpanRec`]); per-name totals stay exact even when the
 //!   buffer overflows, so aggregate views never lose time;
-//! * typed **counters** ([`Counter`]) accumulated in a fixed array, each
-//!   with an explicit cross-worker [`MergePolicy`];
-//! * one deterministic thread fan-out, [`fan_out`], shared by the
-//!   preparation pipeline and the sequential fault simulator: each worker
-//!   records into a fork of the caller's sink, and the forks are folded
-//!   back **in range order**, so counter totals and the span tree are the
-//!   same for any worker count;
+//! * typed **counters** ([`Counter`]) accumulated in a fixed array; every
+//!   counter only adds;
 //! * a thread-local sink ([`Recorder::install`]) so deep call sites —
 //!   gate elaboration, HSCAN insertion, version synthesis, the ATPG
 //!   driver — record through the free functions [`span`] and [`add`]
@@ -47,7 +42,6 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -93,17 +87,8 @@ pub mod names {
     pub const BIST: &str = "bist";
 }
 
-/// How a counter folds across workers in [`Recorder::merge_child`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergePolicy {
-    /// Totals add — the common case (work done is work done).
-    Add,
-    /// The widest value wins — e.g. the worker fan-out of a run.
-    Max,
-}
-
 macro_rules! counters {
-    ($($(#[$meta:meta])* $variant:ident => $name:literal, $policy:ident;)+) => {
+    ($($(#[$meta:meta])* $variant:ident => $name:literal;)+) => {
         /// Every typed counter any SOCET crate records.
         ///
         /// One enum for the whole workspace keeps the recorder
@@ -130,13 +115,6 @@ macro_rules! counters {
                 }
             }
 
-            /// How this counter folds across merged recorders.
-            pub fn policy(self) -> MergePolicy {
-                match self {
-                    $(Counter::$variant => MergePolicy::$policy,)+
-                }
-            }
-
             fn idx(self) -> usize {
                 self as usize
             }
@@ -147,97 +125,94 @@ macro_rules! counters {
 counters! {
     // Chip-level evaluation engine (socet-core).
     /// Design points evaluated (successful `Scheduler::evaluate` calls).
-    Evaluations => "evaluations", Add;
+    Evaluations => "evaluations";
     /// CCGs built from scratch.
-    CcgFullBuilds => "ccg_full_builds", Add;
+    CcgFullBuilds => "ccg_full_builds";
     /// Incremental per-core patches applied instead of full rebuilds.
-    CcgIncrementalPatches => "ccg_incremental_patches", Add;
+    CcgIncrementalPatches => "ccg_incremental_patches";
     /// Edges written while building or patching CCGs.
-    CcgEdgesRebuilt => "ccg_edges_rebuilt", Add;
+    CcgEdgesRebuilt => "ccg_edges_rebuilt";
     /// Routing requests issued (one per core port per evaluation).
-    RouteAttempts => "route_attempts", Add;
+    RouteAttempts => "route_attempts";
     /// Core episodes served from the route cache.
-    RouteCacheHits => "route_cache_hits", Add;
+    RouteCacheHits => "route_cache_hits";
     /// Edge relaxations performed inside Dijkstra.
-    DijkstraRelaxations => "dijkstra_relaxations", Add;
+    DijkstraRelaxations => "dijkstra_relaxations";
     /// Ports no route could reach, resolved with a system-level test mux.
-    SystemMuxFallbacks => "system_mux_fallbacks", Add;
+    SystemMuxFallbacks => "system_mux_fallbacks";
 
     // Test generation (socet-atpg).
     /// 64-pattern blocks simulated (one good-machine evaluation each).
-    BlocksSimulated => "blocks_simulated", Add;
+    BlocksSimulated => "blocks_simulated";
     /// Gates re-evaluated inside fault cones.
-    ConeGateEvals => "cone_gate_evals", Add;
+    ConeGateEvals => "cone_gate_evals";
     /// Full-netlist gate evaluations the naive path would have paid.
-    FullGateEvalsEquiv => "full_gate_evals_equiv", Add;
+    FullGateEvalsEquiv => "full_gate_evals_equiv";
     /// Faults skipped because their cone reaches no observable point.
-    FaultsSkippedUnobservable => "faults_skipped_unobservable", Add;
+    FaultsSkippedUnobservable => "faults_skipped_unobservable";
     /// Faults first detected by the random-pattern phase.
-    FaultsDroppedRandom => "faults_dropped_random", Add;
+    FaultsDroppedRandom => "faults_dropped_random";
     /// Faults first detected during the PODEM top-off.
-    FaultsDroppedPodem => "faults_dropped_podem", Add;
+    FaultsDroppedPodem => "faults_dropped_podem";
     /// PODEM-proven tests that failed resimulation (honest accounting).
-    FillMaskEvents => "fill_mask_events", Add;
+    FillMaskEvents => "fill_mask_events";
     /// PODEM primary-input decisions (backtraced objectives).
-    PodemDecisions => "podem_decisions", Add;
+    PodemDecisions => "podem_decisions";
     /// PODEM decisions flipped to their other value.
-    PodemBacktracks => "podem_backtracks", Add;
+    PodemBacktracks => "podem_backtracks";
     /// PODEM implications (one per search step).
-    PodemImplications => "podem_implications", Add;
+    PodemImplications => "podem_implications";
     /// Gates PODEM's implications evaluated.
-    PodemGateEvals => "podem_gate_evals", Add;
+    PodemGateEvals => "podem_gate_evals";
     /// PODEM runs that found a test.
-    PodemTests => "podem_tests", Add;
+    PodemTests => "podem_tests";
     /// PODEM runs that proved their fault untestable.
-    PodemUntestable => "podem_untestable", Add;
+    PodemUntestable => "podem_untestable";
     /// PODEM runs that ran out of backtracks.
-    PodemAborted => "podem_aborted", Add;
+    PodemAborted => "podem_aborted";
     /// Untestable PODEM runs settled by exhaustive simulation of the fault
     /// site's fanin, without a search.
-    PodemUnactivatable => "podem_unactivatable", Add;
+    PodemUnactivatable => "podem_unactivatable";
     /// Gates the sequential fault simulator's differential engine evaluated.
-    SeqGateEvals => "seq_gate_evals", Add;
+    SeqGateEvals => "seq_gate_evals";
     /// Sequential-simulation faults never seeded: no primary output is
     /// reachable from their site, even through flip-flops.
-    SeqFaultsUnobservable => "seq_faults_unobservable", Add;
+    SeqFaultsUnobservable => "seq_faults_unobservable";
     /// Sequential-simulation faults never simulated because the good
     /// machine never drives their site off its stuck value (nor to X).
-    SeqFaultsInactive => "seq_faults_inactive", Add;
+    SeqFaultsInactive => "seq_faults_inactive";
     /// Sequential-simulation faults never simulated because every path
     /// from their site to an output passes a gate that a campaign-constant
     /// input holds at its controlling value.
-    SeqFaultsBlocked => "seq_faults_blocked", Add;
+    SeqFaultsBlocked => "seq_faults_blocked";
 
     // Core-preparation pipeline (socet::flow).
     /// Core instances in the SOC (memory cores excluded).
-    Instances => "instances", Add;
+    Instances => "instances";
     /// Distinct logic cores prepared (the memo collapses repeats).
-    UniqueCores => "unique_cores", Add;
+    UniqueCores => "unique_cores";
     /// Instances served by the in-process memo instead of a fresh run.
-    MemoHits => "memo_hits", Add;
+    MemoHits => "memo_hits";
     /// Unique cores loaded from the on-disk artifact store.
-    DiskHits => "disk_hits", Add;
+    DiskHits => "disk_hits";
     /// Unique cores looked up on disk and not found (or found corrupt).
-    DiskMisses => "disk_misses", Add;
+    DiskMisses => "disk_misses";
     /// Artifacts written to the on-disk store.
-    DiskWrites => "disk_writes", Add;
-    /// Worker threads used for the unique-core fan-out (widest wins).
-    Workers => "workers", Max;
+    DiskWrites => "disk_writes";
 
     // Per-crate work counters.
     /// Gates produced by gate-level elaboration (socet-gate).
-    GatesElaborated => "gates_elaborated", Add;
+    GatesElaborated => "gates_elaborated";
     /// Scan cells stitched into HSCAN chains (socet-hscan).
-    ScanCellsInserted => "scan_cells_inserted", Add;
+    ScanCellsInserted => "scan_cells_inserted";
     /// Transparency versions synthesized (socet-transparency).
-    VersionsSynthesized => "versions_synthesized", Add;
+    VersionsSynthesized => "versions_synthesized";
 }
 
 /// One recorded span: a named interval with its parent in the span tree.
 ///
 /// `start` is the offset from the owning recorder's epoch (its creation
-/// instant, shared by every fork), so spans merged from parallel workers
-/// stay on one timeline.
+/// instant), so spans merged from another recorder stay on one timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
     /// The span's name (one of [`names`]).
@@ -288,11 +263,7 @@ impl Inner {
     }
 
     fn record(&mut self, c: Counter, v: u64) {
-        let slot = &mut self.counters[c.idx()];
-        match c.policy() {
-            MergePolicy::Add => *slot += v,
-            MergePolicy::Max => *slot = (*slot).max(v),
-        }
+        self.counters[c.idx()] += v;
     }
 
     fn begin(&mut self, name: &'static str) -> SpanToken {
@@ -350,13 +321,8 @@ impl Inner {
 
     fn merge_child(&mut self, child: &mut Inner) {
         child.end_all();
-        for c in Counter::ALL {
-            match c.policy() {
-                MergePolicy::Add => self.counters[c.idx()] += child.counters[c.idx()],
-                MergePolicy::Max => {
-                    self.counters[c.idx()] = self.counters[c.idx()].max(child.counters[c.idx()])
-                }
-            }
+        for (total, v) in self.counters.iter_mut().zip(child.counters) {
+            *total += v;
         }
         for &(name, total, count) in &child.agg {
             match self.agg.iter_mut().find(|(n, _, _)| *n == name) {
@@ -368,8 +334,7 @@ impl Inner {
             }
         }
         // Spans keep child order; roots are adopted by whatever span is
-        // open here. Offsets are rebased onto this recorder's epoch (forks
-        // share the epoch, so the delta is zero for the worker case).
+        // open here. Offsets are rebased onto this recorder's epoch.
         let delta = child.epoch.saturating_duration_since(self.epoch);
         let adopt_parent = self.current_parent();
         let mut map: Vec<Option<u32>> = Vec::with_capacity(child.spans.len());
@@ -405,10 +370,9 @@ pub struct SpanToken {
 /// A structured-event recorder: typed counters plus a bounded span tree.
 ///
 /// `Recorder::default()` is the disabled handle — every operation is a
-/// single branch and records nothing. Workers [`fork`](Recorder::fork)
-/// their own recorder and the parent folds them back with
-/// [`merge_child`](Recorder::merge_child) in index order, which keeps
-/// counter totals deterministic for any worker count.
+/// single branch and records nothing. A whole run recorded on its own can
+/// be folded into a longer-lived recorder with
+/// [`merge_child`](Recorder::merge_child).
 #[derive(Debug, Default)]
 pub struct Recorder {
     inner: Option<Box<Inner>>,
@@ -439,14 +403,14 @@ impl Recorder {
     }
 
     /// An empty recorder sharing this one's epoch, capacity and
-    /// enabledness. Merge it back with [`Recorder::merge_child`].
+    /// enabledness.
     pub fn fork(&self) -> Recorder {
         Recorder {
             inner: self.inner.as_ref().map(|i| Inner::new(i.epoch, i.cap)),
         }
     }
 
-    /// Records `v` into `c` under the counter's [`MergePolicy`].
+    /// Adds `v` to `c`.
     pub fn record(&mut self, c: Counter, v: u64) {
         if let Some(inner) = self.inner.as_mut() {
             inner.record(c, v);
@@ -477,10 +441,12 @@ impl Recorder {
         }
     }
 
-    /// Folds a worker recorder into this one: counters merge under their
-    /// policies, per-name aggregates add, and the child's span tree is
-    /// appended with its roots adopted by this recorder's currently open
-    /// span. Call in worker-index order to keep traces deterministic.
+    /// Folds a finished run's recorder into this one (the preparation
+    /// pipeline hands each run to `PrepareOptions::recorder` this way):
+    /// spans the child left open are closed, counters and per-name
+    /// aggregates add, and the child's span tree is appended, rebased onto
+    /// this recorder's epoch, with its roots adopted by this recorder's
+    /// currently open span.
     pub fn merge_child(&mut self, mut child: Recorder) {
         if let (Some(inner), Some(child_inner)) = (self.inner.as_mut(), child.inner.as_mut()) {
             inner.merge_child(child_inner);
@@ -519,9 +485,10 @@ impl Recorder {
     }
 
     /// Installs this recorder as the thread's sink for the free functions
-    /// [`span`] and [`add`] (and the worker forks of [`fan_out`]); the
-    /// returned guard restores the previous sink (and this recorder's
-    /// buffers) on drop.
+    /// [`span`] and [`add`]; the returned guard restores the previous sink
+    /// (and this recorder's buffers) on drop. The sink is per thread: work
+    /// on another thread records nothing unless it installs a recorder of
+    /// its own.
     pub fn install(&mut self) -> Installed<'_> {
         let prev = SINK.replace(self.inner.take());
         Installed { rec: self, prev }
@@ -633,87 +600,17 @@ impl Drop for Span {
     }
 }
 
-/// Worker threads the host offers ([`std::thread::available_parallelism`],
-/// 1 when unknown) — the default width of the preparation pipeline's and
-/// the sequential fault simulator's [`fan_out`].
-pub fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Runs `work` over `0..n` split into at most `workers` contiguous ranges
-/// of `n.div_ceil(workers)` items, one scoped thread per range, and
-/// returns the results in range order.
-///
-/// Each worker records into a fork of the calling thread's sink, taken on
-/// the calling thread (so it shares the sink's epoch, and is disabled when
-/// nothing is installed). The forks are adopted back in range order under
-/// whatever span the caller has open, so counters and the span tree do not
-/// depend on `workers`. With a single range `work` runs inline: no thread,
-/// no fork. A worker's panic is re-raised on the calling thread.
-///
-/// # Examples
-///
-/// ```
-/// let sums = socet_obs::fan_out(10, 4, |r| r.sum::<usize>());
-/// assert_eq!(sums, [3, 12, 21, 9]);
-/// ```
-pub fn fan_out<R: Send>(
-    n: usize,
-    workers: usize,
-    work: impl Fn(Range<usize>) -> R + Sync,
-) -> Vec<R> {
-    let chunk = n.div_ceil(workers.max(1)).max(1);
-    if chunk >= n {
-        return vec![work(0..n)];
-    }
-    let work = &work;
-    let shards: Vec<(R, Recorder)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| {
-                let mut rec = SINK.with_borrow(|sink| Recorder {
-                    inner: sink.as_ref().map(|i| Inner::new(i.epoch, i.cap)),
-                });
-                s.spawn(move || {
-                    let r = {
-                        let _sink = rec.install();
-                        work(lo..(lo + chunk).min(n))
-                    };
-                    (r, rec)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    SINK.with_borrow_mut(|sink| {
-        shards
-            .into_iter()
-            .map(|(r, mut rec)| {
-                if let (Some(inner), Some(child)) = (sink.as_mut(), rec.inner.as_mut()) {
-                    inner.merge_child(child);
-                }
-                r
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_names_are_unique_and_policies_sane() {
+    fn counter_names_are_unique() {
         for (i, a) in Counter::ALL.iter().enumerate() {
             for b in &Counter::ALL[i + 1..] {
                 assert_ne!(a.name(), b.name(), "{a:?} vs {b:?}");
             }
         }
-        assert_eq!(Counter::Workers.policy(), MergePolicy::Max);
-        assert_eq!(Counter::Evaluations.policy(), MergePolicy::Add);
         assert_eq!(Counter::ALL.len(), COUNTER_COUNT);
     }
 
@@ -760,20 +657,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_child_applies_policies_and_adopts_roots() {
+    fn merge_child_adds_counters_and_adopts_roots() {
         let mut parent = Recorder::new();
-        parent.record(Counter::Workers, 2);
         parent.record(Counter::MemoHits, 1);
         let root = parent.begin("run");
         let mut child = parent.fork();
-        child.record(Counter::Workers, 8);
         child.record(Counter::MemoHits, 3);
         let t = child.begin("stage");
         child.end(t);
         parent.merge_child(child);
         parent.end(root);
-        assert_eq!(parent.counter(Counter::Workers), 8, "max policy");
-        assert_eq!(parent.counter(Counter::MemoHits), 4, "add policy");
+        assert_eq!(parent.counter(Counter::MemoHits), 4, "counters add");
         let spans = parent.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].name, "stage");
@@ -833,32 +727,6 @@ mod tests {
             assert_eq!(inner.counter(Counter::DiskHits), 10);
         }
         assert_eq!(outer.counter(Counter::DiskHits), 2);
-    }
-
-    #[test]
-    fn fan_out_splits_in_order_and_adopts_every_worker() {
-        let mut rec = Recorder::new();
-        let root = rec.begin("run");
-        let ranges = {
-            let _g = rec.install();
-            fan_out(10, 4, |r| {
-                let _s = span("shard");
-                add(Counter::ConeGateEvals, r.len() as u64);
-                r
-            })
-        };
-        rec.end(root);
-        assert_eq!(ranges, [0..3, 3..6, 6..9, 9..10]);
-        assert_eq!(rec.counter(Counter::ConeGateEvals), 10, "counters sum");
-        assert_eq!(rec.span_count("shard"), 4);
-        // Every worker span is a child of the caller's open span.
-        for s in rec.spans().iter().filter(|s| s.name == "shard") {
-            assert_eq!(s.parent, Some(0));
-        }
-        // No items: one inline call over the empty range.
-        let empty = fan_out(0, 4, |r| r);
-        assert_eq!(empty.len(), 1);
-        assert!(empty[0].is_empty());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! simulator's counters (cone pruning, fault dropping);
 //! `prepare --stats` prints the preparation pipeline's counters (memo and
 //! disk-cache hits, stage wall-times). `prepare` also accepts
-//! `--cache-dir PATH` (on-disk artifact store) and `--workers N`
-//! (`0` = auto).
+//! `--cache-dir PATH` (on-disk artifact store).
 //!
 //! `report`, `sweep`, `atpg`, `prepare` and `bist` accept `--trace PATH`
 //! (machine-readable JSON trace of the run's spans and counters, PODEM's
@@ -65,8 +64,8 @@ fn usage() -> ExitCode {
            dot-rcg <system> <core-name>\n\
            dot-ccg <system> [choice]\n\
            atpg    <system> [--stats] [--trace PATH] [--profile PATH]\n\
-           prepare <system> [--stats] [--cache-dir PATH] [--workers N]\n\
-                   [--trace PATH] [--profile PATH]\n\
+           prepare <system> [--stats] [--cache-dir PATH] [--trace PATH]\n\
+                   [--profile PATH]\n\
            bist    <system> [--trace PATH] [--profile PATH]\n\
            verify  <system> [--seed N] [--cases K] [--stats]\n\
          systems: system1 | system2 | synthetic:<cores>\n\
@@ -158,16 +157,7 @@ fn command_spec(cmd: &str) -> Option<(usize, &'static [&'static str])> {
         "sweep" => Some((2, &["--stats", "--trace", "--profile"])),
         "dot-rcg" | "dot-ccg" => Some((3, &[])),
         "atpg" => Some((2, &["--stats", "--trace", "--profile"])),
-        "prepare" => Some((
-            2,
-            &[
-                "--stats",
-                "--cache-dir",
-                "--workers",
-                "--trace",
-                "--profile",
-            ],
-        )),
+        "prepare" => Some((2, &["--stats", "--cache-dir", "--trace", "--profile"])),
         "bist" => Some((2, &["--trace", "--profile"])),
         "verify" => Some((2, &["--stats", "--seed", "--cases"])),
         _ => None,
@@ -179,7 +169,6 @@ fn command_spec(cmd: &str) -> Option<(usize, &'static [&'static str])> {
 struct Flags {
     stats: bool,
     cache_dir: Option<PathBuf>,
-    workers: Option<usize>,
     trace: Option<PathBuf>,
     profile: Option<PathBuf>,
     seed: Option<u64>,
@@ -217,7 +206,6 @@ fn parse_args(args: &[String]) -> Result<(Vec<&str>, Flags), String> {
         let value = it.next().ok_or(format!("flag `{arg}` needs a value"))?;
         match arg {
             "--cache-dir" => flags.cache_dir = Some(value.into()),
-            "--workers" => flags.workers = Some(number(arg, value)?),
             "--trace" => flags.trace = Some(value.into()),
             "--profile" => flags.profile = Some(value.into()),
             "--seed" => flags.seed = Some(number(arg, value)?),
@@ -252,7 +240,6 @@ fn main() -> ExitCode {
     let Flags {
         stats,
         cache_dir,
-        workers,
         trace,
         profile,
         seed,
@@ -430,9 +417,7 @@ fn main() -> ExitCode {
         }
         "prepare" => {
             let shared = SharedRecorder::new();
-            let mut opts = socet::flow::PrepareOptions::new()
-                .workers(workers.unwrap_or(0))
-                .recorder(shared.clone());
+            let mut opts = socet::flow::PrepareOptions::new().recorder(shared.clone());
             if let Some(dir) = cache_dir {
                 opts = opts.cache_dir(dir);
             }
@@ -476,7 +461,9 @@ fn main() -> ExitCode {
             let cases = cases.unwrap_or(1);
             let mut choice = vec![0usize; limits.len()];
             let mut all_ok = true;
-            let (mut checks, mut bits) = (0u64, 0u64);
+            // Scheduled checks (hold gaps included), hold gaps, joint
+            // checks executed and scheduled bits, summed over the cases.
+            let (mut scheduled, mut gaps, mut joint, mut bits) = (0u64, 0u64, 0u64, 0u64);
             for case in 0..cases {
                 // Case 0 is the paper design point, replayed in full; the
                 // rest sample the design space with capped vector counts.
@@ -491,11 +478,12 @@ fn main() -> ExitCode {
                         Ok(report) => {
                             print!("{}", report.render());
                             all_ok &= report.ok();
-                            // Scheduled serial plus executed joint checks
-                            // (see `VerifyReport::checks`); the bits are the
-                            // episodes' scheduled bits only.
-                            checks += report.checks();
-                            bits += report.episodes.iter().map(|e| e.bits_checked).sum::<u64>();
+                            for e in &report.episodes {
+                                scheduled += e.checks;
+                                gaps += e.hold_gaps;
+                                bits += e.bits_checked;
+                            }
+                            joint += report.parallel.as_ref().map_or(0, |p| p.checks);
                         }
                         Err(e) => {
                             eprintln!("cannot replay choice {choice:?}: {e}");
@@ -519,7 +507,14 @@ fn main() -> ExitCode {
                 }
             }
             if stats {
-                println!("total: {checks} checks, {bits} bits compared");
+                // Each phase skips the same hold-gap checks, so the serial
+                // phase executes what the joint phase does.
+                let serial = scheduled - gaps;
+                println!(
+                    "total: {} checks executed ({serial} serial + {joint} joint), \
+                     {gaps} hold-gap checks skipped per phase, {bits} bits scheduled per phase",
+                    serial + joint
+                );
             }
             if !all_ok {
                 return ExitCode::FAILURE;

@@ -16,9 +16,9 @@
 //! * repeated instances of one core (common in real SOCs — two identical
 //!   DSPs, four identical bus bridges) are prepared **once** and the
 //!   artifact shared across instances (the in-process memo);
-//! * unique cores are prepared in **parallel** across worker threads, with
-//!   an index-ordered merge that makes the output bit-identical to the
-//!   serial flow for any worker count;
+//! * unique cores are prepared one after another, in the order of their
+//!   first instance, on the calling thread, so neither the output nor the
+//!   counters depend on the host's CPU count;
 //! * an optional **on-disk artifact store** keyed by the same fingerprint
 //!   makes warm re-runs skip the flow entirely; any change to the core
 //!   structure, the DFT cost knobs or the ATPG configuration changes the
@@ -160,9 +160,8 @@ impl PreparedSoc {
 
 /// A core-level flow failure, pinned to the SOC instance it occurred on.
 ///
-/// [`prepare_soc_with`] processes instances in declaration order
-/// conceptually; whatever the worker count, the error reported is the one
-/// the serial flow would have hit first.
+/// [`prepare_soc_with`] stops at the first failure in declaration order,
+/// the one [`prepare_soc_uncached`] would have hit first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrepareError {
     /// The failing core instance.
@@ -192,7 +191,7 @@ impl Error for PrepareError {
 }
 
 /// Knobs of the preparation pipeline. [`Default`] / [`PrepareOptions::new`]
-/// mean: auto worker count, no on-disk artifact store, no trace capture.
+/// mean: no on-disk artifact store, no trace capture.
 ///
 /// The struct is `#[non_exhaustive]`: build it with the chainable
 /// constructors so new knobs stop being breaking changes.
@@ -201,18 +200,13 @@ impl Error for PrepareError {
 ///
 /// ```
 /// use socet::flow::PrepareOptions;
-/// let opts = PrepareOptions::new().workers(4).cache_dir("/tmp/socet-cache");
-/// assert_eq!(opts.workers, 4);
+/// let opts = PrepareOptions::new().cache_dir("/tmp/socet-cache");
 /// assert!(opts.cache_dir.is_some());
 /// assert!(opts.recorder.is_none());
 /// ```
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct PrepareOptions {
-    /// Worker threads for the fan-out over unique cores; `0` picks
-    /// [`socet_obs::available_workers`]. The output is bit-identical
-    /// for every value.
-    pub workers: usize,
     /// Directory of the on-disk artifact store; `None` disables it. The
     /// directory is created on first write.
     pub cache_dir: Option<PathBuf>,
@@ -223,14 +217,16 @@ pub struct PrepareOptions {
 }
 
 impl PrepareOptions {
-    /// The default options: auto worker count, no disk store, no trace.
+    /// The default options: no disk store, no trace.
     pub fn new() -> Self {
         PrepareOptions::default()
     }
 
-    /// Sets the worker-thread count (`0` = auto).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    /// Does nothing: the pipeline always runs on the calling thread. Kept
+    /// only because the benchmark harness (`perfbench`) still calls it;
+    /// the perfbench-editing change of ROADMAP item 9 deletes it.
+    #[deprecated(note = "the pipeline is serial; this is a no-op")]
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -514,15 +510,14 @@ pub fn prepare_core(
 
 /// Runs the core-level flow on every logic core of `soc` through the
 /// content-addressed pipeline, returning the prepared data and the
-/// pipeline's [`PrepareMetrics`]. [`PrepareOptions::default`] means auto
-/// worker count, no disk store and no trace capture.
+/// pipeline's [`PrepareMetrics`]. [`PrepareOptions::default`] means no
+/// disk store and no trace capture.
 ///
-/// The result is bit-identical to the serial, uncached flow
-/// ([`prepare_soc_uncached`]) for every worker count and cache state:
-/// repeated instances share one preparation (the flow is deterministic, so
-/// sharing is observationally invisible), parallel workers merge in
-/// instance order, and a disk hit decodes to exactly the value that was
-/// encoded (the codec is a bijection).
+/// The result is bit-identical to the uncached flow
+/// ([`prepare_soc_uncached`]) for every cache state: repeated instances
+/// share one preparation (the flow is deterministic, so sharing is
+/// observationally invisible), and a disk hit decodes to exactly the value
+/// that was encoded (the codec is a bijection).
 ///
 /// The returned [`PrepareMetrics`] is a view over a fresh [`Recorder`]
 /// that observed the run ([`PrepareMetrics::from_recorder`]); when
@@ -556,8 +551,7 @@ pub fn prepare_soc_with(
 }
 
 /// The pipeline body. Runs with the caller's recorder installed as the
-/// thread's sink; [`socet_obs::fan_out`] gives each worker a fork of it and
-/// adopts the forks in range order, so the merged stream is deterministic.
+/// thread's sink, so every stage records straight into it.
 fn prepare_soc_inner(
     soc: &Soc,
     costs: &DftCosts,
@@ -567,44 +561,26 @@ fn prepare_soc_inner(
     let groups = group_by_core(soc, costs, tpg);
     let cache_dir = opts.cache_dir.as_deref();
 
-    let workers = if opts.workers == 0 {
-        socet_obs::available_workers()
-    } else {
-        opts.workers
-    }
-    .min(groups.len())
-    .max(1);
-    socet_obs::add(Counter::Workers, workers as u64);
-
-    // Results come back in group order and worker recorders are adopted in
-    // the same order, so serial and parallel runs aggregate alike.
-    let results: Vec<Result<CoreArtifact, GateError>> =
-        socet_obs::fan_out(groups.len(), workers, |range| {
-            groups[range]
-                .iter()
-                .map(|g| prepare_unique(g.core, costs, tpg, cache_dir.map(|d| (d, g.fp))))
-                .collect::<Vec<_>>()
+    // Groups are ordered by their first instance, so the first group that
+    // fails names the same instance the uncached flow would report.
+    let results = groups
+        .iter()
+        .map(|g| {
+            prepare_unique(g.core, costs, tpg, cache_dir.map(|d| (d, g.fp))).map_err(|source| {
+                let i = g.instances[0];
+                PrepareError {
+                    core: CoreInstanceId::from_index(i),
+                    name: soc.cores()[i].name().to_owned(),
+                    source,
+                }
+            })
         })
-        .into_iter()
-        .flatten()
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // Error semantics match the serial flow: the first instance in
-    // declaration order whose group failed is the one reported.
     let mut by_instance: Vec<Option<usize>> = vec![None; soc.cores().len()];
     for (gi, g) in groups.iter().enumerate() {
         for &i in &g.instances {
             by_instance[i] = Some(gi);
-        }
-    }
-    for (i, inst) in soc.cores().iter().enumerate() {
-        let Some(gi) = by_instance[i] else { continue };
-        if let Err(e) = &results[gi] {
-            return Err(PrepareError {
-                core: CoreInstanceId::from_index(i),
-                name: inst.name().to_owned(),
-                source: e.clone(),
-            });
         }
     }
 
@@ -615,7 +591,7 @@ fn prepare_soc_inner(
     for gi in by_instance {
         match gi {
             Some(gi) => {
-                let artifact = results[gi].as_ref().expect("errors handled above");
+                let artifact = &results[gi];
                 data.push(Some(artifact.data.clone()));
                 netlists.push(Some(artifact.netlist.clone()));
                 tests.push(Some(artifact.tests.clone()));
@@ -634,8 +610,8 @@ fn prepare_soc_inner(
     })
 }
 
-/// The plain serial flow, one [`prepare_core`] per logic instance with no
-/// memo, no parallelism and no disk store — the oracle the pipeline's
+/// The plain flow, one [`prepare_core`] per logic instance with no memo
+/// and no disk store — the oracle the pipeline's
 /// equivalence tests compare against.
 ///
 /// # Errors
@@ -916,28 +892,5 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "stranded temporaries: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn serial_and_parallel_runs_report_identical_counters() {
-        // Satellite pin: the recorder merge charges worker counters the
-        // same way the serial flow does — aggregate counters must not
-        // depend on the fan-out (only `workers` itself differs by design,
-        // so compare it explicitly).
-        let soc = socet_socs::system2();
-        let costs = DftCosts::default();
-        let tpg = light_tpg();
-        let (_, serial) =
-            prepare_soc_with(&soc, &costs, &tpg, &PrepareOptions::new().workers(1)).unwrap();
-        let (_, parallel) =
-            prepare_soc_with(&soc, &costs, &tpg, &PrepareOptions::new().workers(3)).unwrap();
-        assert_eq!(serial.workers, 1);
-        assert_eq!(parallel.workers, 3, "system2 has 3 unique logic cores");
-        assert_eq!(serial.instances, parallel.instances);
-        assert_eq!(serial.unique_cores, parallel.unique_cores);
-        assert_eq!(serial.memo_hits, parallel.memo_hits);
-        assert_eq!(serial.disk_hits, parallel.disk_hits);
-        assert_eq!(serial.disk_misses, parallel.disk_misses);
-        assert_eq!(serial.disk_writes, parallel.disk_writes);
     }
 }

@@ -70,7 +70,7 @@ fn flag_values_are_not_swallowed_as_positionals() {
 #[test]
 fn malformed_flag_values_are_rejected() {
     // Each of these used to fall back to a default without a word.
-    assert_usage_rejection(&["prepare", "system1", "--workers", "abc"]);
+    assert_usage_rejection(&["verify", "system2", "--seed", "1.5"]);
     assert_usage_rejection(&["verify", "synthetic", "--seed", "xyz"]);
     assert_usage_rejection(&["verify", "system1", "--cases", "xyz"]);
     assert_usage_rejection(&["verify", "system1", "--seed", "-1"]);
@@ -93,6 +93,8 @@ fn flags_the_command_never_reads_are_rejected() {
     assert_usage_rejection(&["verify", "system1", "--trace", "x.json"]);
     assert_usage_rejection(&["prepare", "system1", "--seed", "3"]);
     assert_usage_rejection(&["atpg", "system1", "--workers", "2"]);
+    // The preparation pipeline is serial; it has no worker count to set.
+    assert_usage_rejection(&["prepare", "system1", "--workers", "2"]);
     assert_usage_rejection(&["bist", "system1", "--stats"]);
     assert_usage_rejection(&["verify", "synthetic", "--stats"]);
 }
@@ -178,6 +180,25 @@ fn sweep_counters_describe_the_search_not_the_host() {
     for (system, lines) in expected {
         assert_eq!(sweep_counters(system), lines, "{system}");
     }
+}
+
+/// Each number of `verify --stats`'s total line says what it counts: the
+/// serial phase executes the scheduled checks minus the hold gaps, the
+/// joint phase the same, and the bits are those scheduled in one phase.
+#[test]
+fn verify_total_line_counts_what_it_checks() {
+    let out = soctool(&["verify", "system1", "--stats"]);
+    assert!(
+        out.status.success(),
+        "soctool verify system1 --stats failed"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let total = stdout.lines().last().expect("total line");
+    assert_eq!(
+        total,
+        "total: 24570 checks executed (12285 serial + 12285 joint), \
+         1050 hold-gap checks skipped per phase, 65205 bits scheduled per phase"
+    );
 }
 
 #[test]

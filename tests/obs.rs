@@ -58,7 +58,6 @@ fn trace_shape_matches_the_pipeline_structure() {
     let soc = twin_soc();
     let shared = SharedRecorder::new();
     let opts = PrepareOptions::new()
-        .workers(1)
         .cache_dir(fresh_cache_dir("trace-shape"))
         .recorder(shared.clone());
     prepare_soc_with(&soc, &DftCosts::default(), &light_tpg(), &opts).unwrap();
@@ -111,7 +110,6 @@ fn trace_shape_matches_the_pipeline_structure() {
     assert_eq!(rec.counter(Counter::MemoHits), 1);
     assert_eq!(rec.counter(Counter::DiskMisses), 1);
     assert_eq!(rec.counter(Counter::DiskWrites), 1);
-    assert_eq!(rec.counter(Counter::Workers), 1);
     assert_eq!(rec.dropped_spans(), 0);
 }
 
@@ -119,7 +117,7 @@ fn trace_shape_matches_the_pipeline_structure() {
 fn exporters_emit_wellformed_output() {
     let soc = twin_soc();
     let shared = SharedRecorder::new();
-    let opts = PrepareOptions::new().workers(1).recorder(shared.clone());
+    let opts = PrepareOptions::new().recorder(shared.clone());
     prepare_soc_with(&soc, &DftCosts::default(), &light_tpg(), &opts).unwrap();
     let rec = shared.take();
 
@@ -148,7 +146,7 @@ fn exporters_emit_wellformed_output() {
 fn system1_trace_counts_podem_work() {
     let soc = socet::socs::barcode_system();
     let shared = SharedRecorder::new();
-    let opts = PrepareOptions::new().workers(1).recorder(shared.clone());
+    let opts = PrepareOptions::new().recorder(shared.clone());
     let (prepared, _) =
         prepare_soc_with(&soc, &DftCosts::default(), &TpgConfig::default(), &opts).unwrap();
     let rec = shared.take();
@@ -352,19 +350,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Recording is observationally inert: capturing a full trace changes
-    /// no pipeline output bytes, for any worker count and ATPG seed.
+    /// no pipeline output bytes, for any ATPG seed.
     #[test]
     fn recording_changes_no_pipeline_bytes(
-        workers in 1usize..5,
         seed in 0u64..3,
     ) {
         let soc = twin_soc();
         let costs = DftCosts::default();
         let tpg = TpgConfig { seed, ..light_tpg() };
-        let plain = PrepareOptions::new().workers(workers);
-        let (unrecorded, _) = prepare_soc_with(&soc, &costs, &tpg, &plain).unwrap();
+        let (unrecorded, _) = prepare_soc_with(&soc, &costs, &tpg, &PrepareOptions::new()).unwrap();
         let shared = SharedRecorder::new();
-        let traced = PrepareOptions::new().workers(workers).recorder(shared.clone());
+        let traced = PrepareOptions::new().recorder(shared.clone());
         let (recorded, _) = prepare_soc_with(&soc, &costs, &tpg, &traced).unwrap();
         prop_assert_eq!(all_bytes(&recorded, &soc), all_bytes(&unrecorded, &soc));
         let rec = shared.take();

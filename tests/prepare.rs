@@ -1,6 +1,6 @@
 //! Determinism and cache-correctness properties of the preparation
-//! pipeline: parallel ≡ serial for any worker count, warm disk cache ≡
-//! cold run bit for bit, and any input-knob change invalidates the cache.
+//! pipeline: the pipeline ≡ the uncached flow, warm disk cache ≡ cold run
+//! bit for bit, and any input-knob change invalidates the cache.
 
 use proptest::prelude::*;
 use socet::atpg::TpgConfig;
@@ -72,22 +72,17 @@ fn default_artifacts_match_the_golden_digests() {
 }
 
 #[test]
-fn parallel_output_is_bit_identical_to_serial() {
+fn pipeline_output_is_bit_identical_to_uncached() {
     let soc = socet::socs::system2();
     let costs = DftCosts::default();
     let tpg = light_tpg();
     let oracle = prepare_soc_uncached(&soc, &costs, &tpg).unwrap();
-    let want = all_bytes(&oracle, &soc);
-    for workers in [1, 2, 4, 8] {
-        let opts = PrepareOptions::new().workers(workers);
-        let (got, m) = prepare_soc_with(&soc, &costs, &tpg, &opts).unwrap();
-        assert_eq!(
-            all_bytes(&got, &soc),
-            want,
-            "workers={workers} diverged from the serial oracle"
-        );
-        assert!(m.workers as usize <= workers);
-    }
+    let (got, _) = prepare_soc_with(&soc, &costs, &tpg, &PrepareOptions::new()).unwrap();
+    assert_eq!(
+        all_bytes(&got, &soc),
+        all_bytes(&oracle, &soc),
+        "the pipeline diverged from the uncached oracle"
+    );
 }
 
 #[test]
@@ -95,9 +90,7 @@ fn warm_disk_cache_is_bit_identical_to_cold() {
     let soc = socet::socs::system2();
     let costs = DftCosts::default();
     let tpg = light_tpg();
-    let opts = PrepareOptions::new()
-        .workers(1)
-        .cache_dir(fresh_cache_dir("warm"));
+    let opts = PrepareOptions::new().cache_dir(fresh_cache_dir("warm"));
     let (cold, mc) = prepare_soc_with(&soc, &costs, &tpg, &opts).unwrap();
     assert_eq!(mc.disk_hits, 0);
     assert_eq!(mc.disk_writes, mc.unique_cores);
@@ -114,9 +107,7 @@ fn warm_disk_cache_is_bit_identical_to_cold() {
 fn tpg_change_invalidates_the_cache() {
     let soc = socet::socs::system2();
     let costs = DftCosts::default();
-    let opts = PrepareOptions::new()
-        .workers(1)
-        .cache_dir(fresh_cache_dir("tpg-invalidate"));
+    let opts = PrepareOptions::new().cache_dir(fresh_cache_dir("tpg-invalidate"));
     let tpg = light_tpg();
     let (_, first) = prepare_soc_with(&soc, &costs, &tpg, &opts).unwrap();
     assert_eq!(first.disk_writes, first.unique_cores);
@@ -136,9 +127,7 @@ fn tpg_change_invalidates_the_cache() {
 fn dft_cost_change_invalidates_the_cache() {
     let soc = socet::socs::system2();
     let tpg = light_tpg();
-    let opts = PrepareOptions::new()
-        .workers(1)
-        .cache_dir(fresh_cache_dir("costs-invalidate"));
+    let opts = PrepareOptions::new().cache_dir(fresh_cache_dir("costs-invalidate"));
     let costs = DftCosts::default();
     let (_, first) = prepare_soc_with(&soc, &costs, &tpg, &opts).unwrap();
     assert_eq!(first.disk_writes, first.unique_cores);
@@ -154,19 +143,17 @@ fn dft_cost_change_invalidates_the_cache() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any worker count and any ATPG seed: the pipeline output equals the
-    /// serial oracle's, byte for byte.
+    /// Any ATPG seed: the pipeline output equals the uncached oracle's,
+    /// byte for byte.
     #[test]
-    fn pipeline_matches_oracle_for_any_worker_count(
-        workers in 1usize..9,
+    fn pipeline_matches_oracle_for_any_seed(
         seed in 0u64..4,
     ) {
         let soc = socet::socs::system2();
         let costs = DftCosts::default();
         let tpg = TpgConfig { seed, ..light_tpg() };
         let oracle = prepare_soc_uncached(&soc, &costs, &tpg).unwrap();
-        let opts = PrepareOptions::new().workers(workers);
-        let (got, _) = prepare_soc_with(&soc, &costs, &tpg, &opts).unwrap();
+        let (got, _) = prepare_soc_with(&soc, &costs, &tpg, &PrepareOptions::new()).unwrap();
         prop_assert_eq!(all_bytes(&got, &soc), all_bytes(&oracle, &soc));
     }
 }
