@@ -10,7 +10,7 @@
 //! `soctool atpg --stats` and `table3_testability` print their per-instance
 //! sum (`PreparedSoc::atpg_stats`) directly.
 
-use socet_obs::{Counter, Recorder};
+use socet_obs::Counter;
 use std::fmt;
 
 /// Counters accumulated by [`FaultSim`](crate::FaultSim),
@@ -58,20 +58,6 @@ impl AtpgMetrics {
         self.faults_dropped_random += other.faults_dropped_random;
         self.faults_dropped_podem += other.faults_dropped_podem;
         self.fill_mask_events += other.fill_mask_events;
-    }
-
-    /// The view of one recorder's ATPG counters — the derivation the
-    /// unified observability layer replaces ad-hoc merging with.
-    pub fn from_recorder(rec: &Recorder) -> Self {
-        AtpgMetrics {
-            blocks_simulated: rec.counter(Counter::BlocksSimulated),
-            cone_gate_evals: rec.counter(Counter::ConeGateEvals),
-            full_gate_evals_equiv: rec.counter(Counter::FullGateEvalsEquiv),
-            faults_skipped_unobservable: rec.counter(Counter::FaultsSkippedUnobservable),
-            faults_dropped_random: rec.counter(Counter::FaultsDroppedRandom),
-            faults_dropped_podem: rec.counter(Counter::FaultsDroppedPodem),
-            fill_mask_events: rec.counter(Counter::FillMaskEvents),
-        }
     }
 
     /// Charges these counters into the thread's installed
@@ -163,12 +149,23 @@ mod tests {
             fill_mask_events: 7,
         };
         // publish() reaches the installed thread-local sink.
-        let mut tls = Recorder::new();
+        let mut tls = socet_obs::Recorder::new();
         {
             let _g = tls.install();
             m.publish();
         }
-        assert_eq!(AtpgMetrics::from_recorder(&tls), m);
+        let published = [
+            (Counter::BlocksSimulated, 1),
+            (Counter::ConeGateEvals, 2),
+            (Counter::FullGateEvalsEquiv, 3),
+            (Counter::FaultsSkippedUnobservable, 4),
+            (Counter::FaultsDroppedRandom, 5),
+            (Counter::FaultsDroppedPodem, 6),
+            (Counter::FillMaskEvents, 7),
+        ];
+        for (c, v) in published {
+            assert_eq!(tls.counter(c), v, "{}", c.name());
+        }
     }
 
     #[test]

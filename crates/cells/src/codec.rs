@@ -190,11 +190,6 @@ impl Enc {
         self.buf.push(v);
     }
 
-    /// Appends a `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -273,11 +268,6 @@ impl<'a> Dec<'a> {
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
     }
 
     /// Reads a `u32`.
@@ -392,7 +382,6 @@ mod tests {
     fn round_trip_primitives() {
         let mut e = Enc::new();
         e.put_u8(0xab);
-        e.put_u16(0x1234);
         e.put_u32(0xdead_beef);
         e.put_u64(u64::MAX - 1);
         e.put_bool(true);
@@ -401,7 +390,6 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.get_u8().unwrap(), 0xab);
-        assert_eq!(d.get_u16().unwrap(), 0x1234);
         assert_eq!(d.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(d.get_u64().unwrap(), u64::MAX - 1);
         assert!(d.get_bool().unwrap());

@@ -19,9 +19,9 @@ use crate::schedule::Scheduler;
 use socet_cells::{CellLibrary, DftCosts};
 use socet_obs::{names, Recorder};
 use socet_rtl::{CoreInstanceId, Soc};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
 
 /// The user's optimization objective (paper §5, objectives (i) and (ii)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,11 +67,11 @@ pub struct Explorer<'a> {
     lib: CellLibrary,
     /// The warm evaluation engine: its cached CCG, router scratch and
     /// route cache survive across `evaluate`/`optimize`/`sweep` calls.
-    engine: Mutex<Option<Scheduler<'a>>>,
+    engine: RefCell<Option<Scheduler<'a>>>,
     /// Explorer-wide recorder, installed as the thread's sink around every
-    /// entry point: every evaluation's events land here, in deterministic
-    /// order. Locked before `engine`.
-    rec: Mutex<Recorder>,
+    /// entry point: every evaluation's events land here, in evaluation
+    /// order.
+    rec: RefCell<Recorder>,
 }
 
 impl<'a> Explorer<'a> {
@@ -82,21 +82,21 @@ impl<'a> Explorer<'a> {
             data,
             costs,
             lib: CellLibrary::generic_08um(),
-            engine: Mutex::new(None),
-            rec: Mutex::new(Recorder::new()),
+            engine: RefCell::new(None),
+            rec: RefCell::new(Recorder::new()),
         }
     }
 
     /// Runs `f` on the explorer's warm engine (created on first use).
     fn with_engine<R>(&self, f: impl FnOnce(&mut Scheduler<'a>) -> R) -> R {
-        let mut guard = self.engine.lock().expect("engine lock");
-        f(guard.get_or_insert_with(|| Scheduler::new(self.soc, self.data, &self.costs)))
+        let mut engine = self.engine.borrow_mut();
+        f(engine.get_or_insert_with(|| Scheduler::new(self.soc, self.data, &self.costs)))
     }
 
     /// Runs `f` with the explorer-wide recorder installed as the thread's
     /// sink, inside a span named `span` when one is given.
     fn recorded<R>(&self, span: Option<&'static str>, f: impl FnOnce() -> R) -> R {
-        let mut rec = self.rec.lock().expect("recorder lock");
+        let mut rec = self.rec.borrow_mut();
         let _sink = rec.install();
         let _span = span.map(socet_obs::span);
         f()
@@ -105,15 +105,13 @@ impl<'a> Explorer<'a> {
     /// Engine counters aggregated over every evaluation this explorer has
     /// run, as the [`Metrics`] view over the explorer-wide recorder.
     pub fn metrics(&self) -> Metrics {
-        Metrics::from_recorder(&self.rec.lock().expect("recorder lock"))
+        Metrics::from_recorder(&self.rec.borrow())
     }
 
     /// The explorer-wide recorder — spans and counters of every evaluation
     /// so far — for trace export; a fresh (empty) one takes its place.
     pub fn take_recorder(&self) -> Recorder {
-        let mut guard = self.rec.lock().expect("recorder lock");
-        let fresh = guard.fork();
-        std::mem::replace(&mut *guard, fresh)
+        self.rec.replace(Recorder::new())
     }
 
     /// Routes and schedules one version choice.

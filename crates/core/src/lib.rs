@@ -57,7 +57,7 @@
 //! ```
 
 /// The unified observability layer: structured spans, typed counters, a
-/// per-worker [`Recorder`](obs::Recorder), and trace exporters. Every
+/// [`Recorder`](obs::Recorder) per run, and trace exporters. Every
 /// SOCET crate records through it; the metrics structs in [`metrics`] are
 /// views derived from one recorder.
 pub use socet_obs as obs;

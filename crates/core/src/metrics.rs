@@ -84,6 +84,25 @@ impl PrepareMetrics {
             total_time: rec.span_total(names::PREPARE),
         }
     }
+
+    /// What `self` gained since `earlier`, an older view of the same
+    /// recorder: one run's share of a recorder several runs record into.
+    pub fn since(&self, earlier: &PrepareMetrics) -> Self {
+        PrepareMetrics {
+            instances: self.instances - earlier.instances,
+            unique_cores: self.unique_cores - earlier.unique_cores,
+            memo_hits: self.memo_hits - earlier.memo_hits,
+            disk_hits: self.disk_hits - earlier.disk_hits,
+            disk_misses: self.disk_misses - earlier.disk_misses,
+            disk_writes: self.disk_writes - earlier.disk_writes,
+            hscan_time: self.hscan_time - earlier.hscan_time,
+            versions_time: self.versions_time - earlier.versions_time,
+            elaborate_time: self.elaborate_time - earlier.elaborate_time,
+            atpg_time: self.atpg_time - earlier.atpg_time,
+            io_time: self.io_time - earlier.io_time,
+            total_time: self.total_time - earlier.total_time,
+        }
+    }
 }
 
 impl fmt::Display for PrepareMetrics {

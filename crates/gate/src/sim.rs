@@ -113,25 +113,8 @@ impl<'a> PackedSim<'a> {
     /// Panics on input or state length mismatch.
     pub fn eval(&self, pi: &[u64], ff: &[u64], fault: Option<(SignalId, bool)>) -> Vec<u64> {
         let mut v = Vec::new();
-        self.eval_into(pi, ff, fault, &mut v);
+        sweep(self.nl, pi, ff, &mut v, stuck_at(fault));
         v
-    }
-
-    /// Like [`PackedSim::eval`] but writes into a caller-owned buffer, so a
-    /// hot loop (e.g. the fault simulator's per-block good-value pass) can
-    /// reuse one allocation across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input or state length mismatch.
-    pub fn eval_into(
-        &self,
-        pi: &[u64],
-        ff: &[u64],
-        fault: Option<(SignalId, bool)>,
-        v: &mut Vec<u64>,
-    ) {
-        sweep(self.nl, pi, ff, v, stuck_at(fault));
     }
 
     /// Packed primary-output values from a full signal vector.
@@ -235,16 +218,6 @@ impl<'a> SeqSim<'a> {
     pub fn new(nl: &'a GateNetlist) -> Self {
         SeqSim {
             state: vec![Tri::X; nl.flip_flop_count()],
-            nl,
-        }
-    }
-
-    /// Creates a simulator with all flip-flops reset to 0 — the
-    /// "after chip reset" premise of the sequential testability
-    /// experiments.
-    pub fn new_reset(nl: &'a GateNetlist) -> Self {
-        SeqSim {
-            state: vec![Tri::Zero; nl.flip_flop_count()],
             nl,
         }
     }
@@ -409,19 +382,6 @@ mod tests {
         let nl = b.build().unwrap();
         let sim = CombSim::new(&nl);
         assert_eq!(sim.run(&[]), vec![false, true]);
-    }
-
-    #[test]
-    fn seq_sim_reset_state_constructor() {
-        let mut b = GateNetlistBuilder::new("n");
-        let d = b.input("d");
-        let q = b.dff(d);
-        b.output("q", q);
-        let nl = b.build().unwrap();
-        let mut sim = SeqSim::new_reset(&nl);
-        // From reset, Q is a definite 0 on the first observation.
-        assert_eq!(sim.step(&[Tri::One], None), vec![Tri::Zero]);
-        assert_eq!(sim.step(&[Tri::Zero], None), vec![Tri::One]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Zero-dependency structured observability for the SOCET flow.
 //!
-//! Every SOCET crate records into **one** substrate. The `--stats` views
+//! Every SOCET crate records into **one** substrate, and one run records
+//! into one [`Recorder`]: a run's spans nest under whatever span is open
+//! in it, and nothing is ever merged afterwards. The `--stats` views
 //! `socet_core::Metrics` and `PrepareMetrics` are derived *from* it, and
 //! the ATPG engines publish their `AtpgMetrics` counters into it:
 //!
@@ -17,10 +19,8 @@
 //!   and a collapsed-stack profile ([`Recorder::to_folded`]) consumable by
 //!   standard flamegraph tooling.
 //!
-//! The disabled path is one branch: a [`Recorder::disabled`] handle is an
-//! `Option::None` inside, and the free functions are a thread-local load
-//! plus a branch when no recorder is installed. No time is read, nothing
-//! allocates.
+//! When no recorder is installed, the free functions are a thread-local
+//! load plus a branch: no time is read, nothing allocates.
 //!
 //! # Examples
 //!
@@ -41,7 +41,6 @@
 //! ```
 
 use std::cell::RefCell;
-use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -212,7 +211,7 @@ counters! {
 /// One recorded span: a named interval with its parent in the span tree.
 ///
 /// `start` is the offset from the owning recorder's epoch (its creation
-/// instant), so spans merged from another recorder stay on one timeline.
+/// instant).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
     /// The span's name (one of [`names`]).
@@ -305,10 +304,6 @@ impl Inner {
         }
     }
 
-    fn end_all(&mut self) {
-        self.end(SpanToken { depth: 0 });
-    }
-
     fn bump_agg(&mut self, name: &'static str, dur: Duration) {
         match self.agg.iter_mut().find(|(n, _, _)| *n == name) {
             Some((_, total, count)) => {
@@ -317,45 +312,6 @@ impl Inner {
             }
             None => self.agg.push((name, dur, 1)),
         }
-    }
-
-    fn merge_child(&mut self, child: &mut Inner) {
-        child.end_all();
-        for (total, v) in self.counters.iter_mut().zip(child.counters) {
-            *total += v;
-        }
-        for &(name, total, count) in &child.agg {
-            match self.agg.iter_mut().find(|(n, _, _)| *n == name) {
-                Some((_, t, c)) => {
-                    *t += total;
-                    *c += count;
-                }
-                None => self.agg.push((name, total, count)),
-            }
-        }
-        // Spans keep child order; roots are adopted by whatever span is
-        // open here. Offsets are rebased onto this recorder's epoch.
-        let delta = child.epoch.saturating_duration_since(self.epoch);
-        let adopt_parent = self.current_parent();
-        let mut map: Vec<Option<u32>> = Vec::with_capacity(child.spans.len());
-        for span in child.spans.drain(..) {
-            if self.spans.len() >= self.cap {
-                self.dropped += 1;
-                map.push(None);
-                continue;
-            }
-            let parent = match span.parent {
-                Some(p) => map[p as usize].or(adopt_parent),
-                None => adopt_parent,
-            };
-            self.spans.push(SpanRec {
-                start: span.start + delta,
-                parent,
-                ..span
-            });
-            map.push(Some((self.spans.len() - 1) as u32));
-        }
-        self.dropped += child.dropped;
     }
 }
 
@@ -369,119 +325,98 @@ pub struct SpanToken {
 
 /// A structured-event recorder: typed counters plus a bounded span tree.
 ///
-/// `Recorder::default()` is the disabled handle — every operation is a
-/// single branch and records nothing. A whole run recorded on its own can
-/// be folded into a longer-lived recorder with
-/// [`merge_child`](Recorder::merge_child).
-#[derive(Debug, Default)]
+/// A run records into one recorder from start to finish; a span it opens
+/// becomes a child of whatever span is open at that moment, so a caller
+/// that opens a span of its own before the run gets the run nested under
+/// it. `Recorder::default()` is [`Recorder::new`].
+#[derive(Debug)]
 pub struct Recorder {
+    /// `None` only while [`Recorder::install`] has moved the buffers into
+    /// the thread-local sink (and the guard borrows the recorder).
     inner: Option<Box<Inner>>,
 }
 
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder::new()
+    }
+}
+
 impl Recorder {
-    /// An enabled recorder with the default span capacity.
+    /// A recorder with the default span capacity.
     pub fn new() -> Self {
         Recorder::with_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
-    /// An enabled recorder retaining at most `cap` span events (counters
-    /// and per-name aggregates are never truncated).
+    /// A recorder retaining at most `cap` span events (counters and
+    /// per-name aggregates are never truncated).
     pub fn with_capacity(cap: usize) -> Self {
         Recorder {
             inner: Some(Inner::new(Instant::now(), cap)),
         }
     }
 
-    /// The no-op handle: every operation is one branch.
-    pub fn disabled() -> Self {
-        Recorder { inner: None }
+    fn inner(&self) -> &Inner {
+        self.inner
+            .as_deref()
+            .expect("recorder buffers are installed")
     }
 
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// An empty recorder sharing this one's epoch, capacity and
-    /// enabledness.
-    pub fn fork(&self) -> Recorder {
-        Recorder {
-            inner: self.inner.as_ref().map(|i| Inner::new(i.epoch, i.cap)),
-        }
+    fn inner_mut(&mut self) -> &mut Inner {
+        self.inner
+            .as_deref_mut()
+            .expect("recorder buffers are installed")
     }
 
     /// Adds `v` to `c`.
     pub fn record(&mut self, c: Counter, v: u64) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.record(c, v);
-        }
+        self.inner_mut().record(c, v);
     }
 
-    /// Current value of `c` (0 when disabled).
+    /// Current value of `c`.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.counters[c.idx()])
+        self.inner().counters[c.idx()]
     }
 
-    /// Opens a span. Close it with [`Recorder::end`].
+    /// Opens a span, as a child of the innermost open one. Close it with
+    /// [`Recorder::end`].
     pub fn begin(&mut self, name: &'static str) -> SpanToken {
-        match self.inner.as_mut() {
-            Some(inner) => inner.begin(name),
-            None => SpanToken { depth: usize::MAX },
-        }
+        self.inner_mut().begin(name)
     }
 
     /// Closes the span opened by `token` (and anything still open below
     /// it).
     pub fn end(&mut self, token: SpanToken) {
-        if token.depth == usize::MAX {
-            return;
-        }
-        if let Some(inner) = self.inner.as_mut() {
-            inner.end(token);
-        }
-    }
-
-    /// Folds a finished run's recorder into this one (the preparation
-    /// pipeline hands each run to `PrepareOptions::recorder` this way):
-    /// spans the child left open are closed, counters and per-name
-    /// aggregates add, and the child's span tree is appended, rebased onto
-    /// this recorder's epoch, with its roots adopted by this recorder's
-    /// currently open span.
-    pub fn merge_child(&mut self, mut child: Recorder) {
-        if let (Some(inner), Some(child_inner)) = (self.inner.as_mut(), child.inner.as_mut()) {
-            inner.merge_child(child_inner);
-        }
+        self.inner_mut().end(token);
     }
 
     /// The retained span events, in recording order.
     pub fn spans(&self) -> &[SpanRec] {
-        self.inner.as_ref().map_or(&[], |i| &i.spans)
+        &self.inner().spans
     }
 
     /// Exact total wall time across every completed span named `name`
     /// (unaffected by the span-event bound).
     pub fn span_total(&self, name: &str) -> Duration {
-        self.inner.as_ref().map_or(Duration::ZERO, |i| {
-            i.agg
-                .iter()
-                .find(|(n, _, _)| *n == name)
-                .map_or(Duration::ZERO, |(_, total, _)| *total)
-        })
+        self.agg(name).map_or(Duration::ZERO, |(total, _)| total)
     }
 
     /// Exact number of completed spans named `name`.
     pub fn span_count(&self, name: &str) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            i.agg
-                .iter()
-                .find(|(n, _, _)| *n == name)
-                .map_or(0, |(_, _, count)| *count)
-        })
+        self.agg(name).map_or(0, |(_, count)| count)
+    }
+
+    fn agg(&self, name: &str) -> Option<(Duration, u64)> {
+        self.inner()
+            .agg
+            .iter()
+            .find(|(n, _, _)| *n == name)
+            .map(|&(_, total, count)| (total, count))
     }
 
     /// Span events discarded by the retention bound.
     pub fn dropped_spans(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.dropped)
+        self.inner().dropped
     }
 
     /// Installs this recorder as the thread's sink for the free functions
@@ -508,14 +443,15 @@ impl Recorder {
 
 /// A cloneable, thread-safe recorder handle — the shape option structs
 /// (e.g. `PrepareOptions::recorder`) carry so a caller can hand one
-/// recorder to a pipeline and read the trace back afterwards.
+/// recorder to a pipeline and read the trace back afterwards. The pipeline
+/// locks it for the length of its run and records straight into it.
 #[derive(Debug, Clone, Default)]
 pub struct SharedRecorder(Arc<Mutex<Recorder>>);
 
 impl SharedRecorder {
-    /// A shared handle around an enabled recorder.
+    /// A shared handle around a fresh recorder.
     pub fn new() -> Self {
-        SharedRecorder(Arc::new(Mutex::new(Recorder::new())))
+        SharedRecorder::default()
     }
 
     /// Locks the underlying recorder.
@@ -523,21 +459,10 @@ impl SharedRecorder {
         self.0.lock().expect("recorder lock poisoned")
     }
 
-    /// Takes the recorder out, leaving a disabled one behind.
+    /// Takes the recorder out, leaving a fresh one in its place, so a later
+    /// run still records.
     pub fn take(&self) -> Recorder {
         std::mem::take(&mut *self.lock())
-    }
-}
-
-impl fmt::Display for SharedRecorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let rec = self.lock();
-        write!(
-            f,
-            "recorder: {} spans, {} dropped",
-            rec.spans().len(),
-            rec.dropped_spans()
-        )
     }
 }
 
@@ -644,46 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let mut rec = Recorder::disabled();
-        let t = rec.begin("a");
-        rec.record(Counter::Evaluations, 5);
-        rec.end(t);
-        assert!(!rec.is_enabled());
-        assert_eq!(rec.counter(Counter::Evaluations), 0);
-        assert!(rec.spans().is_empty());
-        // Fork of a disabled recorder stays disabled.
-        assert!(!rec.fork().is_enabled());
-    }
-
-    #[test]
-    fn merge_child_adds_counters_and_adopts_roots() {
-        let mut parent = Recorder::new();
-        parent.record(Counter::MemoHits, 1);
-        let root = parent.begin("run");
-        let mut child = parent.fork();
-        child.record(Counter::MemoHits, 3);
-        let t = child.begin("stage");
-        child.end(t);
-        parent.merge_child(child);
-        parent.end(root);
-        assert_eq!(parent.counter(Counter::MemoHits), 4, "counters add");
-        let spans = parent.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[1].name, "stage");
-        assert_eq!(spans[1].parent, Some(0), "child root adopted under run");
-    }
-
-    #[test]
-    fn merge_closes_childs_open_spans() {
-        let mut parent = Recorder::new();
-        let mut child = parent.fork();
-        let _open = child.begin("stage");
-        parent.merge_child(child);
-        assert_eq!(parent.span_count("stage"), 1);
-    }
-
-    #[test]
     fn ring_bound_drops_events_but_keeps_aggregates() {
         let mut rec = Recorder::with_capacity(2);
         for _ in 0..5 {
@@ -730,12 +615,12 @@ mod tests {
     }
 
     #[test]
-    fn shared_recorder_take_leaves_disabled() {
+    fn shared_recorder_take_leaves_a_fresh_recorder() {
         let shared = SharedRecorder::new();
         shared.lock().record(Counter::Instances, 3);
+        assert_eq!(shared.take().counter(Counter::Instances), 3);
+        shared.lock().record(Counter::Instances, 2);
         let rec = shared.take();
-        assert_eq!(rec.counter(Counter::Instances), 3);
-        assert!(!shared.lock().is_enabled());
-        assert!(shared.to_string().contains("0 spans"));
+        assert_eq!(rec.counter(Counter::Instances), 2, "records after a take");
     }
 }

@@ -188,17 +188,6 @@ impl Core {
         self.connections.iter().filter(move |c| c.src.node == node)
     }
 
-    /// Connections that can carry transparency data: both endpoints are
-    /// ports or registers and the realization is lossless.
-    ///
-    /// These are exactly the edges of the register connectivity graph (RCG)
-    /// of §4.
-    pub fn lossless_connections(&self) -> impl Iterator<Item = &Connection> {
-        self.connections
-            .iter()
-            .filter(|c| !c.src.node.is_fu() && !c.dst.node.is_fu() && c.via.is_lossless())
-    }
-
     /// Whether `node` is a *C-split* node: different bit-slices of it receive
     /// data from different sources exclusively (paper §4).
     ///
@@ -1017,22 +1006,6 @@ mod tests {
         let core = b.build().unwrap();
         // Two full-width fanout edges overlap entirely: not a split.
         assert!(!core.is_o_split(RtlNode::Reg(r)));
-    }
-
-    #[test]
-    fn lossless_connections_exclude_fu_paths() {
-        let mut b = CoreBuilder::new("t");
-        let i = b.port("i", Direction::In, 8).unwrap();
-        let o = b.port("o", Direction::Out, 8).unwrap();
-        let r1 = b.register("r1", 8).unwrap();
-        let r2 = b.register("r2", 8).unwrap();
-        let fu = b.functional_unit("alu", FuKind::Alu, 8).unwrap();
-        b.connect_port_to_reg(i, r1).unwrap();
-        b.connect_through_fu(r1, fu, r2).unwrap();
-        b.connect_reg_to_port(r2, o).unwrap();
-        let core = b.build().unwrap();
-        assert_eq!(core.lossless_connections().count(), 2);
-        assert_eq!(core.connections().len(), 3);
     }
 
     #[test]

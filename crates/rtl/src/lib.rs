@@ -55,7 +55,6 @@ pub use soc::{
     ChipPin, ChipPinId, CoreInstance, CoreInstanceId, Soc, SocBuilder, SocEndpoint, SocNet,
     Terminal,
 };
-pub use stats::CoreStats;
 
 #[cfg(test)]
 mod tests {

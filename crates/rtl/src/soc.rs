@@ -306,14 +306,6 @@ impl Soc {
             .map(|i| CoreInstanceId(i as u32))
     }
 
-    /// Looks a pin up by name.
-    pub fn find_pin(&self, name: &str) -> Option<ChipPinId> {
-        self.pins
-            .iter()
-            .position(|p| p.name == name)
-            .map(|i| ChipPinId(i as u32))
-    }
-
     /// Nets whose destination is the given core input port.
     pub fn nets_into(&self, core: CoreInstanceId, port: PortId) -> impl Iterator<Item = &SocNet> {
         self.nets.iter().filter(move |n| {
@@ -689,7 +681,6 @@ mod tests {
         assert_eq!(soc.nets_from(u0, o).count(), 1);
         assert_eq!(soc.flip_flop_count(), 16);
         assert_eq!(soc.find_core("u1"), Some(u1));
-        assert_eq!(soc.find_pin("pi"), Some(pi));
     }
 
     /// `pi` fully drives `u1.i`; a later net then overrides `u1.i[5:2]`

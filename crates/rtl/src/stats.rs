@@ -1,89 +1,9 @@
-//! Structural statistics of a core, used for reporting and quick area
-//! estimation before full gate-level elaboration.
+//! Quick area estimation of a core's structure, before full gate-level
+//! elaboration.
 
 use crate::component::FuKind;
 use crate::connection::Via;
 use crate::core::Core;
-use std::fmt;
-
-/// Summary statistics of a [`Core`]'s structure.
-///
-/// # Examples
-///
-/// ```
-/// use socet_rtl::{CoreBuilder, CoreStats, Direction};
-/// let mut b = CoreBuilder::new("c");
-/// let i = b.port("i", Direction::In, 8)?;
-/// let o = b.port("o", Direction::Out, 8)?;
-/// let r = b.register("r", 8)?;
-/// b.connect_port_to_reg(i, r)?;
-/// b.connect_reg_to_port(r, o)?;
-/// let stats = CoreStats::of(&b.build()?);
-/// assert_eq!(stats.flip_flops, 8);
-/// assert_eq!(stats.registers, 1);
-/// # Ok::<(), socet_rtl::RtlError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoreStats {
-    /// Number of registers.
-    pub registers: u32,
-    /// Total flip-flops (sum of register widths).
-    pub flip_flops: u32,
-    /// Number of input ports.
-    pub input_ports: u32,
-    /// Number of output ports.
-    pub output_ports: u32,
-    /// Total input bits.
-    pub input_bits: u32,
-    /// Total output bits.
-    pub output_bits: u32,
-    /// Number of functional units.
-    pub functional_units: u32,
-    /// Number of connections.
-    pub connections: u32,
-    /// Mux-path connections (legs of input mux trees).
-    pub mux_legs: u32,
-    /// Estimated original area in cells (pre-DFT), from the structural
-    /// decomposition rules of `socet-gate`.
-    pub estimated_area_cells: u64,
-}
-
-impl CoreStats {
-    /// Computes the statistics of `core`.
-    pub fn of(core: &Core) -> Self {
-        let mux_legs = core
-            .connections()
-            .iter()
-            .filter(|c| matches!(c.via, Via::MuxPath { .. }))
-            .count() as u32;
-        CoreStats {
-            registers: core.registers().len() as u32,
-            flip_flops: core.flip_flop_count(),
-            input_ports: core.input_ports().len() as u32,
-            output_ports: core.output_ports().len() as u32,
-            input_bits: core.input_bits(),
-            output_bits: core.output_bits(),
-            functional_units: core.functional_units().len() as u32,
-            connections: core.connections().len() as u32,
-            mux_legs,
-            estimated_area_cells: estimate_area_cells(core),
-        }
-    }
-}
-
-impl fmt::Display for CoreStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} regs / {} FFs / {} FUs / {} conns / ~{} cells",
-            self.registers,
-            self.flip_flops,
-            self.functional_units,
-            self.connections,
-            self.estimated_area_cells
-        )
-    }
-}
 
 /// Estimates the pre-DFT cell area of a core using the same decomposition
 /// rules `socet-gate` applies during elaboration:
@@ -194,18 +114,5 @@ mod tests {
         b.connect_reg_to_port(r, o).unwrap();
         let core = b.build().unwrap();
         assert_eq!(estimate_area_cells(&core), 41);
-    }
-
-    #[test]
-    fn stats_display_mentions_cells() {
-        let mut b = CoreBuilder::new("c");
-        let i = b.port("i", Direction::In, 2).unwrap();
-        let o = b.port("o", Direction::Out, 2).unwrap();
-        let r = b.register("r", 2).unwrap();
-        b.connect_port_to_reg(i, r).unwrap();
-        b.connect_reg_to_port(r, o).unwrap();
-        let s = CoreStats::of(&b.build().unwrap());
-        assert!(s.to_string().contains("cells"));
-        assert_eq!(s.mux_legs, 0);
     }
 }

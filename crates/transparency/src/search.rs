@@ -174,88 +174,35 @@ fn walk(
     }
     stack.push(node);
 
-    let candidate_edges: Vec<EdgeId> = match dir {
+    let edges: Vec<EdgeId> = match dir {
         SearchDir::Forward => rcg.edges_from(node).collect(),
         SearchDir::Backward => rcg.edges_into(node).collect(),
     };
-    let usable: Vec<EdgeId> = candidate_edges
-        .into_iter()
-        .filter(|e| allowed(*e) && !banned.contains(e))
-        .collect();
-
     let must_split = match dir {
         SearchDir::Forward => rcg.is_o_split(node),
         SearchDir::Backward => rcg.is_c_split(node),
     };
-
-    let result = if must_split {
-        split_walk(rcg, node, &usable, stack, dir, allowed, banned)
+    let groups = if must_split {
+        slice_groups(rcg, edges, dir)
     } else {
-        // Pick the usable edge whose continuation minimizes latency.
-        let mut best: Option<Raw> = None;
-        for e in usable {
-            let edge = rcg.edge(e);
-            let next = match dir {
-                SearchDir::Forward => edge.to,
-                SearchDir::Backward => edge.from,
-            };
-            let step = match dir {
-                SearchDir::Forward => edge.latency(),
-                SearchDir::Backward => u32::from(node.is_reg()),
-            };
-            if let Some(sub) = walk(rcg, next, allowed, banned, stack, dir) {
-                let total = sub.latency + step;
-                let better = best.as_ref().is_none_or(|b| total < b.latency);
-                if better {
-                    let mut edges = sub.edges;
-                    edges.push(e);
-                    best = Some(Raw {
-                        latency: total,
-                        edges,
-                        terminals: sub.terminals,
-                        freeze_edges: sub.freeze_edges,
-                    });
-                }
-            }
-        }
-        best
+        vec![edges]
     };
+    let result = branch_walk(rcg, node, groups, stack, dir, allowed, banned);
 
     stack.pop();
     result
 }
 
-/// All disjoint slice groups of a split node must continue. Edges whose
-/// ranges overlap form one group (either serves); disjoint ranges are
-/// separate mandatory branches.
-///
-/// Grouping is done over the node's *entire* structural fanout/fanin — a
-/// slice group whose every edge is disallowed makes the whole walk fail
-/// (the data cannot cross the node bit-for-bit under the current edge
-/// constraints), rather than silently dropping that slice.
-fn split_walk(
-    rcg: &Rcg,
-    node: RcgNode,
-    usable: &[EdgeId],
-    stack: &mut Vec<RcgNode>,
-    dir: SearchDir,
-    allowed: &dyn Fn(EdgeId) -> bool,
-    banned: &HashSet<EdgeId>,
-) -> Option<Raw> {
-    if usable.is_empty() {
-        return None;
-    }
-    // Group the FULL structural edge set by overlap on the node-side range.
-    let all_edges: Vec<EdgeId> = match dir {
-        SearchDir::Forward => rcg.edges_from(node).collect(),
-        SearchDir::Backward => rcg.edges_into(node).collect(),
-    };
+/// Groups a split node's *entire* structural fanout/fanin by overlap on
+/// the node-side range: edges whose ranges overlap form one group (either
+/// serves); disjoint ranges are separate mandatory branches.
+fn slice_groups(rcg: &Rcg, edges: Vec<EdgeId>, dir: SearchDir) -> Vec<Vec<EdgeId>> {
     let node_range = |e: EdgeId| match dir {
         SearchDir::Forward => rcg.edge(e).from_range,
         SearchDir::Backward => rcg.edge(e).to_range,
     };
     let mut groups: Vec<Vec<EdgeId>> = Vec::new();
-    for &e in &all_edges {
+    for e in edges {
         let r = node_range(e);
         match groups
             .iter_mut()
@@ -265,27 +212,38 @@ fn split_walk(
             None => groups.push(vec![e]),
         }
     }
-    // Keep only the usable edges inside each group; an emptied group is a
-    // slice the data cannot cross.
-    let mut filtered: Vec<Vec<EdgeId>> = Vec::new();
-    for g in groups {
-        let kept: Vec<EdgeId> = g
-            .into_iter()
-            .filter(|e| allowed(*e) && !banned.contains(e))
-            .collect();
-        if kept.is_empty() {
-            return None;
-        }
-        filtered.push(kept);
+    groups
+}
+
+/// Every group must continue through the usable edge with the
+/// minimum-latency continuation. A node that is not a split is one group
+/// of all its edges.
+///
+/// A group whose every edge is disallowed makes the whole walk fail (the
+/// data cannot cross the node bit-for-bit under the current edge
+/// constraints), rather than silently dropping that slice.
+fn branch_walk(
+    rcg: &Rcg,
+    node: RcgNode,
+    mut groups: Vec<Vec<EdgeId>>,
+    stack: &mut Vec<RcgNode>,
+    dir: SearchDir,
+    allowed: &dyn Fn(EdgeId) -> bool,
+    banned: &HashSet<EdgeId>,
+) -> Option<Raw> {
+    for g in &mut groups {
+        g.retain(|e| allowed(*e) && !banned.contains(e));
     }
-    let groups = filtered;
+    if groups.is_empty() || groups.iter().any(Vec::is_empty) {
+        return None;
+    }
     // Each group must succeed through one of its edges; remember the edge
     // each branch leaves the split node through — it is the freeze site
     // when the branch comes up short.
     let mut branch_results: Vec<(EdgeId, Raw)> = Vec::new();
-    for group in &groups {
+    for group in groups {
         let mut best: Option<(EdgeId, Raw)> = None;
-        for &e in group {
+        for e in group {
             let edge = rcg.edge(e);
             let next = match dir {
                 SearchDir::Forward => edge.to,

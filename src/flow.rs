@@ -28,10 +28,14 @@
 //! ([`socet::obs`](crate::obs)): the pipeline opens a `prepare` span, each
 //! unique core a `prepare_core` span with the `hscan` / `versions` /
 //! `elaborate` / `atpg` / store spans nested inside, and the cache counters
-//! land in typed [`Counter`] slots. [`PrepareMetrics`] is a view derived
-//! from that recorder ([`PrepareMetrics::from_recorder`]); pass a
-//! [`SharedRecorder`] through [`PrepareOptions::recorder`] to capture the
-//! full trace (`soctool prepare --trace out.json --profile out.folded`).
+//! land in typed [`Counter`] slots. A run records into one recorder: a
+//! fresh one, or the [`SharedRecorder`] passed through
+//! [`PrepareOptions::recorder`], which the run locks and records straight
+//! into so the caller can read the full trace back
+//! (`soctool prepare --trace out.json --profile out.folded`).
+//! [`PrepareMetrics`] is this run's share of that recorder: the view
+//! ([`PrepareMetrics::from_recorder`]) after the run minus the view before
+//! it.
 
 use std::error::Error;
 use std::fmt;
@@ -210,9 +214,10 @@ pub struct PrepareOptions {
     /// Directory of the on-disk artifact store; `None` disables it. The
     /// directory is created on first write.
     pub cache_dir: Option<PathBuf>,
-    /// Shared recorder the pipeline folds its full event stream (spans and
-    /// counters) into; `None` skips the hand-off. Aggregate counters are
-    /// always collected either way — this knob only adds trace capture.
+    /// Shared recorder the pipeline records its full event stream (spans
+    /// and counters) into, locked for the length of the run; `None` records
+    /// into a fresh recorder that is dropped afterwards. The returned
+    /// metrics are the same either way — this knob only adds trace capture.
     pub recorder: Option<SharedRecorder>,
 }
 
@@ -236,7 +241,7 @@ impl PrepareOptions {
         self
     }
 
-    /// Captures the pipeline's trace into `rec` (merged in after the run).
+    /// Records the pipeline's trace into `rec`.
     pub fn recorder(mut self, rec: SharedRecorder) -> Self {
         self.recorder = Some(rec);
         self
@@ -519,11 +524,13 @@ pub fn prepare_core(
 /// observationally invisible), and a disk hit decodes to exactly the value
 /// that was encoded (the codec is a bijection).
 ///
-/// The returned [`PrepareMetrics`] is a view over a fresh [`Recorder`]
-/// that observed the run ([`PrepareMetrics::from_recorder`]); when
-/// [`PrepareOptions::recorder`] is set, the recorder itself — the `prepare`
-/// root span, per-core stage spans, cache counters — is folded into the
-/// shared handle afterwards.
+/// The run records into the recorder of [`PrepareOptions::recorder`] when
+/// it is set, and into a fresh [`Recorder`] otherwise: a `prepare` span
+/// (a child of any span the caller left open there) with the per-core
+/// stage spans below it, and the cache counters. The returned
+/// [`PrepareMetrics`] is the view of that recorder after the run minus the
+/// view before it ([`PrepareMetrics::since`]), so several runs into one
+/// shared recorder each get their own counts.
 ///
 /// # Errors
 ///
@@ -536,17 +543,26 @@ pub fn prepare_soc_with(
     tpg: &TpgConfig,
     opts: &PrepareOptions,
 ) -> Result<(PreparedSoc, PrepareMetrics), PrepareError> {
-    let mut rec = Recorder::new();
+    let mut fresh;
+    let mut locked;
+    let rec: &mut Recorder = match &opts.recorder {
+        Some(shared) => {
+            locked = shared.lock();
+            &mut locked
+        }
+        None => {
+            fresh = Recorder::new();
+            &mut fresh
+        }
+    };
+    let before = PrepareMetrics::from_recorder(rec);
     let span = rec.begin(names::PREPARE);
     let result = {
         let _sink = rec.install();
         prepare_soc_inner(soc, costs, tpg, opts)
     };
     rec.end(span);
-    let metrics = PrepareMetrics::from_recorder(&rec);
-    if let Some(shared) = &opts.recorder {
-        shared.lock().merge_child(rec);
-    }
+    let metrics = PrepareMetrics::from_recorder(rec).since(&before);
     result.map(|prepared| (prepared, metrics))
 }
 

@@ -129,32 +129,37 @@ fn valid_invocations_still_work() {
     assert!(!std::fs::read_to_string(&profile).unwrap().is_empty());
 }
 
-/// The engine counter lines of `soctool sweep <system> --stats`, without
-/// the host-dependent `stage times` line.
-fn sweep_counters(system: &str) -> Vec<String> {
-    let out = soctool(&["sweep", system, "--stats"]);
+/// The counter lines of `soctool <command> <system> --stats` (`sweep` or
+/// `prepare`), without the host-dependent `stage times` and `total wall
+/// time` lines.
+fn stats_counters(command: &str, system: &str) -> Vec<String> {
+    let out = soctool(&[command, system, "--stats"]);
     assert!(
         out.status.success(),
-        "soctool sweep {system} --stats failed"
+        "soctool {command} {system} --stats failed"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let stats = stdout
-        .split_once("evaluation engine stats:\n")
-        .expect("stats block")
-        .1;
+    let stats = stdout.split_once(" stats:\n").expect("stats block").1;
     stats
         .lines()
-        .filter(|l| !l.trim_start().starts_with("stage times"))
-        .map(|l| l.trim().to_owned())
+        .map(str::trim)
+        .filter(|l| !l.starts_with("stage times") && !l.starts_with("total wall time"))
+        .map(str::to_owned)
         .collect()
 }
 
 #[test]
 fn sweep_counters_describe_the_search_not_the_host() {
-    let expected = [
+    let prepare = [
+        "instances              : 3 (3 unique cores)",
+        "memo hits              : 0",
+        "artifact cache         : 0 disk hits, 0 disk misses, 0 disk writes",
+    ];
+    let expected: [(&str, &str, &[&str]); 4] = [
         (
+            "sweep",
             "system1",
-            [
+            &[
                 "evaluations            : 27",
                 "ccg builds             : 1 full, 36 incremental patches",
                 "ccg edges rebuilt      : 179",
@@ -165,8 +170,9 @@ fn sweep_counters_describe_the_search_not_the_host() {
             ],
         ),
         (
+            "sweep",
             "system2",
-            [
+            &[
                 "evaluations            : 27",
                 "ccg builds             : 1 full, 36 incremental patches",
                 "ccg edges rebuilt      : 98",
@@ -176,9 +182,11 @@ fn sweep_counters_describe_the_search_not_the_host() {
                 "system-mux fallbacks   : 0",
             ],
         ),
+        ("prepare", "system1", &prepare),
+        ("prepare", "system2", &prepare),
     ];
-    for (system, lines) in expected {
-        assert_eq!(sweep_counters(system), lines, "{system}");
+    for (command, system, lines) in expected {
+        assert_eq!(stats_counters(command, system), lines, "{command} {system}");
     }
 }
 

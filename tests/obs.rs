@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use socet::atpg::TpgConfig;
 use socet::cells::DftCosts;
+use socet::core::PrepareMetrics;
 use socet::flow::{prepare_soc_with, PrepareOptions, PreparedSoc};
 use socet::obs::{names, Counter, Recorder, SharedRecorder, SpanRec};
 use socet::rtl::{Soc, SocBuilder};
@@ -111,6 +112,71 @@ fn trace_shape_matches_the_pipeline_structure() {
     assert_eq!(rec.counter(Counter::DiskMisses), 1);
     assert_eq!(rec.counter(Counter::DiskWrites), 1);
     assert_eq!(rec.dropped_spans(), 0);
+}
+
+/// One shared recorder takes several runs: each returns its own counts,
+/// its `prepare` root nests under whatever span the caller left open (and
+/// is a root when none is), and a run after `take` records into the fresh
+/// recorder left behind.
+#[test]
+fn runs_into_one_shared_recorder_report_their_own_counts() {
+    let soc = twin_soc();
+    let (costs, tpg) = (DftCosts::default(), light_tpg());
+    let shared = SharedRecorder::new();
+    let opts = PrepareOptions::new()
+        .cache_dir(fresh_cache_dir("shared"))
+        .recorder(shared.clone());
+    let run = || prepare_soc_with(&soc, &costs, &tpg, &opts).unwrap().1;
+    let counts = |m: PrepareMetrics| {
+        (
+            m.instances,
+            m.unique_cores,
+            m.memo_hits,
+            m.disk_hits,
+            m.disk_misses,
+            m.disk_writes,
+        )
+    };
+
+    let (cold, warm) = (run(), run());
+    assert_eq!(counts(cold), (2, 1, 1, 0, 1, 1));
+    assert_eq!(counts(warm), (2, 1, 1, 1, 0, 0));
+    {
+        let rec = shared.lock();
+        assert_eq!(rec.counter(Counter::Instances), 4);
+        assert_eq!(rec.counter(Counter::DiskHits), 1);
+        let roots: Vec<&SpanRec> = rec
+            .spans()
+            .iter()
+            .filter(|s| s.name == names::PREPARE)
+            .collect();
+        assert_eq!(roots.len(), 2);
+        assert!(roots.iter().all(|s| s.parent.is_none()));
+        assert_eq!(
+            cold.total_time + warm.total_time,
+            rec.span_total(names::PREPARE)
+        );
+    }
+
+    let session = shared.lock().begin("session");
+    let nested = run();
+    shared.lock().end(session);
+    assert_eq!(counts(nested), counts(warm));
+    let rec = shared.take();
+    let spans = rec.spans();
+    let session = spans.iter().position(|s| s.name == "session").unwrap();
+    let third = spans.iter().filter(|s| s.name == names::PREPARE).nth(2);
+    assert_eq!(third.unwrap().parent, Some(session as u32));
+
+    let after = run();
+    let rec = shared.take();
+    assert_eq!(
+        rec.span_count(names::PREPARE),
+        1,
+        "a run after take records"
+    );
+    assert_eq!(rec.counter(Counter::DiskHits), after.disk_hits);
+    assert_eq!(rec.spans()[0].name, names::PREPARE);
 }
 
 #[test]
