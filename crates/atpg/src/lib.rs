@@ -25,8 +25,9 @@
 //!   [`AtpgMetrics`];
 //! * [`SeqFaultSim`] — fault-parallel (64 faults per word) three-valued
 //!   sequential fault simulation, used for the "Orig." rows of Table 3.
-//!   It is differential: each cycle sweeps the good machine once, and each
-//!   64-fault block starts from it and propagates
+//!   It is differential: the good machine is event-driven (a full sweep in
+//!   the first cycle, then propagation from the inputs and flip-flops over
+//!   the live gates), and each 64-fault block starts from it and propagates
 //!   ([`socet_gate::kernel::propagate`]) only from its fault sites and the
 //!   flip-flops whose state has diverged. Detected faults are dropped.
 //!   Before simulating, one good-machine pass screens the faults: those

@@ -10,11 +10,14 @@
 //!
 //! A faulty machine differs from the good one in few signals, so each block
 //! is simulated as a difference from it (concurrent fault simulation, after
-//! Ulrich and Baker). Every cycle sweeps the good machine once. Each block
-//! then starts from that plane, [`propagate`]s only from its fault sites and
-//! the flip-flops whose state has diverged, reads its detections and next
-//! divergence off the signals it touched, and restores them. Between cycles
-//! a block keeps only its diverged flip-flops.
+//! Ulrich and Baker). The good machine is event-driven too: its first cycle
+//! is one full [`sweep`], and every later cycle [`propagate`]s from the
+//! primary inputs and the clocked flip-flop Qs over the live gates, so only
+//! a gate whose operand changed is evaluated again. Each block then starts
+//! from the good machine's plane, [`propagate`]s only from its fault sites
+//! and the flip-flops whose state has diverged, reads its detections and
+//! next divergence off the signals it touched, and restores them. Between
+//! cycles a block keeps only its diverged flip-flops.
 //!
 //! Work that cannot change a verdict is skipped, by three mechanisms:
 //!
@@ -32,10 +35,12 @@
 //!   mux select that never picks the leg, or two equal mux legs. A
 //!   constant X decides nothing. The survivors are packed densely, in
 //!   fault-list order, into full 64-fault blocks.
-//! * **Observability pruning.** The fanout lists ([`Events::within`]) hold
-//!   live gates only, and a diverged flip-flop is carried over only if its
-//!   Q is live. The live set is closed under fanin, so every live value
-//!   stays exact.
+//! * **Observability pruning.** The fanout lists ([`Events::within`],
+//!   built once per run and shared by the screen's pass and the engine's)
+//!   hold live gates only, and a diverged flip-flop is carried over only if
+//!   its Q is live. The live set is closed under fanin, so every live value
+//!   stays exact; after the first cycle the good machine's other values go
+//!   stale, and nothing reads them.
 //! * **Fault dropping.** Once a lane's fault is detected its verdict is
 //!   final: its site is no longer seeded, and a diverged flip-flop hands on
 //!   the good machine's value in that lane. Lanes are independent, so no
@@ -44,9 +49,11 @@
 //! On Table 3's runs screening leaves 114 of System 1's 4 314 faults and
 //! 467 of System 2's 3 192, and the engine evaluates 6 640 and 28 531
 //! gates, 0.05% and 0.41% of what a full sweep per block and cycle does
-//! (4.0% and 4.7% with the other two mechanisms alone).
-//! [`SeqFaultSim::run_naive`] keeps that full sweep, with no mechanism, as
-//! the oracle the tests pin the differential engine against.
+//! (4.0% and 4.7% with the other two mechanisms alone). The good machine's
+//! two passes evaluate 44 082 and 10 950 gates, 11.4% and 3.9% of a full
+//! sweep per pass and cycle. [`SeqFaultSim::run_naive`] keeps that full
+//! sweep, with no mechanism, as the oracle the tests pin the differential
+//! engine against.
 //!
 //! [`SeqFaultSim::run_from`] runs on the calling thread: one good machine
 //! steps once per cycle for every block, so its results and counters
@@ -112,12 +119,16 @@ impl<'a> SeqFaultSim<'a> {
     /// [`Tri::Zero`] to model a chip that starts from reset.
     pub fn run_from(&self, faults: &[Fault], vectors: &[Vec<Tri>], init: Tri) -> Vec<bool> {
         let taps = Taps::new(self.nl);
+        // The live set is closed under fanin, so propagating over live
+        // gates alone keeps every live signal exact.
+        let mut events = Events::within(self.nl, |s| taps.live[s.index()]);
         // Only the faults that may reach an output are simulated, packed
         // densely in fault-list order; every other verdict is `false`.
-        let kept = Screen::new(self.nl, &taps, vectors, init).observable(faults);
+        let screen = Screen::new(self.nl, &taps, &mut events, vectors, init);
+        let kept = screen.observable(faults);
         let packed: Vec<Fault> = kept.iter().map(|&i| faults[i]).collect();
         let blocks: Vec<&[Fault]> = packed.chunks(64).collect();
-        let lanes = self.run_blocks(&blocks, vectors, init, &taps);
+        let lanes = self.run_blocks(&blocks, vectors, init, &taps, &mut events);
         let mut detected = vec![false; faults.len()];
         for (i, hit) in kept.into_iter().zip(detection_map(packed.len(), &lanes)) {
             detected[i] = hit;
@@ -140,7 +151,7 @@ impl<'a> SeqFaultSim<'a> {
         let good_outputs: Vec<Vec<Tri64>> = vectors
             .iter()
             .map(|vector| {
-                good.step(self.nl, &taps.d, vector, &mut v);
+                good.sweep(self.nl, &taps, vector, &mut v, |_, _| {});
                 self.nl
                     .outputs()
                     .iter()
@@ -197,25 +208,24 @@ impl<'a> SeqFaultSim<'a> {
     /// The differential engine behind [`SeqFaultSim::run_from`] over the
     /// blocks of screened faults; `result[b]` holds the detected lanes of
     /// `blocks[b]`. Skips dead gates and drops detected faults (see the
-    /// module docs), and records the gates it evaluated.
+    /// module docs), and records the gates it evaluated. `events` holds
+    /// the live gates' fanout.
     fn run_blocks(
         &self,
         blocks: &[&[Fault]],
         vectors: &[Vec<Tri>],
         init: Tri,
         taps: &Taps,
+        events: &mut Events,
     ) -> Vec<u64> {
         let mut lanes = vec![0u64; blocks.len()];
         let nl = self.nl;
         let n = nl.gates().len();
         let mut good = Good::new(nl, init);
-        // The live set is closed under fanin, so propagating over live
-        // gates alone keeps every live signal exact.
-        let mut events = Events::within(nl, |s| taps.live[s.index()]);
         // The faulty plane, equal to the good machine's between blocks, and
         // the good machine's values in one lane, to compare and restore.
         let mut v = Vec::with_capacity(n);
-        let mut g = Vec::with_capacity(n);
+        let mut g = vec![Tri::X; n];
         // The current block's stuck-at lanes: signal `s` is a site when
         // `slot[s]` is nonzero, and `masks[slot[s] - 1]` holds its
         // `(stuck1, stuck0)` lanes.
@@ -230,11 +240,11 @@ impl<'a> SeqFaultSim<'a> {
         let mut diverged = vec![0; blocks.len()];
         let mut seeds = Vec::new();
         let mut touched = Vec::new();
-        let mut evals = 0;
+        let (mut evals, mut good_evals) = (0, 0);
         for vector in vectors {
-            good.step(nl, &taps.d, vector, &mut v);
-            g.clear();
-            g.extend(v.iter().map(|x| x.lane(0)));
+            good_evals += good.step(nl, taps, events, vector, &mut v, |s, x| {
+                g[s.index()] = x.lane(0);
+            });
             for (b, block) in blocks.iter().enumerate() {
                 let mut seeded = u64::MAX >> (64 - block.len()) & !lanes[b];
                 if seeded == 0 && diverged[b] == 0 {
@@ -261,7 +271,7 @@ impl<'a> SeqFaultSim<'a> {
                     }
                 }
                 seeds.extend(queue.drain(..diverged[b]));
-                evals += propagate(nl, &mut events, seeds.drain(..), &mut v, |s, x| {
+                evals += propagate(nl, events, seeds.drain(..), &mut v, |s, x| {
                     touched.push(s);
                     match slot[s.index()] {
                         0 => x,
@@ -305,6 +315,7 @@ impl<'a> SeqFaultSim<'a> {
             }
         }
         socet_obs::add(Counter::SeqGateEvals, evals as u64);
+        socet_obs::add(Counter::SeqGoodEvals, good_evals as u64);
         lanes
     }
 }
@@ -319,7 +330,9 @@ struct Taps {
     /// gates and flip-flops. Closed under fanin: every operand of a live
     /// gate, and the D of a live flip-flop, is live.
     live: Vec<bool>,
-    /// The D signal of each flip-flop, in [`GateNetlist::flip_flops`] order.
+    /// The Q and the D signal of each flip-flop, in
+    /// [`GateNetlist::flip_flops`] order.
+    q: Vec<SignalId>,
     d: Vec<SignalId>,
     /// Per signal `s`: the Q of each live flip-flop whose D is `s`.
     ff_readers: Fanout,
@@ -341,15 +354,16 @@ impl Taps {
                 stack.extend(nl.gate(s).operands());
             }
         }
-        let ffs = nl.flip_flops();
-        let d: Vec<SignalId> = ffs.iter().map(|q| nl.gate(*q).operands()[0]).collect();
-        let live_ffs: Vec<(SignalId, SignalId)> = (d.iter().copied().zip(ffs.iter().copied()))
+        let q = nl.flip_flops();
+        let d: Vec<SignalId> = q.iter().map(|q| nl.gate(*q).operands()[0]).collect();
+        let live_ffs: Vec<(SignalId, SignalId)> = (d.iter().copied().zip(q.iter().copied()))
             .filter(|(_, q)| live[q.index()])
             .collect();
         Taps {
             output,
             ff_readers: Fanout::new(n, &live_ffs),
             live,
+            q,
             d,
         }
     }
@@ -419,17 +433,26 @@ struct Screen<'a> {
 }
 
 impl<'a> Screen<'a> {
-    fn new(nl: &'a GateNetlist, taps: &'a Taps, vectors: &[Vec<Tri>], init: Tri) -> Self {
+    /// Runs the good machine over the campaign; `events` holds the live
+    /// gates' fanout. Only live signals' `took` is exact.
+    fn new(
+        nl: &'a GateNetlist,
+        taps: &'a Taps,
+        events: &mut Events,
+        vectors: &[Vec<Tri>],
+        init: Tri,
+    ) -> Self {
         let n = nl.gates().len();
         let mut took = vec![0u8; n];
         let mut good = Good::new(nl, init);
         let mut v = Vec::with_capacity(n);
+        let mut evals = 0;
         for vector in vectors {
-            good.step(nl, &taps.d, vector, &mut v);
-            for (t, x) in took.iter_mut().zip(&v) {
-                *t |= can(x.lane(0));
-            }
+            evals += good.step(nl, taps, events, vector, &mut v, |s, x| {
+                took[s.index()] |= can(x.lane(0));
+            });
         }
+        socet_obs::add(Counter::SeqGoodEvals, evals as u64);
         let edges: Vec<(SignalId, SignalId)> = (0..n)
             .map(SignalId::from_index)
             .filter(|r| taps.live[r.index()])
@@ -542,6 +565,8 @@ fn passes(g: &Gate, took: &[u8], inside: impl Fn(SignalId) -> bool) -> bool {
 struct Good {
     pi: Vec<Tri64>,
     state: Vec<Tri64>,
+    /// Whether a cycle has been applied, so that `v` holds its values.
+    stepped: bool,
 }
 
 impl Good {
@@ -549,17 +574,60 @@ impl Good {
         Good {
             pi: Vec::with_capacity(nl.inputs().len()),
             state: vec![Tri64::splat(init); nl.flip_flop_count()],
+            stepped: false,
         }
     }
 
-    /// Applies `vector`: `v` takes the cycle's values, every lane the
-    /// fault-free one, and the flip-flops (whose D signals are `d`) are
-    /// clocked.
-    fn step(&mut self, nl: &GateNetlist, d: &[SignalId], vector: &[Tri], v: &mut Vec<Tri64>) {
+    /// Applies `vector` by a full sweep: `v` takes the cycle's values,
+    /// every lane the fault-free one, and the flip-flops are clocked.
+    /// `set(s, x)` sees every value the sweep sets. Returns the number of
+    /// gates evaluated.
+    fn sweep(
+        &mut self,
+        nl: &GateNetlist,
+        taps: &Taps,
+        vector: &[Tri],
+        v: &mut Vec<Tri64>,
+        mut set: impl FnMut(SignalId, Tri64),
+    ) -> usize {
+        self.stepped = true;
         self.pi.clear();
         self.pi.extend(vector.iter().map(|t| Tri64::splat(*t)));
-        sweep(nl, &self.pi, &self.state, v, |_, x| x);
-        clock(&mut self.state, d, v);
+        sweep(nl, &self.pi, &self.state, v, |s, x| {
+            set(s, x);
+            x
+        });
+        clock(&mut self.state, &taps.d, v);
+        nl.topo_order().len()
+    }
+
+    /// Like [`Good::sweep`], but only the first cycle is a full sweep, so
+    /// that `set` sees every signal once. Each later cycle seeds the inputs
+    /// and the flip-flop Qs into [`propagate`] over the gates of `events`,
+    /// and `set` sees each value it sets. When `events` holds the live
+    /// gates, every live value stays exact; no other is read.
+    fn step(
+        &mut self,
+        nl: &GateNetlist,
+        taps: &Taps,
+        events: &mut Events,
+        vector: &[Tri],
+        v: &mut Vec<Tri64>,
+        mut set: impl FnMut(SignalId, Tri64),
+    ) -> usize {
+        if !self.stepped {
+            return self.sweep(nl, taps, vector, v, set);
+        }
+        assert_eq!(vector.len(), nl.inputs().len(), "input length");
+        let pi = nl.inputs().iter().zip(vector);
+        let seeds = (pi.map(|((_, s), t)| (*s, Tri64::splat(*t))))
+            .chain(taps.q.iter().copied().zip(self.state.iter().copied()));
+        let evals = propagate(nl, events, seeds, v, |s, x| {
+            set(s, x);
+            x
+        });
+        clock(&mut self.state, &taps.d, v);
+        evals
     }
 }
 
@@ -771,6 +839,27 @@ mod tests {
         (nl, faults)
     }
 
+    /// The good machine evaluates the dead-end loop's gate in the
+    /// first-cycle sweep of each of its two passes, the screen's and the
+    /// engine's, and never again: the loop's gate is not live.
+    #[test]
+    fn the_good_machine_evaluates_a_dead_end_only_in_first_cycle_sweeps() {
+        let good_evals = |(nl, faults): (GateNetlist, Vec<Fault>)| {
+            let vectors: Vec<Vec<Tri>> = (0..12)
+                .map(|c| vec![Tri::from_bool(c % 2 == 1), Tri::from_bool(c % 3 == 0)])
+                .collect();
+            let mut rec = socet_obs::Recorder::new();
+            {
+                let _on = rec.install();
+                SeqFaultSim::new(&nl).run_from(&faults, &vectors, Tri::X);
+            }
+            rec.counter(Counter::SeqGoodEvals)
+        };
+        let live = good_evals(dead_end_circuit(false));
+        assert!(live > 0);
+        assert_eq!(good_evals(dead_end_circuit(true)), live + 2);
+    }
+
     /// Both mechanisms fire, not only agree with the oracle. The dead-end
     /// loop's four faults are never seeded and its gate is never
     /// evaluated, so the circuit costs what it does without the loop. Once
@@ -978,6 +1067,25 @@ mod tests {
         assert_eq!((hits(&det), counts), (6, [2, 2]));
     }
 
+    /// A random campaign of 1 to 12 cycles over `nl` that holds some
+    /// inputs at one value (0, 1 or X) and drives the others at random.
+    fn held_campaign(rng: &mut Rng, nl: &GateNetlist) -> Vec<Vec<Tri>> {
+        let held: Vec<Option<Tri>> = (0..nl.inputs().len())
+            .map(|_| match rng.below(6) {
+                0 => Some(Tri::X),
+                1 | 2 => Some(Tri::from_bool(rng.below(2) == 1)),
+                _ => None,
+            })
+            .collect();
+        (0..1 + rng.below(12))
+            .map(|_| {
+                (held.iter())
+                    .map(|h| h.unwrap_or_else(|| Tri::from_bool(rng.below(2) == 1)))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Random netlists under campaigns that hold some inputs at one value
     /// (0, 1 or X): the screen prunes faults, and the detection map stays
     /// the full-sweep oracle's for every init.
@@ -988,20 +1096,7 @@ mod tests {
         for _ in 0..240 {
             let nl = random_netlist(&mut rng, 8);
             let faults = all_faults(&nl);
-            let held: Vec<Option<Tri>> = (0..nl.inputs().len())
-                .map(|_| match rng.below(6) {
-                    0 => Some(Tri::X),
-                    1 | 2 => Some(Tri::from_bool(rng.below(2) == 1)),
-                    _ => None,
-                })
-                .collect();
-            let vectors: Vec<Vec<Tri>> = (0..1 + rng.below(12))
-                .map(|_| {
-                    (held.iter())
-                        .map(|h| h.unwrap_or_else(|| Tri::from_bool(rng.below(2) == 1)))
-                        .collect()
-                })
-                .collect();
+            let vectors = held_campaign(&mut rng, &nl);
             for init in [Tri::X, Tri::Zero, Tri::One] {
                 let want = SeqFaultSim::new(&nl).run_naive(&faults, &vectors, init);
                 let got = {
@@ -1013,5 +1108,42 @@ mod tests {
         }
         assert!(rec.counter(Counter::SeqFaultsBlocked) > 0);
         assert!(rec.counter(Counter::SeqFaultsInactive) > 0);
+    }
+
+    /// The event-driven good machine keeps every live signal exact, on
+    /// random netlists under held-input campaigns and for every init: the
+    /// screen's `took` equals that of a full-sweep pass, and after every
+    /// cycle the lane-0 copy the engine keeps equals a fresh sweep's.
+    #[test]
+    fn the_event_driven_good_machine_is_exact_on_live_signals() {
+        let mut rng = Rng(0xe7e9);
+        for _ in 0..240 {
+            let nl = random_netlist(&mut rng, 8);
+            let vectors = held_campaign(&mut rng, &nl);
+            let taps = Taps::new(&nl);
+            let live: Vec<usize> = (0..nl.gates().len()).filter(|&s| taps.live[s]).collect();
+            let mut events = Events::within(&nl, |s| taps.live[s.index()]);
+            for init in [Tri::X, Tri::Zero, Tri::One] {
+                let (mut good, mut full) = (Good::new(&nl, init), Good::new(&nl, init));
+                let (mut v, mut fresh) = (Vec::new(), Vec::new());
+                let mut g = vec![Tri::X; nl.gates().len()];
+                let mut took = vec![0u8; nl.gates().len()];
+                for (c, vector) in vectors.iter().enumerate() {
+                    good.step(&nl, &taps, &mut events, vector, &mut v, |s, x| {
+                        g[s.index()] = x.lane(0);
+                    });
+                    full.sweep(&nl, &taps, vector, &mut fresh, |s, x| {
+                        took[s.index()] |= can(x.lane(0));
+                    });
+                    for &s in &live {
+                        assert_eq!(g[s], fresh[s].lane(0), "cycle {c}, init {init:?}: {nl}");
+                    }
+                }
+                let screen = Screen::new(&nl, &taps, &mut events, &vectors, init);
+                for &s in &live {
+                    assert_eq!(screen.took[s], took[s], "signal {s}, init {init:?}: {nl}");
+                }
+            }
+        }
     }
 }

@@ -174,6 +174,9 @@ counters! {
     PodemUnactivatable => "podem_unactivatable";
     /// Gates the sequential fault simulator's differential engine evaluated.
     SeqGateEvals => "seq_gate_evals";
+    /// Gates the sequential fault simulator's good machine evaluated, in
+    /// the screen's pass and the engine's, first-cycle sweeps included.
+    SeqGoodEvals => "seq_good_evals";
     /// Sequential-simulation faults never seeded: no primary output is
     /// reachable from their site, even through flip-flops.
     SeqFaultsUnobservable => "seq_faults_unobservable";

@@ -43,7 +43,6 @@ pub mod export;
 pub mod fingerprint;
 pub mod port;
 pub mod soc;
-pub mod stats;
 
 pub use bits::BitRange;
 pub use component::{FuKind, FunctionalUnit, FunctionalUnitId, Register, RegisterId};
