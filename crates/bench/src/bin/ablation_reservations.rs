@@ -43,7 +43,7 @@ fn run(soc: Soc) {
         );
         // Bonus row: the parallel-scheduling extension on the *correct*
         // (reserved) plan.
-        let par = parallelize(&soc, &with);
+        let par = parallelize(&with);
         println!(
             "  {label:<12} parallel extension: makespan {:>9} cycles (x{:.2} over serial)",
             par.makespan,

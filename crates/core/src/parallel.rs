@@ -6,10 +6,10 @@
 //! different chip pins — can run concurrently under independent core
 //! clocks. [`parallelize`] packs a routed [`DesignPoint`]'s episodes with
 //! greedy longest-first list scheduling and reports the resulting makespan;
-//! the `ablation_parallel` bench quantifies the gain.
+//! the `ablation_reservations` bench binary quantifies the gain.
 
 use crate::plan::{CoreEpisode, DesignPoint};
-use socet_rtl::{ChipPinId, CoreInstanceId, Soc};
+use socet_rtl::{ChipPinId, CoreInstanceId};
 use std::fmt;
 
 /// One resource an episode occupies for its whole duration.
@@ -21,13 +21,13 @@ enum EpisodeResource {
     Pin(ChipPinId),
 }
 
+/// The core under test, then each route's transit cores and chip pin
+/// (repeats included; the sets are only ever probed for membership).
 fn resources_of(ep: &CoreEpisode) -> Vec<EpisodeResource> {
     let mut v = vec![EpisodeResource::Core(ep.core)];
-    for c in &ep.transit_cores {
-        v.push(EpisodeResource::Core(*c));
-    }
-    for p in &ep.pins {
-        v.push(EpisodeResource::Pin(*p));
+    for r in ep.routes() {
+        v.extend(r.hops.iter().map(|h| EpisodeResource::Core(h.core)));
+        v.extend(r.pin.map(EpisodeResource::Pin));
     }
     v
 }
@@ -80,9 +80,8 @@ impl fmt::Display for ParallelSchedule {
 /// # Examples
 ///
 /// See `examples/design_space_exploration.rs` and the
-/// `schedule/parallel_vs_serial` bench.
-pub fn parallelize(soc: &Soc, plan: &DesignPoint) -> ParallelSchedule {
-    let _ = soc; // reserved for future pin-capacity modelling
+/// `ablation_reservations` bench binary.
+pub fn parallelize(plan: &DesignPoint) -> ParallelSchedule {
     let mut order: Vec<&CoreEpisode> = plan.episodes.iter().collect();
     order.sort_by_key(|e| std::cmp::Reverse(e.test_time()));
 
@@ -158,7 +157,7 @@ mod tests {
         let soc = sb.build().unwrap();
         let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         let plan = schedule(&soc, &data, &[0, 0], &DftCosts::default());
-        let par = parallelize(&soc, &plan);
+        let par = parallelize(&plan);
         assert!(
             par.makespan < par.serial_tat,
             "independent episodes should overlap: {par}"
@@ -183,7 +182,7 @@ mod tests {
         let soc = sb.build().unwrap();
         let data = CoreTestData::synthesize_soc(&soc, &DftCosts::default(), 10).unwrap();
         let plan = schedule(&soc, &data, &[0, 0], &DftCosts::default());
-        let par = parallelize(&soc, &plan);
+        let par = parallelize(&plan);
         assert_eq!(par.makespan, par.serial_tat, "{par}");
     }
 
@@ -193,7 +192,7 @@ mod tests {
         let costs = DftCosts::default();
         let data = CoreTestData::synthesize_soc(&soc, &costs, 20).unwrap();
         let plan = schedule(&soc, &data, &vec![0; soc.cores().len()], &costs);
-        let par = parallelize(&soc, &plan);
+        let par = parallelize(&plan);
         assert!(par.makespan <= par.serial_tat);
         // Windows don't overlap when they share resources.
         for (k, (c1, s1, e1)) in par.windows.iter().enumerate() {

@@ -135,8 +135,9 @@ pub struct RouteItinerary {
     /// The core-under-test port this itinerary justifies (input) or
     /// observes (output).
     pub port: PortId,
-    /// Total route latency in cycles (equals the episode's arrival entry
-    /// for the same port).
+    /// Total route latency in cycles: when an input's data is in place
+    /// within its vector slot, or how long after the slot an output's
+    /// response reaches its pin (0 for a system-mux fallback).
     pub arrival: u32,
     /// The chip pin at the far end, or `None` when the port fell back to a
     /// system-level test mux (direct pin access, no routed transport).
@@ -167,24 +168,21 @@ pub struct CoreEpisode {
     pub tail_cycles: u32,
     /// HSCAN vectors applied.
     pub hscan_vectors: u64,
-    /// Arrival time of each core input's test data, in cycles from the
-    /// start of a vector slot.
-    pub input_arrivals: Vec<(PortId, u32)>,
-    /// Observation latency of each core output.
-    pub output_arrivals: Vec<(PortId, u32)>,
-    /// Full routed itinerary of each core input (same order as
-    /// `input_arrivals`).
+    /// Routed itinerary of each core input, in declaration order; its
+    /// arrival is the cycle of the vector slot the input's data is in
+    /// place.
     pub input_routes: Vec<RouteItinerary>,
-    /// Full routed itinerary of each core output (same order as
-    /// `output_arrivals`).
+    /// Routed itinerary of each core output, in declaration order; its
+    /// arrival is the observation latency.
     pub output_routes: Vec<RouteItinerary>,
-    /// Cores whose transparency this episode routes through.
-    pub transit_cores: Vec<CoreInstanceId>,
-    /// Chip pins this episode drives or observes.
-    pub pins: Vec<socet_rtl::ChipPinId>,
 }
 
 impl CoreEpisode {
+    /// Every routed itinerary of the episode: inputs, then outputs.
+    pub fn routes(&self) -> impl Iterator<Item = &RouteItinerary> {
+        self.input_routes.iter().chain(&self.output_routes)
+    }
+
     /// Test application time of this episode:
     /// `hscan_vectors × per_vector + tail`.
     pub fn test_time(&self) -> u64 {
@@ -222,7 +220,8 @@ pub struct DesignPoint {
     pub system_muxes: Vec<SystemMux>,
     /// How often each transparency pair `(through-core, input, output)` was
     /// used across the whole solution — the raw counts of the paper's §5.2
-    /// "latency number" (usage × latency, summed per core).
+    /// "latency number" (usage × latency, summed per core). Counted from
+    /// the episodes' route hops, in `(core, input, output)` index order.
     pub pair_usage: Vec<((CoreInstanceId, PortId, PortId), u32)>,
     /// Indices of SOC nets that carry test data somewhere in the plan —
     /// the interconnect the test exercises (§1 notes the test bus cannot
@@ -265,12 +264,8 @@ mod tests {
             per_vector_cycles: 9,
             tail_cycles: 3,
             hscan_vectors: 525,
-            input_arrivals: vec![],
-            output_arrivals: vec![],
             input_routes: vec![],
             output_routes: vec![],
-            transit_cores: vec![],
-            pins: vec![],
         };
         // The paper's DISPLAY worked example: 525 x 9 + 3 = 4 728.
         assert_eq!(ep.test_time(), 4_728);
@@ -283,12 +278,8 @@ mod tests {
             per_vector_cycles: 1,
             tail_cycles: 0,
             hscan_vectors: t,
-            input_arrivals: vec![],
-            output_arrivals: vec![],
             input_routes: vec![],
             output_routes: vec![],
-            transit_cores: vec![],
-            pins: vec![],
         };
         let dp = DesignPoint {
             choice: vec![0, 0],

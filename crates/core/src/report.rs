@@ -80,18 +80,20 @@ pub fn render_plan(soc: &Soc, data: &[Option<CoreTestData>], plan: &DesignPoint)
             ep.per_vector_cycles,
             ep.tail_cycles
         );
-        for (p, t) in &ep.input_arrivals {
+        for r in &ep.input_routes {
             let _ = writeln!(
                 out,
-                "      control {:<12} ready at cycle {t} of each vector slot",
-                inst.core().port(*p).name()
+                "      control {:<12} ready at cycle {} of each vector slot",
+                inst.core().port(r.port).name(),
+                r.arrival
             );
         }
-        for (p, t) in &ep.output_arrivals {
+        for r in &ep.output_routes {
             let _ = writeln!(
                 out,
-                "      observe {:<12} lands {t} cycle(s) after the slot",
-                inst.core().port(*p).name()
+                "      observe {:<12} lands {} cycle(s) after the slot",
+                inst.core().port(r.port).name(),
+                r.arrival
             );
         }
     }

@@ -23,17 +23,15 @@ use crate::error::ScheduleError;
 use crate::plan::{CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux};
 use socet_cells::{AreaReport, CellKind, DftCosts};
 use socet_obs::{names, Counter};
-use socet_rtl::{CoreInstanceId, Direction, PortId, Soc};
+use socet_rtl::{CoreInstanceId, Direction, Soc};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-/// A routed path: its arrival time and the transparency pairs it crossed.
+/// A routed path: its arrival time, end pin, crossed nets and hops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RouteResult {
     /// Cycles from the start of the vector slot until the data is in place.
     pub arrival: u32,
-    /// `(through-core, input, output)` of every transparency edge used.
-    pub used_pairs: Vec<(CoreInstanceId, PortId, PortId)>,
     /// The chip pin the route starts from (justification) or ends at
     /// (observation).
     pub pin: Option<socet_rtl::ChipPinId>,
@@ -164,8 +162,7 @@ impl<'a> Router<'a> {
         }
         self.relaxations += relaxations;
         let target = best_target?;
-        // Walk back, reserving and collecting transparency pairs.
-        let mut used_pairs = Vec::new();
+        // Walk back, reserving and collecting transparency hops.
         let mut crossed_nets = Vec::new();
         let mut hops = Vec::new();
         let mut node = target;
@@ -186,7 +183,6 @@ impl<'a> Router<'a> {
                     CcgNode::CoreOut(_, p) => p,
                     other => unreachable!("transparency edge into {other}"),
                 };
-                used_pairs.push((core, input, output));
                 hops.push(RouteHop {
                     core,
                     input,
@@ -199,7 +195,6 @@ impl<'a> Router<'a> {
             node = e.from;
             terminal = node;
         }
-        used_pairs.reverse();
         hops.reverse();
         // One endpoint of the path is the CCG node we started from or
         // reached; report whichever end is a chip pin.
@@ -212,7 +207,6 @@ impl<'a> Router<'a> {
         crossed_nets.reverse();
         Some(RouteResult {
             arrival: scratch.dist[target],
-            used_pairs,
             pin,
             crossed_nets,
             hops,
@@ -268,7 +262,6 @@ fn reserve(
 struct RoutedPlan {
     episodes: Vec<CoreEpisode>,
     system_muxes: Vec<SystemMux>,
-    pair_usage: HashMap<(CoreInstanceId, PortId, PortId), u32>,
     tested_nets: HashSet<usize>,
 }
 
@@ -279,7 +272,6 @@ struct RoutedPlan {
 struct CoreRouteOutcome {
     episode: CoreEpisode,
     muxes: Vec<SystemMux>,
-    pair_usage: Vec<((CoreInstanceId, PortId, PortId), u32)>,
     tested_nets: Vec<usize>,
 }
 
@@ -455,7 +447,6 @@ impl<'a> Scheduler<'a> {
         let mut routed = RoutedPlan {
             episodes: Vec::new(),
             system_muxes: Vec::new(),
-            pair_usage: HashMap::new(),
             tested_nets: HashSet::new(),
         };
         for cid in self.soc.logic_cores() {
@@ -496,15 +487,10 @@ impl<'a> Scheduler<'a> {
                 per_vector_cycles: 0,
                 tail_cycles: 0,
                 hscan_vectors: td.hscan_vectors() as u64,
-                input_arrivals: Vec::new(),
-                output_arrivals: Vec::new(),
                 input_routes: Vec::new(),
                 output_routes: Vec::new(),
-                transit_cores: Vec::new(),
-                pins: Vec::new(),
             },
             muxes: Vec::new(),
-            pair_usage: Vec::new(),
             tested_nets: Vec::new(),
         };
 
@@ -517,7 +503,7 @@ impl<'a> Scheduler<'a> {
                 .ok_or(ScheduleError::PortNotInCcg { core: cid, port: p })?;
             let itinerary = match router.route(node, direction, cid) {
                 Some(route) => {
-                    outcome.absorb_route(&route);
+                    outcome.tested_nets.extend(route.crossed_nets);
                     RouteItinerary {
                         port: p,
                         arrival: route.arrival,
@@ -545,12 +531,10 @@ impl<'a> Scheduler<'a> {
                 }
             };
             let ep = &mut outcome.episode;
-            let (arrivals, routes) = match direction {
-                Direction::In => (&mut ep.input_arrivals, &mut ep.input_routes),
-                Direction::Out => (&mut ep.output_arrivals, &mut ep.output_routes),
-            };
-            arrivals.push((p, itinerary.arrival));
-            routes.push(itinerary);
+            match direction {
+                Direction::In => ep.input_routes.push(itinerary),
+                Direction::Out => ep.output_routes.push(itinerary),
+            }
         }
 
         let (scratch, relaxations, attempts) = router.dismantle();
@@ -559,13 +543,10 @@ impl<'a> Scheduler<'a> {
         socet_obs::add(Counter::RouteAttempts, attempts);
 
         let ep = &mut outcome.episode;
-        let max_in = ep.input_arrivals.iter().map(|(_, a)| *a).max().unwrap_or(0);
-        let max_out = ep
-            .output_arrivals
-            .iter()
-            .map(|(_, a)| *a)
-            .max()
-            .unwrap_or(0);
+        let latest =
+            |routes: &[RouteItinerary]| routes.iter().map(|r| r.arrival).max().unwrap_or(0);
+        let max_in = latest(&ep.input_routes);
+        let max_out = latest(&ep.output_routes);
         ep.per_vector_cycles = max_in.max(max_out).max(1);
         let depth = td.hscan.sequential_depth() as u32;
         // The tail must never be zero: with `per_vector == max_in`, the last
@@ -580,7 +561,8 @@ impl<'a> Scheduler<'a> {
 
     /// Assemble stage: chip-level overhead accounting — selected
     /// transparency versions + system muxes + test controller + clock
-    /// gating — and plan normalization.
+    /// gating — the pair usage counted from the episodes' hops, and plan
+    /// normalization.
     fn assemble_stage(
         &mut self,
         choice: &[usize],
@@ -605,8 +587,19 @@ impl<'a> Scheduler<'a> {
             self.costs.clock_gate_per_core * self.soc.logic_cores().len() as u64,
         );
 
-        let mut usage: Vec<_> = routed.pair_usage.into_iter().collect();
-        usage.sort_by_key(|((c, i, o), _)| (c.index(), i.index(), o.index()));
+        // §5.2 pair usage: how many hops cross each transparency pair.
+        let mut pairs: Vec<_> = routed
+            .episodes
+            .iter()
+            .flat_map(CoreEpisode::routes)
+            .flat_map(|r| &r.hops)
+            .map(|h| (h.core, h.input, h.output))
+            .collect();
+        pairs.sort_by_key(|(c, i, o)| (c.index(), i.index(), o.index()));
+        let pair_usage = pairs
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u32))
+            .collect();
         let mut tested: Vec<usize> = routed.tested_nets.into_iter().collect();
         tested.sort_unstable();
         Ok(DesignPoint {
@@ -614,7 +607,7 @@ impl<'a> Scheduler<'a> {
             chip_overhead,
             episodes: routed.episodes,
             system_muxes: routed.system_muxes,
-            pair_usage: usage,
+            pair_usage,
             tested_nets: tested,
         })
     }
@@ -625,32 +618,7 @@ impl RoutedPlan {
     fn merge(&mut self, outcome: &CoreRouteOutcome) {
         self.episodes.push(outcome.episode.clone());
         self.system_muxes.extend(outcome.muxes.iter().copied());
-        for (pair, count) in &outcome.pair_usage {
-            *self.pair_usage.entry(*pair).or_default() += count;
-        }
         self.tested_nets.extend(outcome.tested_nets.iter().copied());
-    }
-}
-
-impl CoreRouteOutcome {
-    /// Folds one route's pair usage, transit cores, pins and crossed nets
-    /// into this core's outcome.
-    fn absorb_route(&mut self, route: &RouteResult) {
-        for pair in &route.used_pairs {
-            match self.pair_usage.iter_mut().find(|(p, _)| p == pair) {
-                Some((_, count)) => *count += 1,
-                None => self.pair_usage.push((*pair, 1)),
-            }
-            if !self.episode.transit_cores.contains(&pair.0) {
-                self.episode.transit_cores.push(pair.0);
-            }
-        }
-        if let Some(pin) = route.pin {
-            if !self.episode.pins.contains(&pin) {
-                self.episode.pins.push(pin);
-            }
-        }
-        self.tested_nets.extend(route.crossed_nets.iter().copied());
     }
 }
 
@@ -851,7 +819,7 @@ mod tests {
         let dp = schedule(&soc, &data, &[0, 0], &DftCosts::default());
         for ep in &dp.episodes {
             assert!(
-                !ep.transit_cores.contains(&ep.core),
+                ep.routes().flat_map(|r| &r.hops).all(|h| h.core != ep.core),
                 "{} routed through itself",
                 ep.core
             );
@@ -907,7 +875,7 @@ mod tests {
         let ep1 = &dp.episodes[1];
         // Input a arrives after 1 cycle (through `up`); input c must wait
         // for the shared path: arrival 2.
-        let arrivals: Vec<u32> = ep1.input_arrivals.iter().map(|(_, t)| *t).collect();
+        let arrivals: Vec<u32> = ep1.input_routes.iter().map(|r| r.arrival).collect();
         assert_eq!(arrivals, vec![1, 2]);
         assert_eq!(ep1.per_vector_cycles, 2);
     }

@@ -11,7 +11,7 @@
 //! inside its own slot, never before the episode starts).
 
 use crate::plan::CoreEpisode;
-use socet_rtl::{PortId, Soc};
+use socet_rtl::PortId;
 use std::fmt;
 
 /// One pin-presentation action of the program.
@@ -58,24 +58,23 @@ impl fmt::Display for TesterProgram {
 ///
 /// ```no_run
 /// use socet_core::tester::tester_program;
-/// # fn demo(soc: &socet_rtl::Soc, ep: &socet_core::CoreEpisode) {
-/// let program = tester_program(soc, ep);
+/// # fn demo(ep: &socet_core::CoreEpisode) {
+/// let program = tester_program(ep);
 /// assert_eq!(program.length, ep.test_time());
 /// # }
 /// ```
-pub fn tester_program(soc: &Soc, episode: &CoreEpisode) -> TesterProgram {
-    let _ = soc; // reserved for pin-name annotation
+pub fn tester_program(episode: &CoreEpisode) -> TesterProgram {
     let per = u64::from(episode.per_vector_cycles);
     let mut drives =
-        Vec::with_capacity(episode.hscan_vectors as usize * episode.input_arrivals.len());
+        Vec::with_capacity(episode.hscan_vectors as usize * episode.input_routes.len());
     for v in 0..episode.hscan_vectors {
         let slot_end = (v + 1) * per;
-        for (port, arrival) in &episode.input_arrivals {
+        for route in &episode.input_routes {
             drives.push(DriveAction {
-                cycle: slot_end - u64::from(*arrival).min(slot_end),
+                cycle: slot_end - u64::from(route.arrival).min(slot_end),
                 vector: v,
-                target_input: *port,
-                transit: *arrival,
+                target_input: route.port,
+                transit: route.arrival,
             });
         }
     }
@@ -91,7 +90,7 @@ pub fn tester_program(soc: &Soc, episode: &CoreEpisode) -> TesterProgram {
 /// downstream tooling as a sanity gate.
 pub fn validate_program(episode: &CoreEpisode, program: &TesterProgram) -> Option<String> {
     let per = u64::from(episode.per_vector_cycles);
-    let expected = episode.hscan_vectors as usize * episode.input_arrivals.len();
+    let expected = episode.hscan_vectors as usize * episode.input_routes.len();
     if program.drives.len() != expected {
         return Some(format!(
             "expected {expected} drives, found {}",
@@ -135,7 +134,7 @@ mod tests {
     use socet_rtl::{CoreBuilder, Direction, SocBuilder};
     use std::sync::Arc;
 
-    fn chain_plan() -> (socet_rtl::Soc, crate::plan::DesignPoint) {
+    fn chain_plan() -> crate::plan::DesignPoint {
         let mut b = CoreBuilder::new("buf");
         let i = b.port("i", Direction::In, 8).unwrap();
         let o = b.port("o", Direction::Out, 8).unwrap();
@@ -156,15 +155,14 @@ mod tests {
         let soc = sb.build().unwrap();
         let costs = DftCosts::default();
         let data = CoreTestData::synthesize_soc(&soc, &costs, 7).unwrap();
-        let plan = schedule(&soc, &data, &[0, 0], &costs);
-        (soc, plan)
+        schedule(&soc, &data, &[0, 0], &costs)
     }
 
     #[test]
     fn program_validates_for_every_episode() {
-        let (soc, plan) = chain_plan();
+        let plan = chain_plan();
         for ep in &plan.episodes {
-            let program = tester_program(&soc, ep);
+            let program = tester_program(ep);
             assert_eq!(program.length, ep.test_time());
             assert_eq!(validate_program(ep, &program), None);
         }
@@ -172,11 +170,11 @@ mod tests {
 
     #[test]
     fn embedded_core_drives_lead_their_slots() {
-        let (soc, plan) = chain_plan();
+        let plan = chain_plan();
         // u1's input arrives through u0 (2 cycles): its drives land 2
         // cycles before each slot end.
         let ep = &plan.episodes[1];
-        let program = tester_program(&soc, ep);
+        let program = tester_program(ep);
         let per = u64::from(ep.per_vector_cycles);
         for d in &program.drives {
             assert_eq!(d.transit, 2);
@@ -186,8 +184,8 @@ mod tests {
 
     #[test]
     fn drives_are_sorted_and_unique() {
-        let (soc, plan) = chain_plan();
-        let program = tester_program(&soc, &plan.episodes[0]);
+        let plan = chain_plan();
+        let program = tester_program(&plan.episodes[0]);
         for w in program.drives.windows(2) {
             assert!(
                 (w[0].cycle, w[0].target_input.index(), w[0].vector)

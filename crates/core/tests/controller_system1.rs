@@ -76,7 +76,7 @@ fn controller_matches_tester_programs_on_system1() {
     // Every episode's tester program validates, and each drive lands on a
     // cycle where the simulated controller asserts that episode's enable.
     for (k, ep) in plan.episodes.iter().enumerate() {
-        let program = tester_program(&soc, ep);
+        let program = tester_program(ep);
         assert_eq!(program.length, ep.test_time());
         assert_eq!(validate_program(ep, &program), None);
         let (_, start, end) = ctrl.windows[k];

@@ -13,8 +13,10 @@ use socet_socs::SocSpec;
 /// CUT, every transit core, and every chip pin it drives or observes.
 fn resources(ep: &CoreEpisode) -> Vec<(u8, usize)> {
     let mut v = vec![(0u8, ep.core.index())];
-    v.extend(ep.transit_cores.iter().map(|c| (0u8, c.index())));
-    v.extend(ep.pins.iter().map(|p| (1u8, p.index())));
+    for r in ep.routes() {
+        v.extend(r.hops.iter().map(|h| (0u8, h.core.index())));
+        v.extend(r.pin.map(|p| (1u8, p.index())));
+    }
     v
 }
 
@@ -31,7 +33,7 @@ fn plan_for(spec: &SocSpec) -> Option<(Soc, DesignPoint)> {
 }
 
 fn assert_packing_sound(soc: &Soc, plan: &DesignPoint) {
-    let par = parallelize(soc, plan);
+    let par = parallelize(plan);
     assert!(
         par.makespan <= par.serial_tat,
         "packed TAT {} exceeds serial {} on {}",
@@ -103,7 +105,7 @@ proptest! {
     #[test]
     fn packed_schedules_stay_sound(seed in 1u64..u64::MAX) {
         if let Some((soc, plan)) = plan_for(&SocSpec::random(seed)) {
-            let par = parallelize(&soc, &plan);
+            let par = parallelize(&plan);
             prop_assert!(par.makespan <= par.serial_tat);
             assert_packing_sound(&soc, &plan);
         }

@@ -116,16 +116,6 @@ impl<'a> PackedSim<'a> {
         sweep(self.nl, pi, ff, &mut v, stuck_at(fault));
         v
     }
-
-    /// Packed primary-output values from a full signal vector.
-    pub fn outputs(&self, values: &[u64]) -> Vec<u64> {
-        outputs(self.nl, values)
-    }
-
-    /// Packed next-state (DFF D) values from a full signal vector.
-    pub fn next_state(&self, values: &[u64]) -> Vec<u64> {
-        next_state(self.nl, values)
-    }
 }
 
 /// Primary-output values from a full signal vector.
@@ -300,7 +290,7 @@ mod tests {
             }
         }
         let values = packed.eval(&pi, &[], None);
-        let outs = packed.outputs(&values);
+        let outs = outputs(&nl, &values);
         for pat in 0..8u64 {
             let scalar = comb.run(&[pat & 1 != 0, pat & 2 != 0, pat & 4 != 0]);
             assert_eq!(outs[0] >> pat & 1 != 0, scalar[0], "sum pattern {pat}");
@@ -316,7 +306,7 @@ mod tests {
         let good = sim.eval(&[u64::MAX, 0, 0], &[], None);
         let a_sig = nl.inputs()[0].1;
         let bad = sim.eval(&[u64::MAX, 0, 0], &[], Some((a_sig, false)));
-        assert_ne!(sim.outputs(&good)[0], sim.outputs(&bad)[0]);
+        assert_ne!(outputs(&nl, &good)[0], outputs(&nl, &bad)[0]);
     }
 
     #[test]

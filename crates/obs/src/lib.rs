@@ -487,11 +487,6 @@ impl Drop for Installed<'_> {
     }
 }
 
-/// Whether a recorder is installed on this thread.
-pub fn active() -> bool {
-    SINK.with_borrow(|s| s.is_some())
-}
-
 /// Records `v` into `c` on the thread's installed recorder, if any.
 #[inline]
 pub fn add(c: Counter, v: u64) {
@@ -585,17 +580,16 @@ mod tests {
 
     #[test]
     fn thread_local_sink_routes_free_functions() {
-        assert!(!active());
         span("ignored"); // no sink: a pure no-op
         add(Counter::DiskHits, 1);
         let mut rec = Recorder::new();
         {
             let _g = rec.install();
-            assert!(active());
             let _s = span("outer");
             add(Counter::DiskHits, 2);
         }
-        assert!(!active());
+        // Dropping the guard empties the sink again: a later add is lost.
+        add(Counter::DiskHits, 4);
         assert_eq!(rec.counter(Counter::DiskHits), 2);
         assert_eq!(rec.span_count("outer"), 1);
     }

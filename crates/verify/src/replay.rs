@@ -18,9 +18,8 @@
 //! The replay frame is departure-aligned: all of vector `v`'s routes
 //! launch at slot start `v · per_vector`, and a route hop's interval
 //! `[start, start+latency)` maps to absolute cycles `launch + start …`.
-//! The arrival-aligned tester program of [`socet_core::tester`] is
-//! cross-checked structurally (its `transit` must equal the itinerary
-//! arrival and [`validate_program`] must pass).
+//! The arrival-aligned tester program of [`socet_core::tester`], which
+//! reads the same itineraries, must pass [`validate_program`].
 //!
 //! Each episode's routes become vector-independent templates, built once
 //! per [`verify_design_point`] call. A drive program is those templates
@@ -47,7 +46,7 @@ use socet_core::{
     RouteHop, RouteItinerary,
 };
 use socet_gate::CombSim;
-use socet_rtl::{CoreInstanceId, PortId, Soc, Terminal};
+use socet_rtl::{CoreInstanceId, Soc, Terminal};
 use socet_transparency::RcgNode;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -908,50 +907,15 @@ pub fn verify_design_point(
     let mut violations = Vec::new();
     let mut summaries = Vec::new();
 
-    // Structural cross-checks against the tester-program expansion.
+    // Structural check of the tester-program expansion.
     for (i, ep) in plan.episodes.iter().enumerate() {
-        let program = tester_program(soc, ep);
-        if let Some(msg) = validate_program(ep, &program) {
+        if let Some(msg) = validate_program(ep, &tester_program(ep)) {
             violations.push(Violation {
                 phase: "tester",
                 episode: i,
                 cycle: 0,
                 detail: format!("tester program invalid: {msg}"),
             });
-        }
-        let arrivals: HashMap<PortId, u32> = ep.input_arrivals.iter().copied().collect();
-        for d in program.drives.iter().take(arrivals.len()) {
-            if arrivals.get(&d.target_input) != Some(&d.transit) {
-                violations.push(Violation {
-                    phase: "tester",
-                    episode: i,
-                    cycle: d.cycle,
-                    detail: format!(
-                        "drive transit {} disagrees with itinerary arrival for {}",
-                        d.transit, d.target_input
-                    ),
-                });
-            }
-        }
-        if ep.input_routes.len() != ep.input_arrivals.len()
-            || ep.output_routes.len() != ep.output_arrivals.len()
-        {
-            violations.push(Violation {
-                phase: "tester",
-                episode: i,
-                cycle: 0,
-                detail: "itinerary list out of step with arrival list".into(),
-            });
-        }
-        for (r, (p, a)) in ep.input_routes.iter().zip(&ep.input_arrivals) {
-            if r.port != *p || r.arrival != *a {
-                violations.push(Violation {
-                    phase: "tester",
-                    episode: i,
-                    cycle: 0,
-                    detail: format!("input itinerary for {p} disagrees with arrival {a}"),
-                });
-            }
         }
     }
 
@@ -969,12 +933,7 @@ pub fn verify_design_point(
         place(&mut prog, &shell, i, rep, 0, opts.seed);
         let (_, hold_gaps) = run_program(&shell, soc, &mut prog, opts, "serial", &mut violations);
         let ep = rep.ep;
-        let sys_mux = ep
-            .input_routes
-            .iter()
-            .chain(&ep.output_routes)
-            .filter(|r| r.is_system_mux())
-            .count();
+        let sys_mux = ep.routes().filter(|r| r.is_system_mux()).count();
         let per_vector = |f: fn(&RouteTemplate) -> u64| -> u64 {
             rep.vectors * rep.templates.iter().map(f).sum::<u64>()
         };
@@ -994,7 +953,7 @@ pub fn verify_design_point(
 
     // Parallel phase: the packed windows replayed jointly (invariant c).
     let parallel = if !plan.episodes.is_empty() {
-        let par = parallelize(soc, plan);
+        let par = parallelize(plan);
         let episode_of = |core: CoreInstanceId| -> usize {
             plan.episodes
                 .iter()
@@ -1008,10 +967,12 @@ pub fn verify_design_point(
             .iter()
             .map(|(core, s, e)| {
                 let ep = &plan.episodes[episode_of(*core)];
-                let cores = std::iter::once(&ep.core).chain(&ep.transit_cores);
-                let set = cores
+                let transits = ep.routes().flat_map(|r| &r.hops).map(|h| h.core);
+                let pins = ep.routes().filter_map(|r| r.pin);
+                let set = std::iter::once(ep.core)
+                    .chain(transits)
                     .map(|c| (0, c.index()))
-                    .chain(ep.pins.iter().map(|p| (1, p.index())))
+                    .chain(pins.map(|p| (1, p.index())))
                     .collect();
                 (*s, *e, set)
             })

@@ -304,7 +304,7 @@ fn main() -> ExitCode {
                 }
             };
             print!("{}", render_plan(&soc, &data, &plan));
-            let par = parallelize(&soc, &plan);
+            let par = parallelize(&plan);
             println!("\nparallel extension: {par}");
             match socet::core::build_controller(&soc, &plan) {
                 Ok(ctrl) => println!(

@@ -4,6 +4,7 @@
 //! 2 and a usage message — historically the tool exited 0 on unknown
 //! flags, silently ignoring typos like `--cout`.
 
+use socet::cells::StableHasher;
 use std::process::{Command, Output};
 
 fn soctool(args: &[&str]) -> Output {
@@ -207,6 +208,23 @@ fn verify_total_line_counts_what_it_checks() {
         "total: 24570 checks executed (12285 serial + 12285 joint), \
          1050 hold-gap checks skipped per phase, 65205 bits scheduled per phase"
     );
+}
+
+/// The full stdout of `soctool report` on both paper systems is pinned by
+/// digest: its arrival tables, system muxes, parallel line and controller
+/// line. A change that moves any byte of a plan report fails here.
+#[test]
+fn paper_system_reports_are_byte_stable() {
+    for (system, digest) in [
+        ("system1", "1f9fef6271612dd078b696381cdb1b00"),
+        ("system2", "1818aa9d75487b5bcd61f288f555c0a0"),
+    ] {
+        let out = soctool(&["report", system]);
+        assert!(out.status.success(), "soctool report {system} failed");
+        let mut h = StableHasher::new();
+        h.write_bytes(&out.stdout);
+        assert_eq!(h.finish().to_hex(), digest, "{system}");
+    }
 }
 
 #[test]

@@ -200,6 +200,50 @@ fn design_points_are_reproducible() {
     assert_eq!(a.pair_usage, b.pair_usage);
 }
 
+/// The §5.2 pair usage of both paper systems' all-zeros points, as
+/// `core.input>output xcount` in `(core, input, output)` order.
+#[test]
+fn min_area_pair_usage_is_pinned() {
+    let expected: [(Soc, &[&str]); 2] = [
+        (
+            barcode_system(),
+            &[
+                "PREPROCESSOR.NUM>DB x4",
+                "PREPROCESSOR.Reset>Eoc x1",
+                "CPU.Data>AddrLo x1",
+                "CPU.Data>AddrHi x1",
+                "DISPLAY.ALo>P1 x1",
+                "DISPLAY.AHi>P1 x1",
+                "DISPLAY.D>P6 x1",
+            ],
+        ),
+        (
+            system2(),
+            &[
+                "GRAPHICS.Cmd>Pixel x1",
+                "GCD.X>G x1",
+                "GCD.Y>G x1",
+                "X25.RxD>TxD x2",
+            ],
+        ),
+    ];
+    for (soc, want) in expected {
+        let prepared = prepare(&soc);
+        let explorer = Explorer::new(&soc, &prepared.data, DftCosts::default());
+        let dp = explorer.evaluate(&explorer.min_area_choice());
+        let got: Vec<String> = dp
+            .pair_usage
+            .iter()
+            .map(|((c, i, o), n)| {
+                let core = soc.core(*c);
+                let port = |p| core.core().port(p).name();
+                format!("{}.{}>{} x{n}", core.name(), port(*i), port(*o))
+            })
+            .collect();
+        assert_eq!(got, want, "{}", soc.name());
+    }
+}
+
 #[test]
 fn preprocessor_address_needs_the_fig9_system_mux() {
     // Fig. 9: "the output Address of the PREPROCESSOR is connected to a PO

@@ -42,7 +42,7 @@ fn parallel_packing_of_system1_respects_serialization() {
         &vec![0; soc.cores().len()],
         &DftCosts::default(),
     );
-    let par = parallelize(&soc, &plan);
+    let par = parallelize(&plan);
     // All three logic cores share the backbone, so the packing stays
     // serial — and must never exceed the serial bound.
     assert!(par.makespan <= par.serial_tat);
@@ -131,6 +131,6 @@ fn synthetic_socs_schedule_cleanly_at_scale() {
     assert!(per_vec.iter().max() > per_vec.iter().min());
     // The parallel extension finds at least some overlap thanks to the
     // tap pins... or degrades gracefully to serial.
-    let par = parallelize(&soc, &plan);
+    let par = parallelize(&plan);
     assert!(par.makespan <= par.serial_tat);
 }

@@ -36,7 +36,7 @@ proptest! {
         let with = schedule_with(&soc, &data, &choice, &costs, true);
         let without = schedule_with(&soc, &data, &choice, &costs, false);
         prop_assert!(without.test_application_time() <= with.test_application_time());
-        let par = parallelize(&soc, &with);
+        let par = parallelize(&with);
         prop_assert!(par.makespan <= par.serial_tat);
         prop_assert!(par.speedup() >= 1.0);
         let explorer = Explorer::new(&soc, &data, costs);

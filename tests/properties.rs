@@ -254,7 +254,7 @@ proptest! {
             .pair_latency(i, o)
             .expect("pair exists");
         let ep1 = &a.episodes[1];
-        let arrival = ep1.input_arrivals[0].1;
+        let arrival = ep1.input_routes[0].arrival;
         prop_assert!(arrival >= min_lat, "arrival {arrival} < latency {min_lat}");
     }
 }
