@@ -10,27 +10,18 @@
 
 use socet_bench::prepare;
 use socet_cells::DftCosts;
-use socet_core::{parallelize, schedule_with};
+use socet_core::{parallelize, schedule_with, Explorer};
 use socet_rtl::Soc;
 use socet_socs::{barcode_system, system2};
 
 fn run(soc: Soc) {
     let system = prepare(&soc);
     let costs = DftCosts::default();
-    let n = soc.cores().len();
+    let explorer = Explorer::new(&soc, &system.data, costs);
     println!("\n{}:", soc.name());
     for (label, choice) in [
-        ("min area", vec![0usize; n]),
-        ("min latency", {
-            let mut c = vec![0usize; n];
-            for cid in soc.logic_cores() {
-                c[cid.index()] = system.data[cid.index()]
-                    .as_ref()
-                    .map(|d| d.versions.len() - 1)
-                    .unwrap_or(0);
-            }
-            c
-        }),
+        ("min area", explorer.min_area_choice()),
+        ("min latency", explorer.min_latency_choice()),
     ] {
         let with = schedule_with(&soc, &system.data, &choice, &costs, true);
         let without = schedule_with(&soc, &system.data, &choice, &costs, false);

@@ -92,22 +92,6 @@ impl CellKind {
             CellKind::Tribuf => "TRIBUF",
         }
     }
-
-    /// Whether the cell is sequential (holds state across clock edges).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use socet_cells::CellKind;
-    /// assert!(CellKind::Dff.is_sequential());
-    /// assert!(!CellKind::Mux2.is_sequential());
-    /// ```
-    pub fn is_sequential(self) -> bool {
-        matches!(
-            self,
-            CellKind::Dff | CellKind::ScanDff | CellKind::BscanCell | CellKind::Latch
-        )
-    }
 }
 
 impl fmt::Display for CellKind {
@@ -170,28 +154,6 @@ impl CellLibrary {
         }
     }
 
-    /// Builds a library with a custom area table.
-    ///
-    /// `area_of` is sampled once per [`CellKind`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use socet_cells::{CellKind, CellLibrary};
-    /// let lib = CellLibrary::from_fn("unit", |_| 1);
-    /// assert_eq!(lib.area_of(CellKind::ScanDff), 1);
-    /// ```
-    pub fn from_fn(name: &str, mut area_of: impl FnMut(CellKind) -> u32) -> Self {
-        let mut area = [0u32; CellKind::ALL.len()];
-        for (i, kind) in CellKind::ALL.iter().enumerate() {
-            area[i] = area_of(*kind);
-        }
-        CellLibrary {
-            name: name.to_owned(),
-            area,
-        }
-    }
-
     /// The library's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -226,31 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_classification() {
-        assert!(CellKind::ScanDff.is_sequential());
-        assert!(CellKind::Latch.is_sequential());
-        assert!(CellKind::BscanCell.is_sequential());
-        for k in [
-            CellKind::Inv,
-            CellKind::Xor2,
-            CellKind::FullAdder,
-            CellKind::Tribuf,
-        ] {
-            assert!(!k.is_sequential(), "{k} should be combinational");
-        }
-    }
-
-    #[test]
     fn default_is_generic_08um() {
         assert_eq!(CellLibrary::default(), CellLibrary::generic_08um());
-    }
-
-    #[test]
-    fn from_fn_samples_each_kind() {
-        let lib = CellLibrary::from_fn("test", |k| if k == CellKind::Dff { 7 } else { 2 });
-        assert_eq!(lib.area_of(CellKind::Dff), 7);
-        assert_eq!(lib.area_of(CellKind::Mux2), 2);
-        assert_eq!(lib.name(), "test");
     }
 
     #[test]

@@ -98,8 +98,9 @@ pub struct CcgEdge {
 /// edges per logic core (in [`Soc::logic_cores`] order), then every
 /// interconnect edge. [`Ccg::step_core`] exploits the grouping to patch a
 /// single core's version in place — the inner move of the §5.2 iterative-
-/// improvement loop and of a lexicographic sweep, where consecutive points
-/// differ in one core — instead of rebuilding the whole graph.
+/// improvement loop and of the exhaustive sweep, whose first logic core
+/// varies fastest so that consecutive points mostly differ in one core —
+/// instead of rebuilding the whole graph.
 #[derive(Debug, Clone)]
 pub struct Ccg {
     nodes: Vec<CcgNode>,

@@ -12,16 +12,15 @@
 use crate::plan::DesignPoint;
 use socet_cells::CellLibrary;
 use socet_gate::{GateError, GateKind, GateNetlist, GateNetlistBuilder, SignalId};
-use socet_rtl::{CoreInstanceId, Soc};
+use socet_rtl::Soc;
 
 /// A synthesized test controller.
 #[derive(Debug)]
 pub struct TestController {
     /// The controller netlist: inputs `[reset]`, outputs one
-    /// `test_en_<core>` per episode followed by `done`.
+    /// `test_en_<core>` per episode, high over its
+    /// [serial window](DesignPoint::serial_windows), followed by `done`.
     pub netlist: GateNetlist,
-    /// Episode windows, `(core, start, end)`, in output order.
-    pub windows: Vec<(CoreInstanceId, u64, u64)>,
     /// Counter width in bits.
     pub counter_bits: u16,
 }
@@ -45,14 +44,7 @@ impl TestController {
 /// simulated cycle by cycle and every enable is checked against its
 /// episode window.
 pub fn build_controller(soc: &Soc, plan: &DesignPoint) -> Result<TestController, GateError> {
-    let mut windows = Vec::new();
-    let mut clock = 0u64;
-    for ep in &plan.episodes {
-        let start = clock;
-        clock += ep.test_time();
-        windows.push((ep.core, start, clock));
-    }
-    let total = clock.max(1);
+    let total = plan.test_application_time().max(1);
     let counter_bits = (64 - total.leading_zeros()).max(1) as u16;
 
     let mut b = GateNetlistBuilder::new("test_controller");
@@ -77,19 +69,18 @@ pub fn build_controller(soc: &Soc, plan: &DesignPoint) -> Result<TestController,
         carry = next_carry;
     }
     // Window comparators.
-    for (core, start, end) in &windows {
-        let ge_start = build_ge_const(&mut b, &qs, *start);
-        let ge_end = build_ge_const(&mut b, &qs, *end);
+    for (ep, start, end) in plan.serial_windows() {
+        let ge_start = build_ge_const(&mut b, &qs, start);
+        let ge_end = build_ge_const(&mut b, &qs, end);
         let lt_end = b.gate1(GateKind::Not, ge_end);
         let en = b.gate2(GateKind::And2, ge_start, lt_end);
-        b.output(&format!("test_en_{}", soc.core(*core).name()), en);
+        b.output(&format!("test_en_{}", soc.core(ep.core).name()), en);
     }
     let done = build_ge_const(&mut b, &qs, total);
     b.output("done", done);
     let netlist = b.build()?;
     Ok(TestController {
         netlist,
-        windows,
         counter_bits,
     })
 }
@@ -160,14 +151,15 @@ mod tests {
         // Cycle 0 state is all zeros (as after reset).
         for cycle in 0..total + 3 {
             let (outs, next) = sim.run_with_state(&[false], &state);
-            for (k, (core, start, end)) in ctrl.windows.iter().enumerate() {
-                let want = cycle >= *start && cycle < *end;
+            for (k, (ep, start, end)) in plan.serial_windows().enumerate() {
+                let want = cycle >= start && cycle < end;
                 assert_eq!(
                     outs[k], want,
-                    "cycle {cycle}: enable for {core} (window {start}..{end})"
+                    "cycle {cycle}: enable for {} (window {start}..{end})",
+                    ep.core
                 );
             }
-            let done = outs[ctrl.windows.len()];
+            let done = outs[plan.episodes.len()];
             assert_eq!(done, cycle >= total, "cycle {cycle}: done");
             state = next;
         }

@@ -83,7 +83,10 @@ pub use interconnect::{interconnect_report, InterconnectReport, UntestedReason};
 pub use metrics::{Metrics, PrepareMetrics};
 pub use parallel::{parallelize, ParallelSchedule};
 pub use pareto::{best_weighted, pareto_front};
-pub use plan::{CoreEpisode, CoreTestData, DesignPoint, RouteHop, RouteItinerary, SystemMux};
+pub use plan::{
+    ladder_len, CoreEpisode, CoreTestData, DesignPoint, EpisodeResource, RouteHop, RouteItinerary,
+    SystemMux,
+};
 pub use report::render_plan;
 pub use schedule::{schedule, schedule_with, try_schedule, Scheduler};
 pub use tester::{tester_program, validate_program, DriveAction, TesterProgram};

@@ -3,7 +3,7 @@
 
 use socet_cells::{AreaReport, CellLibrary, DftCosts};
 use socet_hscan::{insert_hscan, HscanResult};
-use socet_rtl::{Core, CoreInstanceId, PortId, Soc};
+use socet_rtl::{ChipPinId, Core, CoreInstanceId, PortId, Soc};
 use socet_transparency::{try_synthesize_versions, CoreVersion, SearchError};
 use std::fmt;
 
@@ -71,6 +71,13 @@ impl CoreTestData {
     pub fn hscan_vectors(&self) -> usize {
         self.hscan.test_length(self.scan_vectors)
     }
+}
+
+/// How many versions an instance offers: its ladder's length for a logic
+/// core, 1 for a memory instance (`None`), whose only version is 0. Never
+/// 0, so version 0 is always a choice to try.
+pub fn ladder_len(data: Option<&CoreTestData>) -> usize {
+    data.map_or(1, |d| d.versions.len().max(1))
 }
 
 /// A system-level test multiplexer connecting a core port directly to a
@@ -141,7 +148,7 @@ pub struct RouteItinerary {
     pub arrival: u32,
     /// The chip pin at the far end, or `None` when the port fell back to a
     /// system-level test mux (direct pin access, no routed transport).
-    pub pin: Option<socet_rtl::ChipPinId>,
+    pub pin: Option<ChipPinId>,
     /// Transparency hops in travel order (empty for direct pin routes and
     /// system-mux fallbacks).
     pub hops: Vec<RouteHop>,
@@ -153,6 +160,15 @@ impl RouteItinerary {
     pub fn is_system_mux(&self) -> bool {
         self.pin.is_none()
     }
+}
+
+/// One resource a test episode occupies for its whole duration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum EpisodeResource {
+    /// A core: under test or carrying transparency traffic.
+    Core(CoreInstanceId),
+    /// A chip pin driven or observed.
+    Pin(ChipPinId),
 }
 
 /// The routed test episode of one core under test.
@@ -181,6 +197,21 @@ impl CoreEpisode {
     /// Every routed itinerary of the episode: inputs, then outputs.
     pub fn routes(&self) -> impl Iterator<Item = &RouteItinerary> {
         self.input_routes.iter().chain(&self.output_routes)
+    }
+
+    /// What the episode occupies for its whole duration: the core under
+    /// test, every hop's transit core and every route's chip pin, sorted
+    /// and without repeats. Two episodes may run concurrently exactly when
+    /// these sets are disjoint.
+    pub fn resources(&self) -> Vec<EpisodeResource> {
+        let mut v = vec![EpisodeResource::Core(self.core)];
+        for r in self.routes() {
+            v.extend(r.hops.iter().map(|h| EpisodeResource::Core(h.core)));
+            v.extend(r.pin.map(EpisodeResource::Pin));
+        }
+        v.sort_unstable();
+        v.dedup();
+        v
     }
 
     /// Test application time of this episode:
@@ -235,6 +266,16 @@ impl DesignPoint {
         self.episodes.iter().map(CoreEpisode::test_time).sum()
     }
 
+    /// The paper's serial test order: each episode with the cycle its
+    /// window opens and the cycle it closes, back to back from cycle 0.
+    pub fn serial_windows(&self) -> impl Iterator<Item = (&CoreEpisode, u64, u64)> {
+        self.episodes.iter().scan(0, |clock, ep| {
+            let start = *clock;
+            *clock += ep.test_time();
+            Some((ep, start, *clock))
+        })
+    }
+
     /// Chip-level overhead in cells.
     pub fn overhead_cells(&self, lib: &CellLibrary) -> u64 {
         self.chip_overhead.cells(lib)
@@ -260,7 +301,7 @@ mod tests {
     #[test]
     fn episode_test_time_formula() {
         let ep = CoreEpisode {
-            core: dummy_core(),
+            core: chain().0[0],
             per_vector_cycles: 9,
             tail_cycles: 3,
             hscan_vectors: 525,
@@ -274,7 +315,7 @@ mod tests {
     #[test]
     fn design_point_sums_episodes() {
         let mk = |t: u64| CoreEpisode {
-            core: dummy_core(),
+            core: chain().0[0],
             per_vector_cycles: 1,
             tail_cycles: 0,
             hscan_vectors: t,
@@ -290,6 +331,45 @@ mod tests {
             tested_nets: vec![],
         };
         assert_eq!(dp.test_application_time(), 300);
+        let windows: Vec<(u64, u64)> = dp.serial_windows().map(|(_, s, e)| (s, e)).collect();
+        assert_eq!(windows, vec![(0, 100), (100, 300)]);
+    }
+
+    #[test]
+    fn episode_resources_are_the_cut_transit_cores_and_pins() {
+        // pi -> transit -> cut -> po; the CUT's `q` output has no route to
+        // a pin and falls back to a system mux.
+        let ([transit, cut], [pi, po], [i, o, q]) = chain();
+        let route = |port, arrival, pin, hops| RouteItinerary {
+            port,
+            arrival,
+            pin,
+            hops,
+        };
+        let hop = RouteHop {
+            core: transit,
+            input: i,
+            output: o,
+            path: 0,
+            start: 0,
+            latency: 1,
+        };
+        let ep = CoreEpisode {
+            core: cut,
+            per_vector_cycles: 1,
+            tail_cycles: 0,
+            hscan_vectors: 1,
+            input_routes: vec![route(i, 1, Some(pi), vec![hop])],
+            output_routes: vec![route(o, 0, Some(po), vec![]), route(q, 0, None, vec![])],
+        };
+        let mut want = vec![
+            EpisodeResource::Core(cut),
+            EpisodeResource::Core(transit),
+            EpisodeResource::Pin(pi),
+            EpisodeResource::Pin(po),
+        ];
+        want.sort();
+        assert_eq!(ep.resources(), want);
     }
 
     #[test]
@@ -303,6 +383,10 @@ mod tests {
             assert_eq!(data.len(), soc.cores().len());
             for (inst, td) in soc.cores().iter().zip(&data) {
                 assert_eq!(td.is_none(), inst.is_memory(), "{}", inst.name());
+                assert_eq!(
+                    ladder_len(td.as_ref()),
+                    if inst.is_memory() { 1 } else { 3 }
+                );
                 if let Some(td) = td {
                     assert_eq!(td.scan_vectors, 7);
                     assert_eq!(td.versions.len(), 3);
@@ -336,24 +420,30 @@ mod tests {
         assert_eq!(err, expected);
     }
 
-    fn dummy_core() -> CoreInstanceId {
-        // Handles are dense indices; recover one through a real SOC.
+    /// The handles of `pi -> u0 -> u1 -> po`, two instances of a
+    /// one-register core with ports `i`, `o` and a spare output `q`.
+    /// Handles are dense indices; they are recovered through a real SOC.
+    fn chain() -> ([CoreInstanceId; 2], [ChipPinId; 2], [PortId; 3]) {
         use socet_rtl::{CoreBuilder, Direction, SocBuilder};
         use std::sync::Arc;
         let mut b = CoreBuilder::new("c");
         let i = b.port("i", Direction::In, 1).unwrap();
         let o = b.port("o", Direction::Out, 1).unwrap();
+        let q = b.port("q", Direction::Out, 1).unwrap();
         let r = b.register("r", 1).unwrap();
         b.connect_port_to_reg(i, r).unwrap();
         b.connect_reg_to_port(r, o).unwrap();
+        b.connect_reg_to_port(r, q).unwrap();
         let core = Arc::new(b.build().unwrap());
         let mut sb = SocBuilder::new("s");
         let pi = sb.input_pin("pi", 1).unwrap();
         let po = sb.output_pin("po", 1).unwrap();
-        let u = sb.instantiate("u", core).unwrap();
-        sb.connect_pin_to_core(pi, u, i).unwrap();
-        sb.connect_core_to_pin(u, o, po).unwrap();
+        let u0 = sb.instantiate("u0", core.clone()).unwrap();
+        let u1 = sb.instantiate("u1", core).unwrap();
+        sb.connect_pin_to_core(pi, u0, i).unwrap();
+        sb.connect_cores(u0, o, u1, i).unwrap();
+        sb.connect_core_to_pin(u1, o, po).unwrap();
         sb.build().unwrap();
-        u
+        ([u0, u1], [pi, po], [i, o, q])
     }
 }

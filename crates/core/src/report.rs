@@ -67,14 +67,11 @@ pub fn render_plan(soc: &Soc, data: &[Option<CoreTestData>], plan: &DesignPoint)
 
     // Section 2: episodes.
     let _ = writeln!(out, "\ntest episodes (sequential):");
-    let mut clock: u64 = 0;
-    for ep in &plan.episodes {
+    for (ep, start, end) in plan.serial_windows() {
         let inst = soc.core(ep.core);
-        let start = clock;
-        clock += ep.test_time();
         let _ = writeln!(
             out,
-            "  [{start:>8} .. {clock:>8}) {:<14} {} vectors x {} cycles + {} tail",
+            "  [{start:>8} .. {end:>8}) {:<14} {} vectors x {} cycles + {} tail",
             inst.name(),
             ep.hscan_vectors,
             ep.per_vector_cycles,

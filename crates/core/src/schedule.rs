@@ -283,7 +283,7 @@ const ROUTE_CACHE_CAP: usize = 65_536;
 ///
 /// A `Scheduler` caches the [`Ccg`] of the last evaluated choice and the
 /// router's scratch buffers. Evaluating a neighbouring choice — the common
-/// case in the §5.2 loop and in a lexicographic sweep — patches only the
+/// case in the §5.2 loop and in the exhaustive sweep — patches only the
 /// stepped cores' edge groups and reuses every allocation. All failure
 /// modes are typed ([`ScheduleError`]). Each stage records its span and
 /// counters into the thread's installed [`socet_obs`] sink, which

@@ -42,16 +42,8 @@ fn controller_matches_tester_programs_on_system1() {
     let total = plan.test_application_time();
     assert!(total > 0);
 
-    // The controller's windows are exactly the plan's serial offsets.
-    let mut offset = 0u64;
-    assert_eq!(ctrl.windows.len(), plan.episodes.len());
-    for (ep, (core, start, end)) in plan.episodes.iter().zip(&ctrl.windows) {
-        assert_eq!(*core, ep.core);
-        assert_eq!(*start, offset);
-        assert_eq!(*end, offset + ep.test_time());
-        offset = *end;
-    }
-    assert_eq!(offset, total);
+    let windows: Vec<_> = plan.serial_windows().collect();
+    assert_eq!(windows.last().map(|w| w.2), Some(total));
 
     // Simulate far enough past `done` to cross the counter's power-of-two
     // boundary: a wrapping counter would re-assert episode 0 there.
@@ -59,27 +51,23 @@ fn controller_matches_tester_programs_on_system1() {
     let rows = trace(&ctrl, horizon);
     for (cycle, outs) in rows.iter().enumerate() {
         let cycle = cycle as u64;
-        for (k, (core, start, end)) in ctrl.windows.iter().enumerate() {
+        for (k, (ep, start, end)) in windows.iter().enumerate() {
             assert_eq!(
                 outs[k],
                 cycle >= *start && cycle < *end,
-                "cycle {cycle}: enable for {core} (window {start}..{end})"
+                "cycle {cycle}: enable for {} (window {start}..{end})",
+                ep.core
             );
         }
-        assert_eq!(
-            outs[ctrl.windows.len()],
-            cycle >= total,
-            "cycle {cycle}: done"
-        );
+        assert_eq!(outs[windows.len()], cycle >= total, "cycle {cycle}: done");
     }
 
     // Every episode's tester program validates, and each drive lands on a
     // cycle where the simulated controller asserts that episode's enable.
-    for (k, ep) in plan.episodes.iter().enumerate() {
+    for (k, &(ep, start, end)) in windows.iter().enumerate() {
         let program = tester_program(ep);
         assert_eq!(program.length, ep.test_time());
         assert_eq!(validate_program(ep, &program), None);
-        let (_, start, end) = ctrl.windows[k];
         for d in &program.drives {
             let abs = start + d.cycle;
             assert!(abs < end, "drive past window end");
@@ -107,8 +95,8 @@ fn controller_verilog_reparses_structurally() {
     assert!(v.contains("module test_controller("));
     assert!(v.contains("input wire clk"));
     assert!(v.contains("input wire reset"));
-    for (core, ..) in &ctrl.windows {
-        let name = format!("output wire test_en_{}", soc.core(*core).name());
+    for ep in &plan.episodes {
+        let name = format!("output wire test_en_{}", soc.core(ep.core).name());
         assert!(v.contains(&name), "missing {name}");
     }
     assert!(v.contains("output wire done"));
@@ -153,7 +141,7 @@ fn controller_verilog_reparses_structurally() {
             "wire {w} not driven exactly once"
         );
     }
-    let n_outputs = ctrl.windows.len() + 1;
+    let n_outputs = plan.episodes.len() + 1;
     assert_eq!(assigned.len(), wires.len() + n_outputs);
     // All identifiers are legal Verilog names.
     for name in regs.iter().chain(&wires).chain(&assigned) {

@@ -5,20 +5,9 @@
 
 use proptest::prelude::*;
 use socet_cells::DftCosts;
-use socet_core::{parallelize, try_schedule, CoreEpisode, CoreTestData, DesignPoint};
+use socet_core::{parallelize, try_schedule, CoreTestData, DesignPoint};
 use socet_rtl::Soc;
 use socet_socs::SocSpec;
-
-/// Mirrors the packer's private resource model: an episode occupies its
-/// CUT, every transit core, and every chip pin it drives or observes.
-fn resources(ep: &CoreEpisode) -> Vec<(u8, usize)> {
-    let mut v = vec![(0u8, ep.core.index())];
-    for r in ep.routes() {
-        v.extend(r.hops.iter().map(|h| (0u8, h.core.index())));
-        v.extend(r.pin.map(|p| (1u8, p.index())));
-    }
-    v
-}
 
 /// Prepares and schedules a synthetic SOC at the all-default design point.
 /// Returns `None` when the spec is legitimately unschedulable (no routes,
@@ -41,29 +30,34 @@ fn assert_packing_sound(soc: &Soc, plan: &DesignPoint) {
         par.serial_tat,
         soc.name()
     );
-    assert_eq!(par.windows.len(), plan.episodes.len());
+    // Every episode is packed exactly once.
+    let mut packed: Vec<usize> = par.windows.iter().map(|w| w.0).collect();
+    packed.sort_unstable();
+    assert!(packed.into_iter().eq(0..plan.episodes.len()), "{par}");
     // Every episode's window is exactly its test time.
-    for (core, start, end) in &par.windows {
-        let ep = plan.episodes.iter().find(|e| e.core == *core).unwrap();
-        assert_eq!(end - start, ep.test_time(), "window length for {core}");
+    for &(i, start, end) in &par.windows {
+        let ep = &plan.episodes[i];
+        assert_eq!(end - start, ep.test_time(), "window length for {}", ep.core);
     }
     // Pairwise: overlapping windows must have disjoint resource sets.
-    for (k, (c1, s1, e1)) in par.windows.iter().enumerate() {
-        for (c2, s2, e2) in par.windows.iter().skip(k + 1) {
+    for (k, &(i1, s1, e1)) in par.windows.iter().enumerate() {
+        for &(i2, s2, e2) in par.windows.iter().skip(k + 1) {
             if s1 >= e2 || s2 >= e1 {
                 continue; // no time overlap
             }
-            let ep1 = plan.episodes.iter().find(|e| e.core == *c1).unwrap();
-            let ep2 = plan.episodes.iter().find(|e| e.core == *c2).unwrap();
-            let r1 = resources(ep1);
-            let shared: Vec<_> = resources(ep2)
+            let (ep1, ep2) = (&plan.episodes[i1], &plan.episodes[i2]);
+            let r1 = ep1.resources();
+            let shared: Vec<_> = ep2
+                .resources()
                 .into_iter()
                 .filter(|r| r1.contains(r))
                 .collect();
             assert!(
                 shared.is_empty(),
-                "episodes {c1} and {c2} overlap in time ({s1}..{e1} vs {s2}..{e2}) \
+                "episodes {} and {} overlap in time ({s1}..{e1} vs {s2}..{e2}) \
                  sharing resources {shared:?} on {}",
+                ep1.core,
+                ep2.core,
                 soc.name()
             );
         }

@@ -92,28 +92,6 @@ impl BitRange {
         self.lsb <= bit && bit <= self.msb
     }
 
-    /// The intersection of two ranges, if non-empty.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use socet_rtl::BitRange;
-    /// let a = BitRange::new(0, 7);
-    /// let b = BitRange::new(4, 11);
-    /// assert_eq!(a.intersect(b), Some(BitRange::new(4, 7)));
-    /// assert_eq!(a.intersect(BitRange::new(8, 11)), None);
-    /// ```
-    pub fn intersect(self, other: BitRange) -> Option<BitRange> {
-        if self.overlaps(other) {
-            Some(BitRange::new(
-                self.lsb.max(other.lsb),
-                self.msb.min(other.msb),
-            ))
-        } else {
-            None
-        }
-    }
-
     /// Iterates over the bit indices of the range, LSB first.
     ///
     /// # Examples
@@ -181,20 +159,6 @@ mod tests {
         assert!(a.contains_bit(2));
         assert!(a.contains_bit(4));
         assert!(!a.contains_bit(5));
-    }
-
-    #[test]
-    fn intersect_commutes() {
-        let a = BitRange::new(0, 7);
-        let b = BitRange::new(4, 11);
-        assert_eq!(a.intersect(b), b.intersect(a));
-    }
-
-    #[test]
-    fn intersect_of_touching_ranges() {
-        let a = BitRange::new(0, 3);
-        let b = BitRange::new(3, 3);
-        assert_eq!(a.intersect(b), Some(BitRange::new(3, 3)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::replay::{mix, verify_design_point, VerifyOptions, VerifyReport};
 use crate::VerifyError;
 use socet_cells::DftCosts;
-use socet_core::{try_schedule, CoreTestData};
+use socet_core::{ladder_len, try_schedule, CoreTestData};
 use socet_socs::SocSpec;
 use std::fmt::Write as _;
 
@@ -29,10 +29,11 @@ pub fn verify_spec(
     let mut data = CoreTestData::synthesize_soc(&soc, &costs, 0)?;
     let mut choice = vec![0; data.len()];
     for (i, td) in data.iter_mut().enumerate() {
-        let Some(td) = td else { continue };
-        let n = td.versions.len().max(1);
-        choice[i] = (mix(case_seed ^ (1000 + i as u64)) % n as u64) as usize;
-        td.scan_vectors = 2 + (mix(case_seed ^ (2000 + i as u64)) % 3) as usize;
+        let n = ladder_len(td.as_ref()) as u64;
+        choice[i] = (mix(case_seed ^ (1000 + i as u64)) % n) as usize;
+        if let Some(td) = td {
+            td.scan_vectors = 2 + (mix(case_seed ^ (2000 + i as u64)) % 3) as usize;
+        }
     }
     let plan = try_schedule(&soc, &data, &choice, &costs)?;
     verify_design_point(&soc, &data, &plan, opts)

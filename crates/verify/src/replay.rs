@@ -954,45 +954,32 @@ pub fn verify_design_point(
     // Parallel phase: the packed windows replayed jointly (invariant c).
     let parallel = if !plan.episodes.is_empty() {
         let par = parallelize(plan);
-        let episode_of = |core: CoreInstanceId| -> usize {
-            plan.episodes
-                .iter()
-                .position(|ep| ep.core == core)
-                .expect("window core has an episode")
-        };
         // Explicit pairwise resource disjointness of overlapping windows.
-        type WindowResources = (u64, u64, HashSet<(u8, usize)>);
-        let resources: Vec<WindowResources> = par
+        let resources: Vec<_> = par
             .windows
             .iter()
-            .map(|(core, s, e)| {
-                let ep = &plan.episodes[episode_of(*core)];
-                let transits = ep.routes().flat_map(|r| &r.hops).map(|h| h.core);
-                let pins = ep.routes().filter_map(|r| r.pin);
-                let set = std::iter::once(ep.core)
-                    .chain(transits)
-                    .map(|c| (0, c.index()))
-                    .chain(pins.map(|p| (1, p.index())))
-                    .collect();
-                (*s, *e, set)
-            })
+            .map(|&(i, ..)| plan.episodes[i].resources())
             .collect();
-        for (i, (s1, e1, r1)) in resources.iter().enumerate() {
-            for (s2, e2, r2) in resources.iter().skip(i + 1) {
-                if s1 < e2 && s2 < e1 && r1.intersection(r2).next().is_some() {
+        for (k, &(i, s1, e1)) in par.windows.iter().enumerate() {
+            for (l, &(_, s2, e2)) in par.windows.iter().enumerate().skip(k + 1) {
+                let overlap = s1 < e2 && s2 < e1;
+                if overlap
+                    && resources[k]
+                        .iter()
+                        .any(|r| resources[l].binary_search(r).is_ok())
+                {
                     violations.push(Violation {
                         phase: "parallel",
                         episode: i,
-                        cycle: *s1.max(s2),
+                        cycle: s1.max(s2),
                         detail: "overlapping windows share a resource (invariant c)".into(),
                     });
                 }
             }
         }
         let mut prog = Program::default();
-        for (core, start, _end) in &par.windows {
-            let i = episode_of(*core);
-            place(&mut prog, &shell, i, &replays[i], *start, opts.seed);
+        for &(i, start, _end) in &par.windows {
+            place(&mut prog, &shell, i, &replays[i], start, opts.seed);
         }
         let (checks, _) = run_program(&shell, soc, &mut prog, opts, "parallel", &mut violations);
         Some(ParallelSummary {

@@ -45,7 +45,9 @@
 
 use socet::bist::plan_memory_bist;
 use socet::cells::{CellLibrary, DftCosts};
-use socet::core::{parallelize, pareto_front, render_plan, Ccg, CoreTestData, Explorer};
+use socet::core::{
+    ladder_len, parallelize, pareto_front, render_plan, Ccg, CoreTestData, Explorer,
+};
 use socet::hscan::insert_hscan;
 use socet::obs::{Recorder, SharedRecorder};
 use socet::rtl::Soc;
@@ -111,18 +113,10 @@ fn load_system(name: &str) -> Option<Soc> {
     }
 }
 
-/// How many versions each core offers: its ladder length for a logic
-/// core, 1 for a memory core.
-fn version_limits(data: &[Option<CoreTestData>]) -> Vec<usize> {
-    data.iter()
-        .map(|d| d.as_ref().map_or(1, |d| d.versions.len().max(1)))
-        .collect()
-}
-
 /// Parses a comma-separated version choice, one index per core, padding
 /// omitted trailing cores with version 0. Surplus entries and indices a
 /// core does not offer are rejected.
-fn parse_choice(limits: &[usize], arg: Option<&str>) -> Result<Vec<usize>, String> {
+fn parse_choice(data: &[Option<CoreTestData>], arg: Option<&str>) -> Result<Vec<usize>, String> {
     let mut choice = match arg {
         None => Vec::new(),
         Some(s) => s
@@ -130,21 +124,23 @@ fn parse_choice(limits: &[usize], arg: Option<&str>) -> Result<Vec<usize>, Strin
             .map(|part| number("choice", part))
             .collect::<Result<Vec<usize>, _>>()?,
     };
-    if choice.len() > limits.len() {
+    if choice.len() > data.len() {
         return Err(format!(
             "choice has {} entries for {} cores",
             choice.len(),
-            limits.len()
+            data.len()
         ));
     }
-    choice.resize(limits.len(), 0);
-    match choice.iter().zip(limits).position(|(c, limit)| c >= limit) {
-        Some(i) => Err(format!(
-            "core {i} offers {} version(s), choice {} is out of range",
-            limits[i], choice[i]
-        )),
-        None => Ok(choice),
+    choice.resize(data.len(), 0);
+    for (i, (c, td)) in choice.iter().zip(data).enumerate() {
+        let offered = ladder_len(td.as_ref());
+        if *c >= offered {
+            return Err(format!(
+                "core {i} offers {offered} version(s), choice {c} is out of range"
+            ));
+        }
     }
+    Ok(choice)
 }
 
 /// Each command's maximum positional count (command included) and the
@@ -255,18 +251,19 @@ fn main() -> ExitCode {
     let Some(system_name) = args.get(1) else {
         return usage();
     };
+    let default_seed = socet::verify::VerifyOptions::default().seed;
     if cmd == "verify" && *system_name == "synthetic" {
         if stats {
             eprintln!("`verify synthetic` does not take `--stats`");
             return usage();
         }
+        let seed = seed.unwrap_or(default_seed);
         let opts = socet::verify::VerifyOptions {
-            seed: seed.unwrap_or(0x50CE7),
+            seed,
             max_vectors: Some(4),
             ..Default::default()
         };
-        let report =
-            socet::verify::run_synthetic_cases(seed.unwrap_or(0x50CE7), cases.unwrap_or(10), &opts);
+        let report = socet::verify::run_synthetic_cases(seed, cases.unwrap_or(10), &opts);
         print!("{}", report.render());
         return if report.ok() {
             ExitCode::SUCCESS
@@ -288,7 +285,7 @@ fn main() -> ExitCode {
     match cmd {
         "report" => {
             let data = planning_data();
-            let choice = match parse_choice(&version_limits(&data), args.get(2).copied()) {
+            let choice = match parse_choice(&data, args.get(2).copied()) {
                 Ok(c) => c,
                 Err(msg) => {
                     eprintln!("{msg}");
@@ -311,7 +308,7 @@ fn main() -> ExitCode {
                     "test controller : {} cells ({}-bit counter, {} windows)",
                     ctrl.area_cells(&lib),
                     ctrl.counter_bits,
-                    ctrl.windows.len()
+                    plan.episodes.len()
                 ),
                 Err(e) => println!("test controller : synthesis failed ({e})"),
             }
@@ -368,7 +365,7 @@ fn main() -> ExitCode {
         }
         "dot-ccg" => {
             let data = planning_data();
-            let choice = match parse_choice(&version_limits(&data), args.get(2).copied()) {
+            let choice = match parse_choice(&data, args.get(2).copied()) {
                 Ok(c) => c,
                 Err(msg) => {
                     eprintln!("{msg}");
@@ -456,10 +453,9 @@ fn main() -> ExitCode {
         }
         "verify" => {
             let data = planning_data();
-            let limits = version_limits(&data);
-            let base_seed = seed.unwrap_or(0x50CE7);
+            let base_seed = seed.unwrap_or(default_seed);
             let cases = cases.unwrap_or(1);
-            let mut choice = vec![0usize; limits.len()];
+            let mut choice = vec![0usize; data.len()];
             let mut all_ok = true;
             // Scheduled checks (hold gaps included), hold gaps, joint
             // checks executed and scheduled bits, summed over the cases.
@@ -493,7 +489,7 @@ fn main() -> ExitCode {
                     Err(e) => println!("choice {choice:?}: unschedulable ({e})"),
                 }
                 let advanced = (0..choice.len()).rev().any(|i| {
-                    if choice[i] + 1 < limits[i] {
+                    if choice[i] + 1 < ladder_len(data[i].as_ref()) {
                         choice[i] += 1;
                         choice[i + 1..].fill(0);
                         true

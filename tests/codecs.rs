@@ -1,14 +1,18 @@
 //! Property tests of the binary artifact codecs (`socet-cells`,
-//! `socet-gate`, `socet-atpg`): every value round-trips to identical
-//! bytes, and every single-byte corruption of an encoded artifact is
+//! `socet-gate`, `socet-atpg`, `socet-hscan`, `socet-transparency`):
+//! every value round-trips to identical bytes, and every single-byte corruption of an encoded artifact is
 //! either rejected with a [`CodecError`] or decodes to a *different*
 //! value — never a panic, never a silent identical decode.
 
 use proptest::prelude::*;
 use socet::atpg::{decode_test_set, encode_test_set, AtpgMetrics, Coverage, TestSet};
-use socet::cells::{decode_area_report, encode_area_report, AreaReport, CellKind, Dec, Enc};
+use socet::cells::{
+    decode_area_report, encode_area_report, AreaReport, CellKind, CodecError, Dec, Enc,
+};
 use socet::gate::codec::{decode_netlist, encode_netlist};
 use socet::gate::{GateKind, GateNetlist, GateNetlistBuilder};
+use socet::hscan::{decode_hscan, encode_hscan, insert_hscan, HscanResult};
+use socet::transparency::{decode_versions, encode_versions, synthesize_versions, CoreVersion};
 
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -85,10 +89,7 @@ fn random_test_set(seed: u64) -> TestSet {
 // ---------------------------------------------------------------------------
 // Round-trip identity: decode(encode(x)) re-encodes to the same bytes.
 
-fn roundtrip(
-    bytes: &[u8],
-    reencode: impl Fn(&mut Dec) -> Result<Vec<u8>, socet::cells::CodecError>,
-) -> Vec<u8> {
+fn roundtrip(bytes: &[u8], reencode: impl Fn(&mut Dec) -> Result<Vec<u8>, CodecError>) -> Vec<u8> {
     let mut d = Dec::new(bytes);
     let out = reencode(&mut d).expect("valid artifact decodes");
     assert!(
@@ -104,7 +105,7 @@ fn roundtrip(
 fn corruption_sweep(
     bytes: &[u8],
     what: &str,
-    reencode: impl Fn(&mut Dec) -> Result<Vec<u8>, socet::cells::CodecError>,
+    reencode: impl Fn(&mut Dec) -> Result<Vec<u8>, CodecError>,
 ) {
     for pos in 0..bytes.len() {
         let mut bad = bytes.to_vec();
@@ -120,22 +121,59 @@ fn corruption_sweep(
     }
 }
 
-fn encode_report_bytes(r: &AreaReport) -> Vec<u8> {
+fn encode<T>(value: &T, enc: impl Fn(&T, &mut Enc)) -> Vec<u8> {
     let mut e = Enc::new();
-    encode_area_report(r, &mut e);
+    enc(value, &mut e);
     e.into_bytes()
 }
 
-fn encode_netlist_bytes(n: &GateNetlist) -> Vec<u8> {
-    let mut e = Enc::new();
-    encode_netlist(n, &mut e);
-    e.into_bytes()
+/// Encodes `value`, checks that it round-trips to identical bytes and runs
+/// the corruption sweep over the encoding.
+fn check_codec<T>(
+    what: &str,
+    value: &T,
+    enc: impl Fn(&T, &mut Enc),
+    dec: impl Fn(&mut Dec) -> Result<T, CodecError>,
+) {
+    let bytes = encode(value, &enc);
+    let reencode = |d: &mut Dec| Ok(encode(&dec(d)?, &enc));
+    assert_eq!(roundtrip(&bytes, reencode), bytes, "{what}");
+    corruption_sweep(&bytes, what, reencode);
 }
 
-fn encode_tests_bytes(t: &TestSet) -> Vec<u8> {
-    let mut e = Enc::new();
-    encode_test_set(t, &mut e);
-    e.into_bytes()
+/// The HSCAN and version-ladder slices of every logic core's artifact on
+/// both paper systems, at the default DFT costs.
+fn paper_core_slices() -> Vec<(String, HscanResult, Vec<CoreVersion>)> {
+    let costs = socet::cells::DftCosts::default();
+    [socet::socs::barcode_system(), socet::socs::system2()]
+        .iter()
+        .flat_map(|soc| soc.logic_cores().into_iter().map(move |c| soc.core(c)))
+        .map(|inst| {
+            let hscan = insert_hscan(inst.core(), &costs);
+            let versions = synthesize_versions(inst.core(), &hscan, &costs);
+            (inst.name().to_owned(), hscan, versions)
+        })
+        .collect()
+}
+
+#[test]
+fn paper_hscan_slices_roundtrip_and_corruption() {
+    for (core, hscan, _) in paper_core_slices() {
+        check_codec(&format!("{core} hscan"), &hscan, encode_hscan, decode_hscan);
+    }
+}
+
+#[test]
+fn paper_version_ladders_roundtrip_and_corruption() {
+    for (core, _, versions) in paper_core_slices() {
+        let what = format!("{core} version ladder");
+        check_codec(
+            &what,
+            &versions,
+            |v, e| encode_versions(v, e),
+            decode_versions,
+        );
+    }
 }
 
 proptest! {
@@ -143,44 +181,29 @@ proptest! {
 
     #[test]
     fn area_report_roundtrip_and_corruption(seed in 1u64..u64::MAX) {
-        let bytes = encode_report_bytes(&random_report(seed));
-        let re = roundtrip(&bytes, |d| Ok(encode_report_bytes(&decode_area_report(d)?)));
-        prop_assert_eq!(&re, &bytes);
-        corruption_sweep(&bytes, "area report", |d| {
-            Ok(encode_report_bytes(&decode_area_report(d)?))
-        });
+        check_codec("area report", &random_report(seed), encode_area_report, decode_area_report);
     }
 
     #[test]
     fn netlist_roundtrip_and_corruption(seed in 1u64..u64::MAX) {
-        let bytes = encode_netlist_bytes(&random_netlist(seed));
-        let re = roundtrip(&bytes, |d| Ok(encode_netlist_bytes(&decode_netlist(d)?)));
-        prop_assert_eq!(&re, &bytes);
-        corruption_sweep(&bytes, "netlist", |d| {
-            Ok(encode_netlist_bytes(&decode_netlist(d)?))
-        });
+        check_codec("netlist", &random_netlist(seed), encode_netlist, decode_netlist);
     }
 
     #[test]
     fn test_set_roundtrip_and_corruption(seed in 1u64..u64::MAX) {
-        let bytes = encode_tests_bytes(&random_test_set(seed));
-        let re = roundtrip(&bytes, |d| Ok(encode_tests_bytes(&decode_test_set(d)?)));
-        prop_assert_eq!(&re, &bytes);
-        corruption_sweep(&bytes, "test set", |d| {
-            Ok(encode_tests_bytes(&decode_test_set(d)?))
-        });
+        check_codec("test set", &random_test_set(seed), encode_test_set, decode_test_set);
     }
 }
 
 /// Truncation at every prefix length must error out, never panic.
 #[test]
 fn truncation_never_panics() {
-    let bytes = encode_netlist_bytes(&random_netlist(42));
+    let bytes = encode(&random_netlist(42), encode_netlist);
     for len in 0..bytes.len() {
         let mut d = Dec::new(&bytes[..len]);
         assert!(decode_netlist(&mut d).is_err(), "prefix {len} decoded");
     }
-    let bytes = encode_tests_bytes(&random_test_set(42));
+    let bytes = encode(&random_test_set(42), encode_test_set);
     for len in 0..bytes.len() {
         let mut d = Dec::new(&bytes[..len]);
         assert!(decode_test_set(&mut d).is_err(), "prefix {len} decoded");

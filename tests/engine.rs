@@ -5,13 +5,11 @@
 
 use proptest::prelude::*;
 use socet::cells::DftCosts;
-use socet::core::{schedule, try_schedule, Ccg, CoreTestData, Explorer, ScheduleError, Scheduler};
+use socet::core::{
+    ladder_len, schedule, try_schedule, Ccg, CoreTestData, Explorer, ScheduleError, Scheduler,
+};
 use socet::rtl::Soc;
 use socet::socs::{barcode_system, generate_soc, SyntheticConfig};
-
-fn ladder_len(data: &[Option<CoreTestData>], idx: usize) -> usize {
-    data[idx].as_ref().map(|d| d.versions.len()).unwrap_or(1)
-}
 
 /// A canonical structural rendering of a CCG: every ordered field, but not
 /// the node-lookup hash map (whose Debug iteration order is arbitrary).
@@ -54,7 +52,7 @@ proptest! {
         let mut patched = Ccg::try_build(&soc, &data, &choice).expect("valid start");
         for (which, ver) in steps {
             let cid = logic[which % logic.len()];
-            let ver = ver % ladder_len(&data, cid.index());
+            let ver = ver % ladder_len(data[cid.index()].as_ref());
             choice[cid.index()] = ver;
             patched.step_core(cid, &data, ver).expect("valid step");
             let fresh = Ccg::try_build(&soc, &data, &choice).expect("valid choice");
@@ -78,7 +76,7 @@ proptest! {
         let mut choice = vec![0usize; soc.cores().len()];
         for (which, ver) in walk {
             let cid = logic[which % logic.len()];
-            choice[cid.index()] = ver % ladder_len(&data, cid.index());
+            choice[cid.index()] = ver % ladder_len(data[cid.index()].as_ref());
             let warm = engine.evaluate(&choice).expect("valid choice");
             let cold = schedule(&soc, &data, &choice, &costs);
             prop_assert_eq!(format!("{:?}", warm), format!("{:?}", cold));

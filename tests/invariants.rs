@@ -67,8 +67,8 @@ proptest! {
         let mut state = vec![false; ctrl.netlist.flip_flop_count()];
         for cycle in 0..total.min(300) + 2 {
             let (outs, next) = sim.run_with_state(&[false], &state);
-            for (k, (_, start, end)) in ctrl.windows.iter().enumerate() {
-                prop_assert_eq!(outs[k], cycle >= *start && cycle < *end);
+            for (k, (_, start, end)) in plan.serial_windows().enumerate() {
+                prop_assert_eq!(outs[k], cycle >= start && cycle < end);
             }
             state = next;
         }
