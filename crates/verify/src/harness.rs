@@ -63,8 +63,8 @@ pub enum CaseOutcome {
     Pass {
         /// Logic-core count of the generated SOC.
         cores: usize,
-        /// The case's [`VerifyReport::checks`]: scheduled serial checks
-        /// plus executed joint ones.
+        /// The case's [`VerifyReport::checks`]: the episodes' scheduled
+        /// checks plus the replay's executed ones.
         checks: u64,
     },
     /// The oracle found violations; `minimal` is the greedily shrunk spec
@@ -249,7 +249,7 @@ mod tests {
         });
         let skewed = verify_soc(&soc, 2, &vec![0; n], &opts).expect("oracle runs");
         assert!(
-            skewed.violations.iter().any(|v| v.phase == "serial"),
+            skewed.violations.iter().any(|v| v.phase == "parallel"),
             "skew not caught:\n{}",
             skewed.render()
         );

@@ -22,21 +22,19 @@
 //! reads the same itineraries, must pass [`validate_program`].
 //!
 //! Each episode's routes become vector-independent templates, built once
-//! per [`verify_design_point`] call. A drive program is those templates
-//! placed at offsets: at 0 for the serial phase (one program per episode),
-//! at each packed window's start for the joint phase. Every placed
-//! (vector, route) pair is one *owner*, and the program's load, hold and
-//! open journals name it. An owner is *clobbered* when another route loads
-//! a register strictly inside its hold span, or loads the same register
-//! (or opens the same output-port bits) in the same cycle through a
-//! higher-index mux leg. The first clobber found names the clobbering
-//! owner; the search order is fixed (holds in placement order, then
-//! same-cycle load groups, then same-cycle open groups, each group list in
-//! `(core, register or port, cycle)` order), so a failing report names the
-//! same core and cycle on every run. A clobber by another episode is an
-//! invariant-(c) violation. A clobber within the owner's own episode skips
-//! its check and is a *hold gap*, counted once, in the serial phase; the
-//! joint phase skips the same checks without counting them again.
+//! per [`verify_design_point`] call. The drive program, replayed once, is
+//! those templates placed at each packed window's start: the test the chip
+//! applies. Every placed (vector, route) pair is one *owner*, and the
+//! program's load, hold and open journals name it. An owner is *clobbered*
+//! when another route loads a register strictly inside its hold span, or
+//! loads the same register (or opens the same output-port bits) in the
+//! same cycle through a higher-index mux leg. The first clobber found
+//! names the clobbering owner; the search order is fixed (holds in
+//! placement order, then same-cycle load groups, then same-cycle open
+//! groups, each group list in `(core, register or port, cycle)` order), so
+//! a failing report names the same core and cycle on every run. A clobber
+//! by another episode is an invariant-(c) violation. A clobber within the
+//! owner's own episode skips its check and is a *hold gap* of that episode.
 
 use crate::shell::{InputRole, Shell};
 use crate::VerifyError;
@@ -53,7 +51,8 @@ use std::fmt::Write as _;
 
 /// Deliberate mis-scheduling hook: shifts the *claimed* arrival cycle of
 /// one input route by `delta` cycles, leaving the physical drive program
-/// untouched. A correct oracle must catch any non-zero `delta`.
+/// untouched. A correct oracle must catch any non-zero `delta`; a skew
+/// that could inject no lie is rejected with a [`VerifyError::Model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Skew {
     /// Episode index (into `plan.episodes`).
@@ -89,7 +88,7 @@ impl Default for VerifyOptions {
 /// One invariant violation found during replay.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// `"serial"`, `"parallel"` or `"tester"`.
+    /// `"parallel"` (the replay) or `"tester"` (the tester-program check).
     pub phase: &'static str,
     /// Episode index into `plan.episodes`.
     pub episode: usize,
@@ -133,7 +132,7 @@ pub struct EpisodeSummary {
     pub hold_gaps: u64,
 }
 
-/// Parallel-phase accounting.
+/// Accounting of the replay of the packed schedule.
 #[derive(Debug, Clone)]
 pub struct ParallelSummary {
     /// Episode windows packed.
@@ -142,8 +141,8 @@ pub struct ParallelSummary {
     pub makespan: u64,
     /// Serial TAT for comparison.
     pub serial_tat: u64,
-    /// Checks executed during the joint replay; the hold-gap checks it
-    /// skips are not counted.
+    /// Checks executed by the replay; the hold-gap checks it skips are not
+    /// counted.
     pub checks: u64,
 }
 
@@ -165,7 +164,7 @@ pub struct VerifyReport {
     pub flat_ffs: usize,
     /// Per-episode accounting, in plan order.
     pub episodes: Vec<EpisodeSummary>,
-    /// Parallel-phase accounting (`None` for a plan without episodes).
+    /// Replay accounting (`None` for a plan without episodes).
     pub parallel: Option<ParallelSummary>,
     /// Every violation found, in detection order.
     pub violations: Vec<Violation>,
@@ -178,10 +177,10 @@ impl VerifyReport {
     }
 
     /// Every episode's scheduled checks (hold gaps included) plus the
-    /// joint replay's executed ones — not the number of checks executed.
+    /// replay's executed ones — not the number of checks executed.
     /// System 1's paper point totals 25 620: 13 335 scheduled plus 12 285
-    /// joint, of which 24 570 ran (its 1 050 hold-gap checks are skipped
-    /// in both phases).
+    /// executed: only 12 285 checks ran (its 1 050 hold-gap checks are
+    /// skipped).
     pub fn checks(&self) -> u64 {
         self.episodes.iter().map(|e| e.checks).sum::<u64>()
             + self.parallel.as_ref().map_or(0, |p| p.checks)
@@ -419,7 +418,6 @@ fn route_template(
     dir: Dir,
     route_idx: usize,
     it: &RouteItinerary,
-    claimed: u64,
 ) -> Result<RouteTemplate, VerifyError> {
     let pin = it
         .pin
@@ -484,7 +482,7 @@ fn route_template(
         dir,
         route_idx,
         arrival,
-        claimed,
+        claimed: arrival,
         src,
         untracked: (map.len() - bits.len()) as u64,
         bits,
@@ -617,8 +615,8 @@ fn hop_image(
 // ---------------------------------------------------------------------------
 // Per-episode replays and their placement.
 
-/// One episode's replay, built once and placed by both phases: its route
-/// templates and the number of vectors each is instantiated for.
+/// One episode's replay, built once and placed at its packed window: its
+/// route templates and the number of vectors each is instantiated for.
 struct EpisodeReplay<'a> {
     ep: &'a CoreEpisode,
     vectors: u64,
@@ -626,12 +624,11 @@ struct EpisodeReplay<'a> {
 }
 
 impl<'a> EpisodeReplay<'a> {
-    /// Builds the templates of every physically routed itinerary of `ep`
-    /// (plan index `plan_idx`), inputs first, applying the skew hook.
+    /// Builds the templates of every physically routed itinerary of `ep`,
+    /// inputs first.
     fn build(
         shell: &Shell,
         soc: &Soc,
-        plan_idx: usize,
         ep: &'a CoreEpisode,
         opts: &VerifyOptions,
     ) -> Result<Self, VerifyError> {
@@ -641,14 +638,7 @@ impl<'a> EpisodeReplay<'a> {
             .map(|(idx, it)| (Dir::Input, idx, it))
             .chain(outputs.map(|(idx, it)| (Dir::Output, idx, it)))
             .filter(|(.., it)| !it.is_system_mux())
-            .map(|(dir, idx, it)| {
-                let skew = opts
-                    .skew
-                    .filter(|sk| dir == Dir::Input && sk.episode == plan_idx && sk.route == idx);
-                let claimed =
-                    u64::from(it.arrival).saturating_add_signed(skew.map_or(0, |sk| sk.delta));
-                route_template(shell, soc, ep, dir, idx, it, claimed)
-            })
+            .map(|(dir, idx, it)| route_template(shell, soc, ep, dir, idx, it))
             .collect::<Result<_, _>>()?;
         Ok(EpisodeReplay {
             ep,
@@ -660,7 +650,7 @@ impl<'a> EpisodeReplay<'a> {
     }
 }
 
-/// Places `rep` (plan index `plan_idx`) into `prog` with its window
+/// Places `rep` (plan index `plan_idx`) into `prog` with its packed window
 /// starting at `offset`: the CUT's test-mode window, then one owner per
 /// vector and template with its activation pulses, journal records and
 /// check.
@@ -790,20 +780,19 @@ fn clobbered_owners(prog: &mut Program) -> Vec<Option<(u64, usize, u64)>> {
     out
 }
 
-/// Runs the program on the shell, appending violations. Returns the number
-/// of checks executed and the number of hold gaps: owners clobbered by a
-/// route of their own episode, whose checks are skipped. An owner
+/// Runs the program on the shell, appending violations, and returns the
+/// number of checks executed. An owner clobbered by a route of its own
+/// episode is a hold gap of that episode's summary, its check skipped; one
 /// clobbered by another episode is an invariant-(c) violation.
 fn run_program(
     shell: &Shell,
     soc: &Soc,
-    prog: &mut Program,
+    mut prog: Program,
     opts: &VerifyOptions,
-    phase: &'static str,
+    summaries: &mut [EpisodeSummary],
     violations: &mut Vec<Violation>,
-) -> (u64, u64) {
-    let clobbered = clobbered_owners(prog);
-    let mut hold_gaps = 0u64;
+) -> u64 {
+    let clobbered = clobbered_owners(&mut prog);
     let mut reported: HashSet<(usize, usize)> = HashSet::new();
     for (owner, clobber) in clobbered.iter().enumerate() {
         let Some((by, core, cycle)) = *clobber else {
@@ -812,10 +801,10 @@ fn run_program(
         let own_ep = prog.owner_episode[owner];
         let by_ep = prog.owner_episode[by as usize];
         if own_ep == by_ep {
-            hold_gaps += 1;
+            summaries[own_ep].hold_gaps += 1;
         } else if reported.insert((own_ep.min(by_ep), own_ep.max(by_ep))) {
             violations.push(Violation {
-                phase,
+                phase: "parallel",
                 episode: own_ep,
                 cycle,
                 detail: format!(
@@ -873,7 +862,7 @@ fn run_program(
                     Dir::Output => "response missed chip output (invariant b)",
                 };
                 violations.push(Violation {
-                    phase,
+                    phase: "parallel",
                     episode: prog.owner_episode[c.owner as usize],
                     cycle: t,
                     detail: format!(
@@ -888,11 +877,25 @@ fn run_program(
         }
         state = next;
     }
-    (executed, hold_gaps)
+    executed
 }
 
 // ---------------------------------------------------------------------------
 // Entry point.
+
+/// Rejects a skew that could inject no lie into `plan`: one naming no
+/// input route, a system-mux route, a zero shift or a claim before cycle 0.
+fn check_skew(plan: &DesignPoint, sk: Skew) -> Result<(), VerifyError> {
+    let ep = plan.episodes.get(sk.episode);
+    let why = match ep.and_then(|ep| ep.input_routes.get(sk.route)) {
+        None => "names no input route of the plan",
+        Some(it) if it.is_system_mux() => "names a system-mux route",
+        Some(_) if sk.delta == 0 => "shifts nothing",
+        Some(it) if sk.delta < -i64::from(it.arrival) => "claims a cycle before 0",
+        Some(_) => return Ok(()),
+    };
+    Err(VerifyError::Model(format!("{sk:?} {why}")))
+}
 
 /// Replays every episode of `plan` on the gate-level shell of `soc` and
 /// checks the three invariants. See the module docs.
@@ -902,10 +905,10 @@ pub fn verify_design_point(
     plan: &DesignPoint,
     opts: &VerifyOptions,
 ) -> Result<VerifyReport, VerifyError> {
+    opts.skew.map_or(Ok(()), |sk| check_skew(plan, sk))?;
     let shell = Shell::build(soc, data, plan)?;
     let flat = flatten_soc(soc).map_err(VerifyError::Netlist)?;
     let mut violations = Vec::new();
-    let mut summaries = Vec::new();
 
     // Structural check of the tester-program expansion.
     for (i, ep) in plan.episodes.iter().enumerate() {
@@ -919,19 +922,21 @@ pub fn verify_design_point(
         }
     }
 
-    let replays = plan
+    let mut replays = plan
         .episodes
         .iter()
-        .enumerate()
-        .map(|(i, ep)| EpisodeReplay::build(&shell, soc, i, ep, opts))
+        .map(|ep| EpisodeReplay::build(&shell, soc, ep, opts))
         .collect::<Result<Vec<_>, _>>()?;
-
-    // Serial phase: every episode replayed in isolation. Hold gaps are
-    // counted here only; the joint phase skips the same checks.
-    for (i, rep) in replays.iter().enumerate() {
-        let mut prog = Program::default();
-        place(&mut prog, &shell, i, rep, 0, opts.seed);
-        let (_, hold_gaps) = run_program(&shell, soc, &mut prog, opts, "serial", &mut violations);
+    // The skew's lie: its route's claimed arrival moves, its drive does not.
+    if let Some(sk) = opts.skew {
+        let lied = |t: &&mut RouteTemplate| t.dir == Dir::Input && t.route_idx == sk.route;
+        for t in replays[sk.episode].templates.iter_mut().filter(lied) {
+            t.claimed = t.arrival.saturating_add_signed(sk.delta);
+        }
+    }
+    // `hold_gaps` is filled in by the replay below.
+    let mut summaries = Vec::new();
+    for rep in &replays {
         let ep = rep.ep;
         let sys_mux = ep.routes().filter(|r| r.is_system_mux()).count();
         let per_vector = |f: fn(&RouteTemplate) -> u64| -> u64 {
@@ -947,11 +952,11 @@ pub fn verify_design_point(
             checks: per_vector(|_| 1),
             bits_checked: per_vector(|t| t.bits.len() as u64),
             bits_untracked: per_vector(|t| t.untracked),
-            hold_gaps,
+            hold_gaps: 0,
         });
     }
 
-    // Parallel phase: the packed windows replayed jointly (invariant c).
+    // The packed windows, replayed jointly once (invariant c).
     let parallel = if !plan.episodes.is_empty() {
         let par = parallelize(plan);
         // Explicit pairwise resource disjointness of overlapping windows.
@@ -981,7 +986,7 @@ pub fn verify_design_point(
         for &(i, start, _end) in &par.windows {
             place(&mut prog, &shell, i, &replays[i], start, opts.seed);
         }
-        let (checks, _) = run_program(&shell, soc, &mut prog, opts, "parallel", &mut violations);
+        let checks = run_program(&shell, soc, prog, opts, &mut summaries, &mut violations);
         Some(ParallelSummary {
             windows: par.windows.len(),
             makespan: par.makespan,

@@ -192,8 +192,8 @@ fn sweep_counters_describe_the_search_not_the_host() {
 }
 
 /// Each number of `verify --stats`'s total line says what it counts: the
-/// serial phase executes the scheduled checks minus the hold gaps, the
-/// joint phase the same, and the bits are those scheduled in one phase.
+/// one replay executes the scheduled checks minus the hold gaps it skips,
+/// and the bits are those the scheduled checks cover.
 #[test]
 fn verify_total_line_counts_what_it_checks() {
     let out = soctool(&["verify", "system1", "--stats"]);
@@ -205,8 +205,7 @@ fn verify_total_line_counts_what_it_checks() {
     let total = stdout.lines().last().expect("total line");
     assert_eq!(
         total,
-        "total: 24570 checks executed (12285 serial + 12285 joint), \
-         1050 hold-gap checks skipped per phase, 65205 bits scheduled per phase"
+        "total: 12285 checks executed, 1050 hold-gap checks skipped, 65205 bits scheduled"
     );
 }
 
@@ -225,6 +224,50 @@ fn paper_system_reports_are_byte_stable() {
         h.write_bytes(&out.stdout);
         assert_eq!(h.finish().to_hex(), digest, "{system}");
     }
+}
+
+/// The stdout of `soctool verify` without `--stats` is pinned by digest:
+/// every episode line, parallel line and verdict of 25 design points per
+/// paper system, and every case line of the synthetic harness at two
+/// seeds. A change to the replay that moves any report byte fails here.
+#[test]
+fn verify_reports_are_byte_stable() {
+    let runs: [&[&str]; 4] = [
+        &["verify", "system1", "--cases", "25"],
+        &["verify", "system2", "--cases", "25"],
+        &["verify", "synthetic", "--cases", "25"],
+        &["verify", "synthetic", "--cases", "25", "--seed", "1998"],
+    ];
+    let got: Vec<(String, String)> = runs
+        .iter()
+        .map(|args| {
+            let out = soctool(args);
+            assert!(out.status.success(), "soctool {args:?} failed");
+            let mut h = StableHasher::new();
+            h.write_bytes(&out.stdout);
+            (args.join(" "), h.finish().to_hex())
+        })
+        .collect();
+    let want = [
+        (
+            "verify system1 --cases 25",
+            "f0eaa370f3f49646b8cdd3137274eb3b",
+        ),
+        (
+            "verify system2 --cases 25",
+            "a1c40e1a13474a078b8fd9f5fc6f03aa",
+        ),
+        (
+            "verify synthetic --cases 25",
+            "aa0e5a5c78d0f9818032479e19dfc83f",
+        ),
+        (
+            "verify synthetic --cases 25 --seed 1998",
+            "ebdc48f967491ce7346a2f8f033fd024",
+        ),
+    ];
+    let got: Vec<(&str, &str)> = got.iter().map(|(a, d)| (&a[..], &d[..])).collect();
+    assert_eq!(got, want);
 }
 
 #[test]

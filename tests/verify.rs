@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use socet::socs::SocSpec;
 use socet::verify::{
-    run_synthetic_cases, verify_soc, verify_spec, CaseOutcome, Skew, VerifyOptions,
+    run_synthetic_cases, verify_soc, verify_spec, CaseOutcome, Skew, VerifyError, VerifyOptions,
 };
 
 fn quick() -> VerifyOptions {
@@ -73,10 +73,9 @@ fn paper_design_points_pin_their_replay_accounting() {
     }
 }
 
-/// Hold gaps are counted once per route instance: the joint replay skips
-/// exactly the checks the serial phase files as hold gaps, so on every
-/// passing report the joint checks plus the hold gaps equal the episodes'
-/// checks.
+/// Hold gaps are counted once per route instance: the replay skips exactly
+/// the checks it files as hold gaps, so on every passing report the
+/// executed checks plus the hold gaps equal the episodes' checks.
 #[test]
 fn joint_checks_plus_hold_gaps_equal_episode_checks() {
     let mut reports = Vec::new();
@@ -204,6 +203,88 @@ fn skewed_claim_is_caught_and_shrinks_to_minimal_soc() {
             "shrink is not minimal: a candidate still fails"
         );
     }
+}
+
+/// A ±1-cycle lie about any input route of either paper system is caught
+/// as an invariant-(a) violation of the replay, or rejected up front when
+/// the skew could inject nothing: a system-mux route (no transport is
+/// replayed), a route missing from the plan, or a −1 on a route arriving
+/// at cycle 0 (the claim would be before the schedule starts).
+///
+/// Known blind spot: System 1 DISPLAY's (episode 2) input routes 0 and 1
+/// replay clean under any lie, because every check of theirs is a hold
+/// gap (525 each at full length: the 1 050 of DISPLAY's report line).
+/// ROADMAP item 4, replaying on the materialised freeze hardware, is to
+/// close it.
+#[test]
+fn every_input_route_lie_is_caught_or_rejected() {
+    let costs = socet::cells::DftCosts::default();
+    for (system, soc) in [
+        ("system1", socet::socs::barcode_system()),
+        ("system2", socet::socs::system2()),
+    ] {
+        let n = soc.cores().len();
+        let data = socet::core::CoreTestData::synthesize_soc(&soc, &costs, 3).unwrap();
+        let plan = socet::core::try_schedule(&soc, &data, &vec![0; n], &costs).unwrap();
+        let mut caught = 0;
+        for (episode, ep) in plan.episodes.iter().enumerate() {
+            // One past the last route names a route the plan lacks.
+            for route in 0..=ep.input_routes.len() {
+                for delta in [-1i64, 1] {
+                    let opts = VerifyOptions {
+                        skew: Some(Skew {
+                            episode,
+                            route,
+                            delta,
+                        }),
+                        ..quick()
+                    };
+                    let case = format!("{system} episode {episode} route {route} delta {delta}");
+                    let result = verify_soc(&soc, 3, &vec![0; n], &opts);
+                    let rejected = ep
+                        .input_routes
+                        .get(route)
+                        .is_none_or(|it| it.is_system_mux() || (it.arrival == 0 && delta < 0));
+                    if rejected {
+                        assert!(
+                            matches!(result, Err(VerifyError::Model(_))),
+                            "{case}: {result:?}"
+                        );
+                        continue;
+                    }
+                    let report = result.unwrap_or_else(|e| panic!("{case}: {e}"));
+                    if system == "system1" && episode == 2 && route < 2 {
+                        assert!(report.ok(), "{case}:\n{}", report.render());
+                        continue;
+                    }
+                    assert!(
+                        report
+                            .violations
+                            .iter()
+                            .any(|v| v.phase == "parallel" && v.detail.contains("invariant a")),
+                        "{case} not caught:\n{}",
+                        report.render()
+                    );
+                    caught += 1;
+                }
+            }
+        }
+        assert!(caught > 0, "{system}: no lie was replayed");
+    }
+    // A skew of a missing episode is rejected too.
+    let soc = socet::socs::system2();
+    let opts = VerifyOptions {
+        skew: Some(Skew {
+            episode: 3,
+            route: 0,
+            delta: 1,
+        }),
+        ..quick()
+    };
+    assert!(matches!(
+        verify_soc(&soc, 3, &[0; 3], &opts),
+        Err(VerifyError::Model(_))
+    ));
 }
 
 /// Mirrors the harness's greedy shrink loop so the test can assert
